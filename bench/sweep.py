@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import platform
 import random
 import time
@@ -42,7 +43,7 @@ def main() -> None:
     from charclass import wring
 
     record = {"python": platform.python_version(), "numpy": numpy.__version__,
-              "nproc": run.os.cpu_count(), "theorem1": [], "relations": [], "products": []}
+              "nproc": os.cpu_count(), "theorem1": [], "relations": [], "products": []}
     for degree in THEOREM1_DEGREES:
         row = timed_cli(["verify", "--suite", "theorem1", "--degree", str(degree)])
         record["theorem1"].append(row)
