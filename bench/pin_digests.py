@@ -1,26 +1,24 @@
 """Recompute the pinned output digests in bench/digests.json.
 
-    python3 bench/pin_digests.py --seeds 20
+    python3 bench/pin_digests.py
 
-Run it only when a change to the workloads alters their inputs on purpose;
-a change to the package must leave every pinned digest as it is.
+It pins seeds 0 .. run.PINNED_SEEDS-1 of every workload.  Run it only when a
+change to the workloads alters their inputs on purpose; a change to the
+package must leave every pinned digest as it is.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 
 import run
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=20, help="pin seeds 0 .. N-1")
-    args = parser.parse_args()
     tally = run.Tally()
     pins = {
-        name: {str(seed): run.outputs_digest(name, seed, tally) for seed in range(args.seeds)}
+        name: {str(seed): run.outputs_digest(name, seed, tally)
+               for seed in range(run.PINNED_SEEDS)}
         for name in run.WORKLOAD_NAMES
     }
     if tally.failed:

@@ -7,19 +7,25 @@ Run from the root of a checkout; the package is imported from its `src`
 directory.  A run:
 
 1. draws the workload's operations from the seed (workloads.py);
-2. runs whole passes over the operations for --seconds, timing each
-   operation and requiring every pass to give the answers of the first;
-3. between passes, times `setup_s`: the median over SETUP_REPEATS fresh
-   interpreters that import charclass and build what the workload's first
-   operation needs;
+2. runs passes over the operations for --seconds, timing each operation
+   and requiring every pass to give the answers of the first;
+3. meanwhile, at even intervals, times `setup_s`: the median over
+   SETUP_REPEATS fresh interpreters that import charclass and build what the
+   workload's first operation needs;
 4. reads `peak_rss_mb`, then runs every operation once more, untimed,
    checks each answer independently and compares the digest of all outputs
    with the pinned one (digests.json).
 
-An operation's latency is its minimum over the passes: the machine is
-shared, and other processes can only add time, so the minimum is the
-repeatable figure.  `ops_per_s` is operations per pass over the sum of those
-latencies; `op_p50_ms` and `op_tail_ms` are quantiles of them.
+Times are CPU times (time.process_time for an operation, the child's user
+plus system time for a set-up probe), which leave out any stretch in which
+other processes hold the cores.  An operation's latency is its mean over the
+passes, so `ops_per_s`, operations per pass over the sum of those latencies,
+is the throughput of the whole run; `op_p50_ms` and `op_tail_ms` are
+quantiles of the latencies over the operations.
+
+`attempted` counts each operation once, plus one for the output digest.  An
+operation fails if its answer is wrong, if it raised in any pass, or if its
+answer changed between passes.
 
 With --trace 0 it reports the end-to-end metrics.  With --trace 1 it spends
 half the time untraced and half traced (tracing.py) and reports per-layer
@@ -51,6 +57,7 @@ SRC = ROOT / "src"
 OUT = BENCH / "out"
 WORKLOAD_NAMES = ("oracle", "relations", "products", "queries")
 SETUP_REPEATS = 9
+PINNED_SEEDS = 30  # digests.json pins seeds 0 .. PINNED_SEEDS-1
 TAIL_BEYOND = 10  # samples beyond the reported tail percentile
 
 # What each workload builds before its first operation, in a fresh interpreter.
@@ -78,10 +85,17 @@ def use_source() -> None:
         sys.path.insert(0, str(SRC))
 
 
+def children_cpu() -> float:
+    """User plus system seconds of every waited-for child process."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 class SetupProbe:
     """Times a fresh interpreter that imports charclass and builds what the
-    workload's first operation needs.  Probes run between timed passes, so
-    their median spans the whole run rather than one moment of it."""
+    workload's first operation needs.  Probes run at even intervals during
+    the timed passes, so their median spans the whole run rather than one
+    moment of it."""
 
     def __init__(self, workload: str):
         self.code = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\nimport charclass\n"
@@ -93,10 +107,10 @@ class SetupProbe:
     def once(self) -> None:
         if len(self.times) >= SETUP_REPEATS:
             return
-        t0 = time.perf_counter()
+        before = children_cpu()
         proc = subprocess.run([sys.executable, "-c", self.code], cwd=ROOT,
                               capture_output=True, text=True, timeout=60)
-        elapsed = time.perf_counter() - t0
+        elapsed = children_cpu() - before
         if proc.returncode != 0:
             fail(f"set-up probe failed:\n{proc.stderr}")
         self.times.append(elapsed)
@@ -109,7 +123,7 @@ class SetupProbe:
 
 def pinned_digest(workload: str, seed: int):
     with open(BENCH / "digests.json") as fh:
-        return json.load(fh)[workload].get(str(seed))
+        return json.load(fh)[workload][str(seed)]
 
 
 class Tally:
@@ -137,67 +151,114 @@ def error_line() -> str:
     return traceback.format_exc(limit=3).strip().splitlines()[-1]
 
 
-def checked_pass(ops, tally: Tally, timed=None) -> str:
-    """Run every operation once, check its answer, require it to equal the
-    answer of the timed passes (`timed` fingerprints) and digest the
-    outputs.  Returns the digest."""
+def digest_of(texts) -> str:
     digest = hashlib.sha256()
-    for i, op in enumerate(ops):
-        try:
-            result = op.run()
-            problem = op.check(result)
-            text = op.render(result)
-            if not problem and timed is not None and fingerprint(op, result) != timed[i]:
-                problem = "differs from the answer of the timed passes"
-        except Exception:  # an exception is a failed operation, not a crash
-            text, problem = "exception", error_line()
-        tally.record(f"op {i} ({op.kind})", problem)
+    for text in texts:
         digest.update(text.encode())
         digest.update(b"\n")
     return digest.hexdigest()
 
 
-def outputs_digest(workload: str, seed: int, tally: Tally) -> str:
+def seeded_ops(workload: str, seed: int) -> list:
     use_source()
     import workloads
 
-    ops = workloads.WORKLOADS[workload](random.Random(f"{workload}/{seed}"))
-    return checked_pass(ops, tally)
+    return workloads.WORKLOADS[workload](random.Random(f"{workload}/{seed}"))
 
 
-def timed_passes(ops, seconds: float, tally: Tally, answers: list, tracer=None,
-                 between=None) -> tuple:
-    """Whole passes until `seconds` have gone by, calling `between` after
-    each.  `answers` holds a fingerprint per operation: an empty list is
-    filled by the first pass, and every later answer must match it.
-    Returns (passes, the minimum latency of each operation)."""
-    passes = []
+def checked_pass(ops, tally: Tally, timed=None, timed_problems=None) -> str:
+    """Run every operation once, check its answer, require it to equal the
+    answer of the timed passes (`timed` fingerprints, `timed_problems` what
+    went wrong in them) and digest the outputs.  Records one tally entry per
+    operation and returns the digest."""
+    texts = []
+    for i, op in enumerate(ops):
+        try:
+            result = op.run()
+            problem = op.check(result)
+            text = op.render(result)
+            if not problem and timed_problems:
+                problem = timed_problems.get(i)
+            if not problem and timed is not None and fingerprint(op, result) != timed[i]:
+                problem = "differs from the answer of the timed passes"
+        except Exception:  # an exception is a failed operation, not a crash
+            text, problem = "exception", error_line()
+        tally.record(f"op {i} ({op.kind})", problem)
+        texts.append(text)
+    return digest_of(texts)
+
+
+def outputs_digest(workload: str, seed: int, tally: Tally) -> str:
+    return checked_pass(seeded_ops(workload, seed), tally)
+
+
+def digest_problem(workload: str, seed: int, digest: str):
+    """None if the outputs match the pinned digest.  For a seed that is not
+    pinned, whose answers the operations' own checks have covered, the
+    pinned reference seed 0 is replayed and its digest compared instead."""
+    ref_seed = seed if 0 <= seed < PINNED_SEEDS else 0
+    if ref_seed != seed:
+        try:
+            digest = digest_of(op.render(op.run()) for op in seeded_ops(workload, ref_seed))
+        except Exception:
+            return f"replay of seed {ref_seed}: {error_line()}"
+    pinned = pinned_digest(workload, ref_seed)
+    return None if digest == pinned else f"seed {ref_seed}: {digest} != pinned {pinned}"
+
+
+def timed_passes(ops, seconds: float, answers: list, problems: dict, tracer=None,
+                 between=None, calls: int = 0) -> list:
+    """Passes over the operations until `seconds` of wall time have gone by:
+    one whole pass at least, and the last pass stops at the deadline (or,
+    when tracing, ends, so that per-pass counts are exact).
+    `between` is called `calls` times at even intervals, after an operation.
+    `answers` holds a fingerprint per operation: an empty list is filled by
+    the first pass, and every later answer must match it.  `problems` gets
+    the first thing that went wrong with each operation, by index.  Returns
+    the CPU time of every operation run, pass by pass."""
+    passes: list = []
+    clock = time.process_time
     start = time.perf_counter()
-    while not passes or time.perf_counter() - start < seconds:
+    deadline = start + seconds
+    interval = seconds / (calls + 1)
+    next_call = start + interval
+    while not passes or time.perf_counter() < deadline:
         first = not answers
         lat = []
+        passes.append(lat)
         for i, op in enumerate(ops):
             if tracer is not None:
                 tracer.op_id = i
-            t0 = time.perf_counter()
+            t0 = clock()
             try:
                 result = op.run()
             except Exception:
-                lat.append(time.perf_counter() - t0)
-                tally.record(f"op {i} ({op.kind})", error_line())
-                if first:
-                    answers.append(None)
-                continue
-            lat.append(time.perf_counter() - t0)
+                result = error_line()
+                problems.setdefault(i, result)
+            lat.append(clock() - t0)
             got = fingerprint(op, result)
             if first:
                 answers.append(got)
-            tally.record(f"op {i} ({op.kind})",
-                         None if got == answers[i] else "answer changed between passes")
-        passes.append(lat)
-        if between is not None:
-            between()
-    return len(passes), [min(p[i] for p in passes) for i in range(len(ops))]
+            elif got != answers[i]:
+                problems.setdefault(i, "answer changed between passes")
+            now = time.perf_counter()
+            if between is not None and calls and now >= next_call:
+                between()
+                calls -= 1
+                next_call += interval
+            if len(passes) > 1 and now >= deadline and tracer is None:
+                break
+    return passes
+
+
+def op_latencies(passes: list) -> list:
+    """The latency of each operation: its mean over the passes that ran it,
+    leaving out the first, which warms caches up, where there are others."""
+    out = []
+    for i, cold in enumerate(passes[0]):
+        warm = [p[i] for p in passes[1:] if len(p) > i]
+        out.append(statistics.fmean(warm) if warm else cold)
+    return out
 
 
 def tail(latencies: list):
@@ -233,29 +294,33 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
     probe = None if trace else SetupProbe(workload)
 
     import tracing
-    import workloads
 
-    ops = workloads.WORKLOADS[workload](random.Random(f"{workload}/{seed}"))
+    ops = seeded_ops(workload, seed)
     env = environment(workload, seed, ops)
     tally = Tally()
     answers: list = []
+    problems: dict = {}
     detail: dict = {"env": env}
     if trace:
-        n_plain, plain = timed_passes(ops, seconds / 2, tally, answers)
+        plain_passes = timed_passes(ops, seconds / 2, answers, problems)
+        plain, n_plain = op_latencies(plain_passes), len(plain_passes)
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            n_traced, traced = timed_passes(ops, seconds / 2, tally, answers, tracer)
+            traced_passes = timed_passes(ops, seconds / 2, answers, problems, tracer)
         finally:
             tracer.uninstall()
-        metrics = tracer.layer_metrics(n_traced)
+        traced = op_latencies(traced_passes)
+        metrics = tracer.layer_metrics(len(traced_passes))
         metrics["trace.slowdown"] = {"value": sum(traced) / sum(plain), "unit": "ratio"}
-        detail["passes"] = {"untraced": n_plain, "traced": n_traced}
+        detail["passes"] = {"untraced": n_plain, "traced": len(traced_passes)}
         detail["spans"] = len(tracer)
         OUT.mkdir(exist_ok=True)
         tracer.write_spans(OUT / f"spans-{workload}-seed{seed}.npz")
     else:
-        passes, lat = timed_passes(ops, seconds, tally, answers, between=probe.once)
+        passes = timed_passes(ops, seconds, answers, problems, between=probe.once,
+                              calls=SETUP_REPEATS)
+        lat = op_latencies(passes)
         # read before the checks below, whose own memory is not the program's
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         tail_value, tail_pct, n = tail(lat)
@@ -266,22 +331,16 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
             "setup_s": {"value": probe.median(), "unit": "s"},
         }
-        detail["passes"] = passes
+        detail["passes"] = len(passes)
+        detail["pass_latencies_s"] = passes
+        detail["setup_samples_s"] = probe.times
         detail["tail"] = {"percentile": tail_pct, "samples": n}
         print(f"op_tail_ms is p{tail_pct:.3f} of {n} samples "
               f"({TAIL_BEYOND} beyond it)")
 
-    digest = checked_pass(ops, tally, answers)
-    pinned = pinned_digest(workload, seed)
-    ref_seed = seed if pinned is not None else 0
-    if pinned is None:  # unpinned seed: replay the pinned reference seed
-        pinned = pinned_digest(workload, ref_seed)
-        ref_digest = outputs_digest(workload, ref_seed, tally)
-    else:
-        ref_digest = digest
-    tally.record(f"digest of seed {ref_seed}",
-                 None if ref_digest == pinned else f"{ref_digest} != pinned {pinned}")
-    detail.update(digest=digest, digest_seed_checked=ref_seed, problems=tally.problems)
+    digest = checked_pass(ops, tally, answers, problems)
+    tally.record("output digest", digest_problem(workload, seed, digest))
+    detail.update(digest=digest, problems=tally.problems)
     detail["metrics"] = metrics
     detail["fail_ratio"] = tally.failed / tally.attempted
     for problem in tally.problems:

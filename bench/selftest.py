@@ -58,11 +58,12 @@ def check_spec(spec: dict) -> None:
     assert len(json.dumps(spec)) <= 64 * 1024
 
 
-def check_result(line: str, expected: dict) -> None:
+def check_result(line: str, expected: dict, ops: int) -> None:
     result = json.loads(line)
     assert set(result) == {"correct", "attempted", "failed", "metrics"}, sorted(result)
     assert result["correct"] is True and result["failed"] == 0, result
-    assert isinstance(result["attempted"], int) and result["attempted"] >= 1
+    # one entry per operation and one for the output digest, whatever the passes
+    assert result["attempted"] == ops + 1, (result["attempted"], ops)
     got = {name: m["unit"] for name, m in result["metrics"].items()}
     assert got == expected, sorted(set(got) ^ set(expected))
     for m in result["metrics"].values():
@@ -85,7 +86,9 @@ def main() -> None:
                                    "--trace", str(trace)],
                 cwd=run.ROOT, capture_output=True, text=True, timeout=180)
             assert proc.returncode == 0, proc.stderr
-            check_result(proc.stdout.strip().splitlines()[-1], expected[trace])
+            with open(run.OUT / f"{name}-seed0-trace{trace}.json") as fh:
+                ops = json.load(fh)["env"]["ops_per_pass"]
+            check_result(proc.stdout.strip().splitlines()[-1], expected[trace], ops)
             print(f"{name} --trace {trace}: ok")
 
     bare = run.OUT / "selftest-bare"

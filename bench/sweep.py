@@ -54,9 +54,10 @@ def main() -> None:
         print(f"relations --rank {rank}: {row['seconds']:.3f} s (exit {row['exit']})", flush=True)
     rng = random.Random("sweep")
     for regime, na, nb in PRODUCT_SIZES:
-        a = wring.MPoly2(frozenset(workloads._regime_poly(rng, regime, na)))
-        b = wring.MPoly2(frozenset(workloads._regime_poly(rng, regime, nb)))
-        for cap in (None, workloads.PRODUCT_REGIMES[regime]["cap"]):
+        top = workloads.PRODUCT_REGIMES[regime]["cap"]  # the cap keeps the factors whole
+        a = wring.MPoly2(frozenset(workloads._regime_poly(rng, regime, na, top)))
+        b = wring.MPoly2(frozenset(workloads._regime_poly(rng, regime, nb, top)))
+        for cap in (None, top):
             t0 = time.perf_counter()
             out = wring.mul(a, b, wring.RingContext(cap))
             row = {"regime": regime, "cap": cap, "pairs": na * nb,

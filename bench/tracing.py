@@ -18,30 +18,46 @@ from time import perf_counter
 
 import numpy as np
 
-# Products with more term pairs than this count as `mul.large`.
+# Products with more term pairs than this count as `mul.large`: the switch
+# at which wring.mul leaves its dict loop for a packed kernel.
 LARGE_PAIRS = 4096
 
+# Products count the term pairs their kernel sees: the factors' terms after
+# the truncation context's reduction, which the product applies first.
+REDUCERS = {"wring.mul": ("wring", "reduce_poly"),
+            "bundlecalc.ext_mul": ("bundlecalc", "ext_reduce")}
 
-def _pairs_out(counts, name, args, result):
-    a, b = args[0], args[1]
-    counts[name + ".pairs"] += len(a.monomials) * len(b.monomials)
+
+def _pairs_out(counts, name, args, result, pairs):
+    counts[name + ".pairs"] += pairs
     counts[name + ".terms_out"] += len(result.monomials)
 
 
-def _terms_out(counts, name, args, result):
+def _terms_out(counts, name, args, result, pairs):
     counts[name + ".terms_out"] += len(result.monomials)
 
 
-def _chars(counts, name, args, result):
+def _chars(counts, name, args, result, pairs):
     counts[name + ".chars"] += len(args[0])
 
 
-def _bytes_out(counts, name, args, result):
+def _bytes_out(counts, name, args, result, pairs):
     counts[name + ".bytes"] += len(result)
 
 
-def _bytes_in(counts, name, args, result):
+def _bytes_in(counts, name, args, result, pairs):
     counts[name + ".bytes"] += len(args[0])
+
+
+def _reduced_pairs(reduce):
+    def pairs(args, kwargs):
+        a, b = args[0], args[1]
+        ctx = args[2] if len(args) > 2 else kwargs.get("ctx")
+        if ctx is not None:
+            a, b = reduce(a, ctx), reduce(b, ctx)
+        return len(a.monomials) * len(b.monomials)
+
+    return pairs
 
 
 # (module, function, counter) for every traced boundary.
@@ -129,20 +145,18 @@ class Tracer:
             self.names.append(name)
         return got
 
-    def _wrap(self, name, fn, counter):
+    def _wrap(self, name, fn, counter, reduce=None):
         stack, counts = self.stack, self.counts
         names, starts, ends, parents, ops = self.name, self.start, self.end, self.parent, self.op
         if name == "wring.mul":
             small, large = self._id(name + ".small"), self._id(name + ".large")
         else:
             small = large = self._id(name)
+        pairs_of = _reduced_pairs(reduce) if reduce is not None else None
 
         def traced(*args, **kwargs):
-            if small == large:
-                name_id = small
-            else:
-                pairs = len(args[0].monomials) * len(args[1].monomials)
-                name_id = large if pairs > LARGE_PAIRS else small
+            pairs = pairs_of(args, kwargs) if pairs_of is not None else 0
+            name_id = large if pairs > LARGE_PAIRS else small
             idx = len(starts)
             names.append(name_id)
             parents.append(stack[-1] if stack else -1)
@@ -159,7 +173,7 @@ class Tracer:
                 starts[idx] = t0
                 ends[idx] = t1
             if counter is not None:
-                counter(counts, self.names[name_id], args, result)
+                counter(counts, self.names[name_id], args, result, pairs)
             return result
 
         traced.__wrapped__ = fn
@@ -167,12 +181,14 @@ class Tracer:
 
     def install(self) -> None:
         homes = {m: importlib.import_module("charclass." + m) for m, _, _ in TRACED}
+        reducers = {name: getattr(homes[m], f) for name, (m, f) in REDUCERS.items()}
         modules = [m for n, m in list(sys.modules.items())
                    if m is not None and (n == "charclass" or n.startswith("charclass."))]
         for module_name, func, counter in TRACED:
             home = homes[module_name]
             orig = getattr(home, func)
-            wrapper = self._wrap(f"{module_name}.{func}", orig, counter)
+            name = f"{module_name}.{func}"
+            wrapper = self._wrap(name, orig, counter, reducers.get(name))
             for mod in modules:
                 for attr, value in list(vars(mod).items()):
                     if value is orig:

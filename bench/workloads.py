@@ -29,6 +29,7 @@ from charclass import (
 from charclass.errors import InvalidIndexSetError
 
 import reference as ref
+from tracing import LARGE_PAIRS
 
 
 @dataclass
@@ -166,7 +167,7 @@ def _evaluate_op(keys, cap: int, bundle, fiber: bool) -> Op:
 
 RELATIONS_CAP = 24
 RELATIONS_RANKS = tuple(range(8, 29, 2)) + (32,)  # verify_relations sweep, one op per rank
-RELATIONS_CHECKS = 96  # seeded relation * class checks per pass
+RELATIONS_CHECKS = 192  # seeded relation * class checks per pass
 # (family, rank) of the checks, in turn; family 6 needs an even rank.
 RELATIONS_CHECK_PLAN = ((2, 8), (3, 10), (4, 12), (5, 8), (6, 6), (2, 12), (3, 8), (5, 12))
 
@@ -274,12 +275,19 @@ def _relation_check_op(rng, k: int, n: int) -> Op:
 # Three kernel regimes of wring.mul: dense factors that pack into 64 bits
 # (numpy), wide indices that overflow 64 bits (Python big ints), and
 # mid-size sparse factors on both sides of the 4,096-pair dict/packed switch.
+# Each regime lists the sizes of its instances in turn: whether the products
+# are large (above the switch), factor sizes of mul, terms of the cubed base,
+# terms of each substituted image (plus the 1 term).
 PRODUCT_REGIMES = {
-    "dense": {"mul": (200, 200), "cap": 35, "power": 80, "images": 66},
-    "wide": {"mul": (70, 70), "cap": 160, "power": 66, "images": 66},
-    "mid": {"mul": (64, 72), "cap": 56, "power": 64, "images": 64},
+    "dense": {"cap": 35, "sizes": (
+        {"large": True, "mul": (200, 200), "power": 80, "images": 66},)},
+    "wide": {"cap": 160, "sizes": (
+        {"large": True, "mul": (70, 70), "power": 66, "images": 66},)},
+    "mid": {"cap": 56, "sizes": (
+        {"large": True, "mul": (64, 72), "power": 66, "images": 66},
+        {"large": False, "mul": (60, 60), "power": 62, "images": 61})},
 }
-PRODUCT_INSTANCES = 2  # of every (regime, cap, operation) per pass
+PRODUCT_INSTANCES = 4  # of every (regime, cap, operation) per pass
 # Substituted into: every monomial of degree <= 2 in w1, w2, w3 but 1.
 SUBSTITUTE_SOURCE = (
     ((1, 1),), ((2, 1),), ((3, 1),), ((1, 2),), ((2, 2),), ((3, 2),),
@@ -311,22 +319,41 @@ def _dense_pool() -> list:
 _DENSE_POOL = _dense_pool()
 
 
-def _regime_poly(rng, regime: str, terms: int) -> set:
+def _regime_poly(rng, regime: str, terms: int, top=None) -> set:
+    """`terms` distinct monomials of the regime, of degree <= top if given,
+    so that a degree cap >= top leaves the factor whole."""
     if regime == "dense":
-        return set(rng.sample(_DENSE_POOL, terms))
-    return _small_poly(rng, terms, _WIDE_INDEX if regime == "wide" else _MID_INDEX)
-
-
-def _small_poly(rng, terms: int, max_index: int) -> set:
-    """`terms` distinct monomials of one to three factors w_i^e with
-    i <= max_index and e <= 3."""
+        pool = [k for k in _DENSE_POOL if top is None or ref.degree(k) <= top]
+        return set(rng.sample(pool, terms))
+    max_index = _WIDE_INDEX if regime == "wide" else _MID_INDEX
     keys: set = set()
     while len(keys) < terms:
         merged: dict = {}
         for i in rng.sample(range(1, max_index + 1), rng.randint(1, 3)):
             merged[i] = rng.randint(1, 3)
-        keys.add(tuple(sorted(merged.items())))
+        key = tuple(sorted(merged.items()))
+        if top is None or ref.degree(key) <= top:
+            keys.add(key)
     return keys
+
+
+def _fits_64(a_keys, b_keys) -> bool:
+    """Whether wring packs the product of these factors into 64 bits."""
+    top = max(i for k in a_keys | b_keys for i, _ in k)
+    exp = max(e for k in a_keys for _, e in k) + max(e for k in b_keys for _, e in k)
+    return top * exp.bit_length() <= 64
+
+
+def _check_kernel(regime, a_keys, b_keys, cap, large: bool) -> None:
+    """Fail at build time unless wring.mul takes the intended side: more
+    than LARGE_PAIRS pairs after the cap, and for packed products the
+    intended packing (64 bits except in the wide regime)."""
+    a, b = _truncate(a_keys, cap), _truncate(b_keys, cap)
+    pairs = len(a) * len(b)
+    if (pairs > LARGE_PAIRS) != large:
+        raise AssertionError(f"{regime} product of {pairs} pairs is not large={large}")
+    if large and _fits_64(a, b) != (regime != "wide"):
+        raise AssertionError(f"{regime} product packs into the wrong kernel")
 
 
 def products_ops(rng: random.Random) -> list:
@@ -334,16 +361,22 @@ def products_ops(rng: random.Random) -> list:
     for regime, spec in PRODUCT_REGIMES.items():
         for cap in (None, spec["cap"]):
             for k in range(PRODUCT_INSTANCES):
-                na, nb = spec["mul"]
-                if regime == "mid" and k % 2:
-                    na = nb = 60  # 3,600 pairs: the dict side of the switch
-                a = _regime_poly(rng, regime, na)
-                b = _regime_poly(rng, regime, nb)
+                sizes = spec["sizes"][k % len(spec["sizes"])]
+                large = sizes["large"]
+                na, nb = sizes["mul"]
+                a = _regime_poly(rng, regime, na, cap)
+                b = _regime_poly(rng, regime, nb, cap)
+                _check_kernel(regime, a, b, cap, large)
                 ops.append(_mul_op(regime, a, b, cap, rng.randrange(1 << 30)))
-                base = _regime_poly(rng, regime, spec["power"])
+                # the cube multiplies the base by its square: keep both under the cap
+                base = _regime_poly(rng, regime, sizes["power"],
+                                    None if cap is None else cap // 2)
+                _check_kernel(regime, base, _doubled(base), cap, large)
                 ops.append(_power_op(regime, base, 3, cap, rng.randrange(1 << 30)))
-                images = {i: _regime_poly(rng, regime, spec["images"]) | {()}
+                images = {i: _regime_poly(rng, regime, sizes["images"], cap) | {()}
                           for i in (1, 2, 3)}
+                for i, j in ((1, 2), (1, 3), (2, 3)):
+                    _check_kernel(regime, images[i], images[j], cap, large)
                 ops.append(_substitute_op(regime, SUBSTITUTE_SOURCE, images, cap,
                                           rng.randrange(1 << 30)))
     return ops
