@@ -18,10 +18,17 @@ directory.  A run:
 
 Times are CPU times (time.process_time for an operation, the child's user
 plus system time for a set-up probe), which leave out any stretch in which
-other processes hold the cores.  An operation's latency is its mean over the
-passes, so `ops_per_s`, operations per pass over the sum of those latencies,
-is the throughput of the whole run; `op_p50_ms` and `op_tail_ms` are
-quantiles of the latencies over the operations.
+other processes hold the cores, scaled to a reference pace of the host, so
+that the drift of a shared host's speed cancels.  An operation's time is
+multiplied by pace.REFERENCE_S over the time of a fixed calibration chunk
+timed around it (pace.py).  A set-up probe's time is multiplied by
+STARTUP_REFERENCE_S over the time of a baseline interpreter run just before
+it, which starts Python and imports numpy and the standard modules charclass
+uses, but not charclass: process start-up drifts on such a host apart from
+compute speed, and numpy's import is most of it.  An operation's latency is
+its mean over the passes, so `ops_per_s`, operations per pass over the sum of
+those latencies, is the throughput of the whole run; `op_p50_ms` and
+`op_tail_ms` are quantiles of the latencies over the operations.
 
 `attempted` counts each operation once, plus one for the output digest.  An
 operation fails if its answer is wrong, if it raised in any pass, or if its
@@ -51,6 +58,8 @@ import traceback
 from pathlib import Path
 from typing import NoReturn
 
+from pace import SAMPLE_EVERY, Pace
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
@@ -70,6 +79,11 @@ SETUP_CODE = {
     "products": "from charclass import wring\n",
     "queries": "from charclass import cli\ncli.build_parser()\n",
 }
+# The baseline each set-up probe is scaled by, and its CPU time on an idle
+# 2.1 GHz Xeon vCPU.
+STARTUP_BASELINE = ("import argparse, bisect, dataclasses, fractions, itertools, json, "
+                    "os, random, typing\nimport numpy\n")
+STARTUP_REFERENCE_S = 0.22
 
 
 def fail(message: str) -> NoReturn:
@@ -93,27 +107,35 @@ def children_cpu() -> float:
 
 class SetupProbe:
     """Times a fresh interpreter that imports charclass and builds what the
-    workload's first operation needs.  Probes run at even intervals during
-    the timed passes, so their median spans the whole run rather than one
-    moment of it."""
+    workload's first operation needs, scaled by the baseline interpreter
+    timed just before it.  Probes run at even intervals during the timed
+    passes, so their median spans the whole run rather than one moment of
+    it."""
 
     def __init__(self, workload: str):
         self.code = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\nimport charclass\n"
                      + SETUP_CODE[workload])
         self.times: list = []
+        self.baselines: list = []
         self.once()  # compiles the bytecode; not counted
         self.times.clear()
+        self.baselines.clear()
 
     def once(self) -> None:
         if len(self.times) >= SETUP_REPEATS:
             return
+        baseline = self.child_cpu(STARTUP_BASELINE)
+        self.baselines.append(baseline)
+        self.times.append(self.child_cpu(self.code) * STARTUP_REFERENCE_S / baseline)
+
+    @staticmethod
+    def child_cpu(code: str) -> float:
         before = children_cpu()
-        proc = subprocess.run([sys.executable, "-c", self.code], cwd=ROOT,
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                               capture_output=True, text=True, timeout=60)
-        elapsed = children_cpu() - before
         if proc.returncode != 0:
             fail(f"set-up probe failed:\n{proc.stderr}")
-        self.times.append(elapsed)
+        return children_cpu() - before
 
     def median(self) -> float:
         while len(self.times) < SETUP_REPEATS:
@@ -206,8 +228,8 @@ def digest_problem(workload: str, seed: int, digest: str):
     return None if digest == pinned else f"seed {ref_seed}: {digest} != pinned {pinned}"
 
 
-def timed_passes(ops, seconds: float, answers: list, problems: dict, tracer=None,
-                 between=None, calls: int = 0) -> list:
+def timed_passes(ops, seconds: float, answers: list, problems: dict, pace: Pace,
+                 tracer=None, between=None, calls: int = 0) -> list:
     """Passes over the operations until `seconds` of wall time have gone by:
     one whole pass at least, and the last pass stops at the deadline (or,
     when tracing, ends, so that per-pass counts are exact).
@@ -215,17 +237,20 @@ def timed_passes(ops, seconds: float, answers: list, problems: dict, tracer=None
     `answers` holds a fingerprint per operation: an empty list is filled by
     the first pass, and every later answer must match it.  `problems` gets
     the first thing that went wrong with each operation, by index.  Returns
-    the CPU time of every operation run, pass by pass."""
+    the CPU time of every operation run, pass by pass, at the reference pace."""
     passes: list = []
+    marks: list = []  # per pass, the pace sample before each operation
     clock = time.process_time
     start = time.perf_counter()
     deadline = start + seconds
     interval = seconds / (calls + 1)
     next_call = start + interval
+    mark, next_sample = pace.sample(), time.perf_counter() + SAMPLE_EVERY
     while not passes or time.perf_counter() < deadline:
         first = not answers
         lat = []
         passes.append(lat)
+        marks.append([])
         for i, op in enumerate(ops):
             if tracer is not None:
                 tracer.op_id = i
@@ -236,19 +261,23 @@ def timed_passes(ops, seconds: float, answers: list, problems: dict, tracer=None
                 result = error_line()
                 problems.setdefault(i, result)
             lat.append(clock() - t0)
+            marks[-1].append(mark)
             got = fingerprint(op, result)
             if first:
                 answers.append(got)
             elif got != answers[i]:
                 problems.setdefault(i, "answer changed between passes")
             now = time.perf_counter()
+            if now >= next_sample:
+                mark, next_sample = pace.sample(), now + SAMPLE_EVERY
             if between is not None and calls and now >= next_call:
                 between()
                 calls -= 1
                 next_call += interval
             if len(passes) > 1 and now >= deadline and tracer is None:
                 break
-    return passes
+    pace.sample()  # closes the last gap
+    return [[t * pace.scale(m) for t, m in zip(lat, mk)] for lat, mk in zip(passes, marks)]
 
 
 def op_latencies(passes: list) -> list:
@@ -291,6 +320,7 @@ def environment(workload: str, seed: int, ops) -> dict:
 
 def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
     use_source()
+    pace = Pace()
     probe = None if trace else SetupProbe(workload)
 
     import tracing
@@ -302,12 +332,12 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
     problems: dict = {}
     detail: dict = {"env": env}
     if trace:
-        plain_passes = timed_passes(ops, seconds / 2, answers, problems)
+        plain_passes = timed_passes(ops, seconds / 2, answers, problems, pace)
         plain, n_plain = op_latencies(plain_passes), len(plain_passes)
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            traced_passes = timed_passes(ops, seconds / 2, answers, problems, tracer)
+            traced_passes = timed_passes(ops, seconds / 2, answers, problems, pace, tracer)
         finally:
             tracer.uninstall()
         traced = op_latencies(traced_passes)
@@ -318,7 +348,7 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
         OUT.mkdir(exist_ok=True)
         tracer.write_spans(OUT / f"spans-{workload}-seed{seed}.npz")
     else:
-        passes = timed_passes(ops, seconds, answers, problems, between=probe.once,
+        passes = timed_passes(ops, seconds, answers, problems, pace, between=probe.once,
                               calls=SETUP_REPEATS)
         lat = op_latencies(passes)
         # read before the checks below, whose own memory is not the program's
@@ -334,6 +364,8 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
         detail["passes"] = len(passes)
         detail["pass_latencies_s"] = passes
         detail["setup_samples_s"] = probe.times
+        detail["setup_baselines_s"] = probe.baselines
+        detail["pace_samples_s"] = pace.samples
         detail["tail"] = {"percentile": tail_pct, "samples": n}
         print(f"op_tail_ms is p{tail_pct:.3f} of {n} samples "
               f"({TAIL_BEYOND} beyond it)")

@@ -90,8 +90,8 @@ def _doubled(keys) -> set:
 # -- oracle ----------------------------------------------------------------
 
 ORACLE_DEGREES = (44, 48)
-ORACLE_CLASSES = 72  # per pass; half squares, half with a forced odd exponent
-ORACLE_EVALS = 24  # evaluate_class calls per pass, split fiber / universal
+ORACLE_CLASSES = 144  # per pass; half squares, half with a forced odd exponent
+ORACLE_EVALS = 48  # evaluate_class calls per pass, split fiber / universal
 
 
 def oracle_ops(rng: random.Random) -> list:
