@@ -17,206 +17,67 @@ from __future__ import annotations
 
 from .errors import CapsTooSmallError, NamespaceMismatchError
 from .wring import (
+    EXT,
     ROOT,
     SW,
     UNBOUNDED,
     MPoly2,
     RingContext,
-    RingOps,
     add,
     constant_term,
     evaluate_monomials,
+    ext_terms,
     grade_component,
-    mono_degree,
-    mono_mul,
     mul,
-    ops_for,
     reduce_poly,
     square,
 )
 
-# An exterior-ring monomial is (nu_bits, w_key): bit i of nu_bits marks the
-# presence of v_i, and w_key is an sw-namespace monomial.
-ExtMonomialKey = tuple
 
+class ExtPoly(MPoly2):
+    """Element of the oracle ring: an MPoly2 in the ext namespace, where
+    v_i is variable -i.  Ring operations return plain ext MPoly2 values."""
 
-def _nu_degree(bits: int) -> int:
-    d = 0
-    i = 1
-    bits >>= 1
-    while bits:
-        if bits & 1:
-            d += i
-        bits >>= 1
-        i += 1
-    return d
-
-
-def _nu_indices(bits: int) -> list:
-    out = []
-    i = 1
-    bits >>= 1
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return out
-
-
-def ext_mono_degree(key: ExtMonomialKey) -> int:
-    nu_bits, w_key = key
-    return _nu_degree(nu_bits) + mono_degree(w_key, SW)
-
-
-class ExtPoly:
-    """Element of the oracle ring: exterior generators times sw monomials."""
-
-    __slots__ = ("monomials",)
-
-    def __init__(self, monomials: frozenset = frozenset()):
-        self.monomials = monomials
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "ExtPoly":
-        return cls(frozenset())
+        return cls(frozenset(), EXT)
 
     @classmethod
     def one(cls) -> "ExtPoly":
-        return cls(frozenset({(0, ())}))
+        return cls(frozenset({()}), EXT)
 
     @classmethod
     def nu(cls, index: int) -> "ExtPoly":
         if index < 1:
             raise ValueError("exterior generator index must be positive")
-        return cls(frozenset({(1 << index, ())}))
+        return cls(frozenset({((-index, 1),)}), EXT)
 
     @classmethod
-    def from_mpoly(cls, a: MPoly2) -> "ExtPoly":
+    def from_mpoly(cls, a: MPoly2) -> MPoly2:
+        """An sw polynomial as an oracle-ring value; ext values pass through."""
+        if a.namespace == EXT:
+            return a
         if a.namespace != SW:
             raise NamespaceMismatchError(
                 "only sw polynomials embed into the oracle ring"
             )
-        return cls(frozenset((0, key) for key in a.monomials))
+        return cls(a.monomials, EXT)
 
     def w_part(self) -> MPoly2:
-        """The image under setting every exterior generator to zero."""
-        return MPoly2(
-            frozenset(wk for nb, wk in self.monomials if nb == 0), SW
-        )
-
-    def degree(self) -> int:
-        if not self.monomials:
-            return 0
-        return max(ext_mono_degree(k) for k in self.monomials)
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def __bool__(self):
-        return bool(self.monomials)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtPoly) and self.monomials == other.monomials
-
-    def __hash__(self):
-        return hash(self.monomials)
-
-    def __add__(self, other):
-        return ext_add(self, other, UNBOUNDED)
-
-    def __mul__(self, other):
-        return ext_mul(self, other, UNBOUNDED)
-
-    def __str__(self):
-        if not self.monomials:
-            return "0"
-        keys = sorted(
-            self.monomials, key=lambda k: (ext_mono_degree(k), k[0], k[1])
-        )
-        parts = []
-        for nu_bits, w_key in keys:
-            factors = [f"v{i}" for i in _nu_indices(nu_bits)]
-            factors += [
-                f"w{i}^{e}" if e > 1 else f"w{i}" for i, e in w_key
-            ]
-            parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ExtPoly({self})"
+        """The image under setting every exterior generator to zero.  Ring
+        operations return plain MPoly2s; call ExtPoly.w_part(x) on those."""
+        return MPoly2(frozenset(wk for vs, wk in ext_terms(self) if not vs), SW)
 
 
-def _ext_admits(key: ExtMonomialKey, ctx: RingContext) -> bool:
-    nu_bits, w_key = key
-    # rank truncation hits the bundle-side variables only
-    if ctx.rank_cap is not None and w_key and w_key[-1][0] > ctx.rank_cap:
-        return False
-    if ctx.degree_cap is not None and ext_mono_degree(key) > ctx.degree_cap:
-        return False
-    return True
+def ext_mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
+    """Product in the oracle ring: wring.mul on ext values."""
+    return mul(a, b, ctx)
 
 
-def ext_reduce(a: ExtPoly, ctx: RingContext) -> ExtPoly:
-    if ctx.is_unbounded():
-        return a
-    kept = frozenset(k for k in a.monomials if _ext_admits(k, ctx))
-    return a if len(kept) == len(a.monomials) else ExtPoly(kept)
-
-
-def ext_add(a: ExtPoly, b: ExtPoly, ctx: RingContext = UNBOUNDED) -> ExtPoly:
-    return ext_reduce(ExtPoly(a.monomials ^ b.monomials), ctx)
-
-
-def ext_mul(a: ExtPoly, b: ExtPoly, ctx: RingContext = UNBOUNDED) -> ExtPoly:
-    a = ext_reduce(a, ctx)
-    b = ext_reduce(b, ctx)
-    if not a.monomials or not b.monomials:
-        return ExtPoly.zero()
-    cap = ctx.degree_cap
-    items_a = [(nb, wk, ext_mono_degree((nb, wk))) for nb, wk in a.monomials]
-    items_b = [(nb, wk, ext_mono_degree((nb, wk))) for nb, wk in b.monomials]
-    out: set = set()
-    for na, wa, da in items_a:
-        for nb, wb, db in items_b:
-            if na & nb:  # repeated exterior generator squares to zero
-                continue
-            if cap is not None and da + db > cap:
-                continue
-            key = (na | nb, mono_mul(wa, wb))
-            if key in out:
-                out.remove(key)
-            else:
-                out.add(key)
-    return ExtPoly(frozenset(out))
-
-
-def ext_square(a: ExtPoly, ctx: RingContext = UNBOUNDED) -> ExtPoly:
-    """Frobenius: only monomials free of exterior generators survive."""
-    out = set()
-    for nu_bits, w_key in a.monomials:
-        if nu_bits:
-            continue
-        key = (0, tuple((i, 2 * e) for i, e in w_key))
-        if _ext_admits(key, ctx):
-            out.add(key)
-    return ExtPoly(frozenset(out))
-
-
-def ext_grade_component(a: ExtPoly, k: int) -> ExtPoly:
-    return ExtPoly(
-        frozenset(key for key in a.monomials if ext_mono_degree(key) == k)
-    )
-
-
-def ext_ops_for(ctx: RingContext) -> RingOps:
-    return RingOps(
-        ExtPoly.zero(),
-        ExtPoly.one(),
-        lambda x, y: ext_add(x, y, ctx),
-        lambda x, y: ext_mul(x, y, ctx),
-        lambda x: ext_square(x, ctx),
-    )
+# the oracle ring truncates like every other namespace
+ext_reduce = reduce_poly
 
 
 class FormalBundle:
@@ -228,13 +89,9 @@ class FormalBundle:
     __slots__ = ("total", "rank_bound")
 
     def __init__(self, total, rank_bound: int | None = None):
-        if isinstance(total, MPoly2):
-            ct = constant_term(total)
-        elif isinstance(total, ExtPoly):
-            ct = 1 if (0, ()) in total.monomials else 0
-        else:
-            raise TypeError("total class must be MPoly2 or ExtPoly")
-        if ct != 1:
+        if not isinstance(total, MPoly2):
+            raise TypeError("total class must be an MPoly2")
+        if constant_term(total) != 1:
             raise ValueError("a total class must have constant term 1")
         if rank_bound is not None and rank_bound < 0:
             raise ValueError("rank bound must be nonnegative")
@@ -277,8 +134,8 @@ def fiber_bundle(ctx: RingContext) -> FormalBundle:
     to the Cartan fiber, which complexifies trivially."""
     if ctx.degree_cap is None:
         raise CapsTooSmallError("the fiber bundle needs a finite degree cap")
-    keys = {(0, ())} | {(1 << i, ()) for i in range(1, ctx.degree_cap + 1)}
-    return FormalBundle(ExtPoly(frozenset(keys)), None)
+    keys = {()} | {((-i, 1),) for i in range(1, ctx.degree_cap + 1)}
+    return FormalBundle(ExtPoly(frozenset(keys), EXT), None)
 
 
 def roots_bundle(m: int, ctx: RingContext = UNBOUNDED) -> FormalBundle:
@@ -292,27 +149,19 @@ def roots_bundle(m: int, ctx: RingContext = UNBOUNDED) -> FormalBundle:
     return FormalBundle(total, m)
 
 
-def _promote_pair(a: FormalBundle, b: FormalBundle):
-    ta, tb = a.total, b.total
-    if isinstance(ta, MPoly2) and isinstance(tb, MPoly2):
-        if ta.namespace != tb.namespace:
-            raise NamespaceMismatchError(
-                "cannot combine bundles over different variable namespaces"
-            )
-        return ta, tb, "poly"
-    if isinstance(ta, ExtPoly) and isinstance(tb, ExtPoly):
-        return ta, tb, "ext"
-    if isinstance(ta, ExtPoly):
-        return ta, ExtPoly.from_mpoly(tb), "ext"
-    return ExtPoly.from_mpoly(ta), tb, "ext"
-
-
 def whitney_sum(
     a: FormalBundle, b: FormalBundle, ctx: RingContext = UNBOUNDED
 ) -> FormalBundle:
-    """Total class of a sum is the product of total classes; ranks add."""
-    ta, tb, kind = _promote_pair(a, b)
-    total = mul(ta, tb, ctx) if kind == "poly" else ext_mul(ta, tb, ctx)
+    """Total class of a sum is the product of total classes; ranks add.
+    A plain sw bundle summed with an oracle-ring one embeds first."""
+    ta, tb = a.total, b.total
+    if EXT in (ta.namespace, tb.namespace):
+        ta, tb = ExtPoly.from_mpoly(ta), ExtPoly.from_mpoly(tb)
+    elif ta.namespace != tb.namespace:
+        raise NamespaceMismatchError(
+            "cannot combine bundles over different variable namespaces"
+        )
+    total = mul(ta, tb, ctx)
     if a.rank_bound is None or b.rank_bound is None:
         bound = None
     else:
@@ -325,18 +174,9 @@ def underlying_of_complexification(
 ) -> FormalBundle:
     """The real bundle underlying the complexification: total class squared,
     rank doubled."""
-    if isinstance(a.total, ExtPoly):
-        total = ext_square(a.total, ctx)
-    else:
-        total = square(a.total, ctx)
+    total = square(a.total, ctx)
     bound = None if a.rank_bound is None else 2 * a.rank_bound
     return FormalBundle(total, bound)
-
-
-def _ambient_zero(bundle: FormalBundle):
-    if isinstance(bundle.total, ExtPoly):
-        return ExtPoly.zero()
-    return MPoly2.zero(bundle.total.namespace)
 
 
 def sw(a: FormalBundle, k: int):
@@ -344,9 +184,7 @@ def sw(a: FormalBundle, k: int):
     if k < 0:
         raise ValueError("class index must be nonnegative")
     if a.rank_bound is not None and k > a.rank_bound:
-        return _ambient_zero(a)
-    if isinstance(a.total, ExtPoly):
-        return ext_grade_component(a.total, k)
+        return MPoly2.zero(a.total.namespace)
     return grade_component(a.total, k)
 
 
@@ -371,10 +209,6 @@ def evaluate_class(c: MPoly2, a: FormalBundle, ctx: RingContext = UNBOUNDED):
     ambient ring."""
     if c.namespace != SW:
         raise NamespaceMismatchError("classes are polynomials in sw variables")
-    if isinstance(a.total, ExtPoly):
-        ops = ext_ops_for(ctx)
-    else:
-        ops = ops_for(a.total.namespace, ctx)
     cache: dict = {}
 
     def images(i: int):
@@ -384,7 +218,9 @@ def evaluate_class(c: MPoly2, a: FormalBundle, ctx: RingContext = UNBOUNDED):
             cache[i] = got
         return got
 
-    return evaluate_monomials(reduce_poly(c, ctx).monomials, images, ops)
+    return evaluate_monomials(
+        reduce_poly(c, ctx).monomials, images, a.total.namespace, ctx
+    )
 
 
 def cartan_restrict(c: MPoly2) -> ExtPoly:
@@ -392,16 +228,10 @@ def cartan_restrict(c: MPoly2) -> ExtPoly:
     monomial containing a squared variable dies."""
     if c.namespace != SW:
         raise NamespaceMismatchError("cartan_restrict expects an sw polynomial")
-    out = set()
-    for key in c.monomials:
-        if any(e >= 2 for _, e in key):
-            continue
-        bits = 0
-        for i, _ in key:
-            bits |= 1 << i
-        ext_key = (bits, ())
-        if ext_key in out:
-            out.remove(ext_key)
-        else:
-            out.add(ext_key)
-    return ExtPoly(frozenset(out))
+    # distinct keys map to distinct keys, so nothing cancels
+    out = frozenset(
+        tuple((-i, 1) for i, _ in reversed(key))
+        for key in c.monomials
+        if all(e == 1 for _, e in key)
+    )
+    return ExtPoly(out, EXT)

@@ -286,9 +286,5 @@ def express_via_chern(C: IntClass, ctx: RingContext) -> ChernExpr:
         c_key = tuple((2 * i, e) for i, e in p_key)
         sign = -1 if sum(i * e for i, e in p_key) % 2 else 1
         free.append((c_key, sign * coeff))
-    image = rho(C.torsion_part(), ctx)
-    halved = MPoly2(
-        frozenset(tuple((j, e // 2) for j, e in key) for key in image.monomials),
-        SW,
-    )
+    halved = subring_decomposition(rho(C.torsion_part(), ctx)).poly_in_u
     return ChernExpr(tuple(free), halved, not halved.is_zero())

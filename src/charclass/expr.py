@@ -61,6 +61,10 @@ class Sum:
 
 ClassExpr = object  # any of the node types above
 
+# Deepest parenthesis nesting the parser accepts; parsing and elaboration
+# recurse per level, so this keeps both well inside Python's stack limit.
+MAX_NESTING = 100
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -100,6 +104,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _Lexer(text).tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -154,8 +159,12 @@ class _Parser:
             self.take()
             return IntLit(value)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
             self.take()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.take(")")
             return node
         if kind == "name":

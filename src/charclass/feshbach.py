@@ -145,10 +145,6 @@ def _freeze_free(d: dict) -> tuple:
     return tuple(items)
 
 
-def _merge_keys(k1, k2):
-    return mono_mul(k1, k2)  # same sorted-pair-merge as ring monomials
-
-
 class IntClass:
     """Element of the integral class ring: an integer polynomial in the p_i
     plus a formal 2-torsion polynomial in p_i and V_I over the field with
@@ -285,7 +281,7 @@ def int_mul(
         for k2, c2 in b.free:
             if cap is not None and _p_degree(k1) + _p_degree(k2) > cap:
                 continue
-            k = _merge_keys(k1, k2)
+            k = mono_mul(k1, k2)
             free[k] = free.get(k, 0) + c1 * c2
 
     torsion: set = set()
@@ -309,15 +305,15 @@ def int_mul(
         if c1 % 2 == 0:
             continue
         for p2, v2 in b.torsion:
-            toggle(_merge_keys(k1, p2), v2)
+            toggle(mono_mul(k1, p2), v2)
     for k2, c2 in b.free:
         if c2 % 2 == 0:
             continue
         for p1, v1 in a.torsion:
-            toggle(_merge_keys(p1, k2), v1)
+            toggle(mono_mul(p1, k2), v1)
     for p1, v1 in a.torsion:
         for p2, v2 in b.torsion:
-            toggle(_merge_keys(p1, p2), merge_v(v1, v2))
+            toggle(mono_mul(p1, p2), merge_v(v1, v2))
 
     return IntClass(_freeze_free(free), frozenset(torsion))
 

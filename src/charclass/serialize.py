@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 
-from .bundlecalc import ExtPoly, FormalBundle, ext_mono_degree
+from .bundlecalc import FormalBundle
 from .feshbach import IntClass, _freeze_free, _torsion_degree
 from .report import Report
-from .wring import ROOT, SW, MPoly2, mono_degree
+from .wring import EXT, ROOT, SW, MPoly2, ext_terms, mono_degree
 
 
 def _sorted_keys(p: MPoly2):
@@ -34,6 +34,11 @@ def _sorted_keys(p: MPoly2):
 def to_json_obj(x):
     """The JSON-ready dict for a serializable value."""
     if isinstance(x, MPoly2):
+        if x.namespace == EXT:
+            return {"type": "ext", "monomials": [
+                {"nu": vs, "w": [[i, e] for i, e in w_key]}
+                for vs, w_key in ext_terms(x)
+            ]}
         obj = {"type": "mod2", "monomials": [
             [[i, e] for i, e in key] for key in _sorted_keys(x)
         ]}
@@ -56,20 +61,6 @@ def to_json_obj(x):
                 )
             ],
         }
-    if isinstance(x, ExtPoly):
-        keys = sorted(x.monomials, key=lambda k: (ext_mono_degree(k), k[0], k[1]))
-        out = []
-        for nu_bits, w_key in keys:
-            nu = []
-            i = 1
-            bits = nu_bits >> 1
-            while bits:
-                if bits & 1:
-                    nu.append(i)
-                bits >>= 1
-                i += 1
-            out.append({"nu": nu, "w": [[i, e] for i, e in w_key]})
-        return {"type": "ext", "monomials": out}
     if isinstance(x, FormalBundle):
         return {
             "type": "bundle",

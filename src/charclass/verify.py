@@ -222,7 +222,7 @@ def suite_identities(degree: int = 24, seed: int = 0) -> Report:
     fiber_sq = underlying_of_complexification(fiber_bundle(fctx), fctx)
     report.add(
         "fiber-trivial", {"degree": degree},
-        PASS if fiber_sq.total == fiber_sq.total.one() else FAIL,
+        PASS if fiber_sq.total == MPoly2.one(fiber_sq.total.namespace) else FAIL,
     )
 
     # Sq1 laws on seeded samples of degree <= 16

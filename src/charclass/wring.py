@@ -3,18 +3,22 @@
 This is the workhorse ring of the package: Z2[w1, w2, ...] with deg(w_i) = i,
 the universal target of all mod-2 characteristic class computations.  A
 second namespace of degree-1 "root" variables r_i backs the splitting
-principle oracle.
+principle oracle, and a third, "ext", holds the oracle ring
+Lambda(v1, v2, ...) (x) Z2[w1, w2, ...] of the invariance oracle.
 
 Representation.  A monomial is a tuple of (index, exponent) pairs held in
 strictly increasing index order with every exponent >= 1; the empty tuple is
-the constant monomial.  A polynomial is a frozenset of such monomials (the
-coefficient field has two elements, so presence is the coefficient and
-addition is symmetric difference).  Values are immutable and hashable.
+the constant monomial.  In the ext namespace w_i keeps index i and the
+exterior generator v_i takes index -i (degree i), so the v's lead the key.
+A polynomial is a frozenset of such monomials (the coefficient field has two
+elements, so presence is the coefficient and addition is symmetric
+difference).  Values are immutable and hashable.
 
 Truncation.  A RingContext carries an optional degree cap and an optional
-rank cap (w_i = 0 for i above the rank cap).  Both drops are graded ring
-quotients, so reducing before or after an operation gives the same result;
-operations here reduce their inputs first and prune during multiplication.
+rank cap (w_i = 0 for i above the rank cap).  Both drops, like the ext
+namespace's v_i^2 = 0, are quotients by monomial ideals, so reducing before
+or after an operation gives the same result; operations here reduce their
+inputs first and prune during multiplication.
 """
 
 from __future__ import annotations
@@ -28,17 +32,21 @@ from .errors import CapsTooSmallError, MissingImageError, NamespaceMismatchError
 
 SW = "sw"
 ROOT = "root"
+EXT = "ext"
 
-_LETTER = {SW: "w", ROOT: "r"}
+_LETTER = {SW: "w", ROOT: "r", EXT: "w"}
 
 MonomialKey = tuple  # tuple[tuple[int, int], ...]
 
 
 def mono_degree(key: MonomialKey, namespace: str = SW) -> int:
-    """Weighted degree of a monomial: sum(i*e) for sw, sum(e) for root."""
+    """Weighted degree of a monomial: sum(i*e) for sw, sum(e) for root,
+    sum(|i|*e) for ext."""
     if namespace == SW:
         return sum(i * e for i, e in key)
-    return sum(e for _, e in key)
+    if namespace == ROOT:
+        return sum(e for _, e in key)
+    return sum(abs(i) * e for i, e in key)
 
 
 def mono_mul(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
@@ -51,36 +59,60 @@ def mono_mul(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
     a, b = 0, 0
     n1, n2 = len(k1), len(k2)
     while a < n1 and b < n2:
-        i1, e1 = k1[a]
-        i2, e2 = k2[b]
+        p1 = k1[a]
+        p2 = k2[b]
+        i1 = p1[0]
+        i2 = p2[0]
         if i1 == i2:
-            out.append((i1, e1 + e2))
+            out.append((i1, p1[1] + p2[1]))
             a += 1
             b += 1
         elif i1 < i2:
-            out.append((i1, e1))
+            out.append(p1)  # share the pair rather than rebuild it
             a += 1
         else:
-            out.append((i2, e2))
+            out.append(p2)
             b += 1
     out.extend(k1[a:])
     out.extend(k2[b:])
     return tuple(out)
 
 
-def _mono_str(key: MonomialKey, letter: str) -> str:
-    if not key:
-        return "1"
-    return "*".join(
-        f"{letter}{i}^{e}" if e > 1 else f"{letter}{i}" for i, e in key
-    )
+def _factors(key: MonomialKey, letter: str) -> list:
+    return [f"{letter}{i}^{e}" if e > 1 else f"{letter}{i}" for i, e in key]
+
+
+def _repeats_v(key: MonomialKey) -> bool:
+    """Whether an ext monomial has a squared exterior generator; the v
+    entries lead the key, so the scan stops at the first w."""
+    for i, e in key:
+        if i > 0:
+            return False
+        if e > 1:
+            return True
+    return False
+
+
+def ext_terms(a: MPoly2) -> list:
+    """The monomials of an ext polynomial as (ascending v indices, sw part),
+    ordered by degree, then the v set as a bit mask, then the sw part."""
+    rows = []
+    for key in a.monomials:
+        n = 0
+        while n < len(key) and key[n][0] < 0:
+            n += 1
+        vs = [-i for i, _ in reversed(key[:n])]
+        rows.append((mono_degree(key, EXT), sum(1 << v for v in vs), key[n:], vs))
+    rows.sort()
+    return [(vs, w_key) for _, _, w_key, vs in rows]
 
 
 class RingContext:
     """Optional degree cap and rank cap; None means unbounded.
 
     The rank cap models working over BO_n: any monomial containing a
-    bundle-side variable of index above the cap is dropped.
+    bundle-side variable of index above the cap is dropped.  In the ext
+    namespace a monomial with a repeated v is dropped under any context.
     """
 
     __slots__ = ("degree_cap", "rank_cap")
@@ -93,6 +125,8 @@ class RingContext:
         self.rank_cap = rank_cap
 
     def admits(self, key: MonomialKey, namespace: str) -> bool:
+        if namespace == EXT and _repeats_v(key):
+            return False
         if self.rank_cap is not None and key and key[-1][0] > self.rank_cap:
             return False
         if self.degree_cap is not None and mono_degree(key, namespace) > self.degree_cap:
@@ -217,9 +251,14 @@ def poly_str(a: MPoly2, letter: str | None = None) -> str:
     the namespace letter (used for the u / rc symbol families)."""
     if not a.monomials:
         return "0"
+    if a.namespace == EXT:
+        return " + ".join(
+            "*".join([f"v{i}" for i in vs] + _factors(w_key, "w")) or "1"
+            for vs, w_key in ext_terms(a)
+        )
     letter = letter or _LETTER[a.namespace]
     keys = sorted(a.monomials, key=lambda k: (mono_degree(k, a.namespace), k))
-    return " + ".join(_mono_str(k, letter) for k in keys)
+    return " + ".join("*".join(_factors(k, letter)) or "1" for k in keys)
 
 
 def w(index: int) -> MPoly2:
@@ -258,7 +297,8 @@ def add(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
 
 
 # Pairwise products up to this count use the plain dict loop; larger
-# products go through a packed-exponent kernel.
+# products go through a packed-exponent kernel.  Ext products always take
+# the dict loop, since negative indices do not pack.
 _PACK_THRESHOLD = 4096
 
 
@@ -275,7 +315,9 @@ def mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     if kb == {()}:
         return a
     cap = ctx.degree_cap
-    if len(ka) * len(kb) <= _PACK_THRESHOLD:
+    if ns == EXT:
+        out = [k for k in _mul_dict(ka, kb, ns, cap) if not _repeats_v(k)]
+    elif len(ka) * len(kb) <= _PACK_THRESHOLD:
         out = _mul_dict(ka, kb, ns, cap)
     else:
         out = _mul_packed(ka, kb, ns, cap)
@@ -423,64 +465,28 @@ def constant_term(a: MPoly2) -> int:
     return 1 if () in a.monomials else 0
 
 
-class RingOps:
-    """Bound ring operations used by the generic evaluator.
-
-    `zero`/`one` are values; `add`/`mul`/`square` are binary/unary callables
-    with the truncation context already applied.
-    """
-
-    __slots__ = ("zero", "one", "add", "mul", "square")
-
-    def __init__(self, zero, one, add_, mul_, square_):
-        self.zero = zero
-        self.one = one
-        self.add = add_
-        self.mul = mul_
-        self.square = square_
-
-
-def ops_for(namespace: str, ctx: RingContext) -> RingOps:
-    return RingOps(
-        MPoly2.zero(namespace),
-        MPoly2.one(namespace),
-        lambda x, y: add(x, y, ctx),
-        lambda x, y: mul(x, y, ctx),
-        lambda x: square(x, ctx),
-    )
-
-
-def generic_power(x, e: int, ops: RingOps):
-    result = None
-    base = x
-    while e:
-        if e & 1:
-            result = base if result is None else ops.mul(result, base)
-        e >>= 1
-        if e:
-            base = ops.square(base)
-    return ops.one if result is None else result
-
-
 def evaluate_monomials(
-    monomials: Iterable[MonomialKey], images: Callable[[int], object], ops: RingOps
-):
+    monomials: Iterable[MonomialKey],
+    images: Callable[[int], MPoly2],
+    namespace: str,
+    ctx: RingContext = UNBOUNDED,
+) -> MPoly2:
     """Sum over monomials of the product of images, a ring homomorphism.
 
-    `images(i)` must return the value substituted for variable i.
-    Powers of images are memoized across monomials.
+    `images(i)` must return the value substituted for variable i, in
+    `namespace`.  Powers of images are memoized across monomials.
     """
     pow_cache: dict = {}
-    total = ops.zero
+    total = MPoly2.zero(namespace)
     for key in monomials:
-        term = ops.one
+        term = MPoly2.one(namespace)
         for i, e in key:
             cached = pow_cache.get((i, e))
             if cached is None:
-                cached = generic_power(images(i), e, ops)
+                cached = power(images(i), e, ctx)
                 pow_cache[(i, e)] = cached
-            term = ops.mul(term, cached)
-        total = ops.add(total, term)
+            term = mul(term, cached, ctx)
+        total = add(total, term, ctx)
     return total
 
 
@@ -500,8 +506,7 @@ def substitute(
     if len(namespaces) > 1:
         raise NamespaceMismatchError("substitution images mix namespaces")
     ns = namespaces.pop() if namespaces else a.namespace
-    ops = ops_for(ns, ctx)
-    return evaluate_monomials(a.monomials, lambda i: images[i], ops)
+    return evaluate_monomials(a.monomials, images.__getitem__, ns, ctx)
 
 
 def require_degree_cap_at_least(ctx: RingContext, needed: int, what: str) -> None:

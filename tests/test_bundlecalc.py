@@ -23,6 +23,7 @@ from charclass.bundlecalc import (
     whitney_sum,
 )
 from charclass.errors import CapsTooSmallError, NamespaceMismatchError
+from charclass.serialize import dumps, to_json_obj
 from charclass.verify import random_mod2
 from charclass.wring import (
     ROOT,
@@ -223,3 +224,101 @@ def test_ext_poly_printing():
     ctx = RingContext(degree_cap=3)
     fg = whitney_sum(fiber_bundle(ctx), universal_bundle(ctx), ctx)
     assert str(sw(fg, 2)) == "w2 + v1*w1 + v2"
+
+
+def test_oracle_ring_text_and_json_pinned():
+    ctx = RingContext(degree_cap=4)
+    fg = whitney_sum(fiber_bundle(ctx), universal_bundle(ctx), ctx)
+    assert [str(sw(fg, k)) for k in (2, 3, 4)] == [
+        "w2 + v1*w1 + v2",
+        "w3 + v1*w2 + v2*w1 + v3",
+        "w4 + v1*w3 + v2*w2 + v3*w1 + v4",
+    ]
+    assert dumps(sw(fg, 3)) == (
+        '{"type":"ext","monomials":[{"nu":[],"w":[[3,1]]},'
+        '{"nu":[1],"w":[[2,1]]},{"nu":[2],"w":[[1,1]]},{"nu":[3],"w":[]}]}'
+    )
+    # within a degree, v-sets order by bit mask: v1*v2 (6) before v3 (8),
+    # and v2*v4 (20) before v1*v5 (34)
+    c = w(1) * w(2) * w(3) + w(1) * w(5) + w(6) + w(2) * w(4)
+    assert str(cartan_restrict(c)) == "v1*v2*v3 + v2*v4 + v1*v5 + v6"
+    assert dumps(cartan_restrict(c)) == (
+        '{"type":"ext","monomials":[{"nu":[1,2,3],"w":[]},{"nu":[2,4],"w":[]},'
+        '{"nu":[1,5],"w":[]},{"nu":[6],"w":[]}]}'
+    )
+    assert str(cartan_restrict(square(w(1)) * w(2) + w(4))) == "v4"
+    wide = RingContext(degree_cap=5)
+    fg5 = whitney_sum(fiber_bundle(wide), universal_bundle(wide), wide)
+    value = evaluate_class(w(2) * w(3), fg5, wide)
+    assert str(value) == (
+        "w2*w3 + v1*w1*w3 + v1*w2^2 + v2*w1*w2 + v2*w3 + v1*v2*w1^2"
+        " + v1*v2*w2 + v3*w2 + v1*v3*w1 + v2*v3"
+    )
+    assert dumps(value) == (
+        '{"type":"ext","monomials":[{"nu":[],"w":[[2,1],[3,1]]},'
+        '{"nu":[1],"w":[[1,1],[3,1]]},{"nu":[1],"w":[[2,2]]},'
+        '{"nu":[2],"w":[[1,1],[2,1]]},{"nu":[2],"w":[[3,1]]},'
+        '{"nu":[1,2],"w":[[1,2]]},{"nu":[1,2],"w":[[2,1]]},'
+        '{"nu":[3],"w":[[2,1]]},{"nu":[1,3],"w":[[1,1]]},{"nu":[2,3],"w":[]}]}'
+    )
+    assert dumps(fiber_bundle(RingContext(degree_cap=2))) == (
+        '{"type":"bundle","total":{"type":"ext","monomials":[{"nu":[],"w":[]},'
+        '{"nu":[1],"w":[]},{"nu":[2],"w":[]}]},"rank_bound":null}'
+    )
+
+
+def _random_ext_terms(rng, count):
+    """Random oracle-ring terms as (v-set, {w index: exponent}) pairs."""
+    terms = {}
+    for _ in range(count):
+        vs = frozenset(rng.sample(range(1, 7), rng.randint(0, 3)))
+        ws = {i: rng.randint(1, 3) for i in rng.sample(range(1, 6), rng.randint(0, 2))}
+        key = (vs, tuple(sorted(ws.items())))
+        terms[key] = not terms.get(key, False)
+    return [key for key, present in terms.items() if present]
+
+
+def _ext_value(terms):
+    out = ExtPoly.zero()
+    for vs, wk in terms:
+        term = ExtPoly.from_mpoly(MPoly2(frozenset({wk})))
+        for i in vs:
+            term = ext_mul(term, ExtPoly.nu(i))
+        out = out + term
+    return out
+
+
+def _ext_terms_of(value):
+    return {
+        (frozenset(m["nu"]), tuple((i, e) for i, e in m["w"]))
+        for m in to_json_obj(value)["monomials"]
+    }
+
+
+def _brute_ext_product(ta, tb, degree_cap, rank_cap):
+    out = set()
+    for va, wa in ta:
+        for vb, wb in tb:
+            if va & vb:
+                continue  # v_i * v_i = 0
+            exps = dict(wa)
+            for i, e in wb:
+                exps[i] = exps.get(i, 0) + e
+            degree = sum(va | vb) + sum(i * e for i, e in exps.items())
+            if degree_cap is not None and degree > degree_cap:
+                continue
+            if rank_cap is not None and any(i > rank_cap for i in exps):
+                continue
+            out ^= {(va | vb, tuple(sorted(exps.items())))}
+    return out
+
+
+def test_ext_mul_matches_brute_force():
+    rng = random.Random(34)
+    for degree_cap, rank_cap in ((None, None), (9, None), (None, 3)):
+        ctx = RingContext(degree_cap, rank_cap)
+        for _ in range(40):
+            ta = _random_ext_terms(rng, rng.randint(0, 8))
+            tb = _random_ext_terms(rng, rng.randint(0, 8))
+            got = ext_mul(_ext_value(ta), _ext_value(tb), ctx)
+            assert _ext_terms_of(got) == _brute_ext_product(ta, tb, degree_cap, rank_cap)

@@ -136,3 +136,14 @@ def test_verify_all_smoke(capsys):
                        "--rank", "4", "--seed", "7")
     assert code == 0
     assert "suite all" in out
+
+
+def test_deep_nesting_exit_1(capsys):
+    deep = "(" * 5000 + "w1" + ")" * 5000
+    for argv in (["eval", "--expr", deep],
+                 ["complexifiable", "--integral", "--expr", deep.replace("w", "p")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "nest deeper" in err and "Traceback" not in err
+    nested = "(" * 100 + "w1+w2" + ")" * 100
+    assert run(capsys, "eval", "--expr", nested)[:2] == (0, "w1 + w2\n")
