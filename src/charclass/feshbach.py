@@ -23,7 +23,7 @@ when relation left-hand sides are constructed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvalidIndexSetError
@@ -31,15 +31,19 @@ from .report import FAIL, PASS, Report
 from .steenrod import sq1
 from .wring import (
     SW,
+    TOR,
     UNBOUNDED,
     MPoly2,
     RingContext,
     add,
+    evaluate_monomials,
     mono_mul,
     mul,
-    power,
-    reduce_poly,
     require_degree_cap_at_least,
+    square,
+    tor_key,
+    tor_terms,
+    w,
 )
 
 HALF = Fraction(1, 2)
@@ -120,23 +124,16 @@ class IndexSet:
 
 
 # free part: dict p_key -> nonzero int, frozen to a sorted tuple
-# torsion part: frozenset of (p_key, v_key); v_key is a sorted tuple of
-#   (doubled_tuple, exponent) with every exponent >= 1 and v_key nonempty
+# torsion part: an MPoly2 in the wring namespace tor (p_i is variable -i,
+#   V_I the bit mask of I: bit 0 for 1/2, bit k for k), each monomial with a
+#   V factor; wring.tor_key / tor_terms encode and decode it.  Tor values
+#   take no rank cap, which would read masks as indices; _validate_rank
+#   checks rank validity on the masks instead.
 PKey = tuple
-VKey = tuple
 
 
 def _p_degree(p_key: PKey) -> int:
     return sum(4 * i * e for i, e in p_key)
-
-
-def _v_degree(v_key: VKey) -> int:
-    return sum((1 + sum(ds)) * e for ds, e in v_key)
-
-
-def _torsion_degree(key) -> int:
-    p_key, v_key = key
-    return _p_degree(p_key) + _v_degree(v_key)
 
 
 def _freeze_free(d: dict) -> tuple:
@@ -152,7 +149,7 @@ class IntClass:
 
     __slots__ = ("free", "torsion")
 
-    def __init__(self, free: tuple = (), torsion: frozenset = frozenset()):
+    def __init__(self, free: tuple = (), torsion: MPoly2 = MPoly2.zero(TOR)):
         self.free = free
         self.torsion = torsion
 
@@ -175,7 +172,7 @@ class IntClass:
     @classmethod
     def V(cls, indices) -> "IntClass":
         iset = indices if isinstance(indices, IndexSet) else IndexSet.of(*indices)
-        return cls((), frozenset({((), ((iset.doubled, 1),))}))
+        return cls((), MPoly2(frozenset({tor_key((), ((iset.doubled, 1),))}), TOR))
 
     # -- queries -----------------------------------------------------------
 
@@ -192,14 +189,10 @@ class IntClass:
         return IntClass((), self.torsion)
 
     def degree(self) -> int:
-        degs = [_p_degree(k) for k, _ in self.free]
-        degs += [_torsion_degree(k) for k in self.torsion]
-        return max(degs, default=0)
+        return max([self.torsion.degree()] + [_p_degree(k) for k, _ in self.free])
 
     def index_sets(self) -> set:
-        return {
-            ds for _, v_key in self.torsion for ds, _ in v_key
-        }
+        return {ds for _, v_key in tor_terms(self.torsion) for ds, _ in v_key}
 
     def __eq__(self, other):
         return (
@@ -234,9 +227,7 @@ class IntClass:
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
             parts.append(("-" if coeff < 0 else "+", "*".join(factors)))
-        for p_key, v_key in sorted(
-            self.torsion, key=lambda k: (_torsion_degree(k), k)
-        ):
+        for p_key, v_key in tor_terms(self.torsion):
             factors = [f"p{i}^{e}" if e > 1 else f"p{i}" for i, e in p_key]
             for ds, e in v_key:
                 v = "V{" + ",".join(_index_str(d) for d in ds) + "}"
@@ -256,14 +247,25 @@ def int_add(a: IntClass, b: IntClass) -> IntClass:
     free = dict(a.free)
     for k, c in b.free:
         free[k] = free.get(k, 0) + c
-    return IntClass(_freeze_free(free), a.torsion ^ b.torsion)
+    return IntClass(_freeze_free(free), add(a.torsion, b.torsion))
 
 
 def _validate_rank(a: IntClass, n: int | None) -> None:
-    if n is None:
+    if n is None or not a.torsion:
         return
-    for ds in a.index_sets():
-        IndexSet(ds).require_valid_at(n)
+    # On the V masks: no integer bit above n/2, and not both bit 0 and n/2.
+    above = -1 << (n // 2 + 1)
+    both = 1 | 1 << (n // 2) if n > 1 and n % 2 == 0 else 0
+    for i in a.torsion.variables():
+        if i > 0 and (i & above or (both and i & both == both)):
+            for ds in sorted(a.index_sets()):
+                IndexSet(ds).require_valid_at(n)
+
+
+def _with_odd_free(a: IntClass) -> MPoly2:
+    """The torsion part plus the mod-2 image of the free part, in tor."""
+    odd = [tor_key(k, ()) for k, c in a.free if c % 2]
+    return MPoly2(a.torsion.monomials.union(odd), TOR) if odd else a.torsion
 
 
 def int_mul(
@@ -284,68 +286,32 @@ def int_mul(
             k = mono_mul(k1, k2)
             free[k] = free.get(k, 0) + c1 * c2
 
-    torsion: set = set()
+    # (a mod 2) * (b mod 2) without the pure-p products, which belong to the
+    # free part; every other product keeps a V factor.
+    if not (a.torsion or b.torsion):
+        return IntClass(_freeze_free(free))
+    tctx = UNBOUNDED if cap is None else RingContext(cap)
+    prod = mul(_with_odd_free(a), _with_odd_free(b), tctx)
+    torsion = frozenset(k for k in prod.monomials if k and k[-1][0] > 0)
+    return IntClass(_freeze_free(free), MPoly2(torsion, TOR))
 
-    def toggle(p_key, v_key):
-        key = (p_key, v_key)
-        if cap is not None and _torsion_degree(key) > cap:
-            return
-        if key in torsion:
-            torsion.remove(key)
-        else:
-            torsion.add(key)
 
-    def merge_v(v1: VKey, v2: VKey) -> VKey:
-        merged = dict(v1)
-        for ds, e in v2:
-            merged[ds] = merged.get(ds, 0) + e
-        return tuple(sorted(merged.items()))
-
-    for k1, c1 in a.free:
-        if c1 % 2 == 0:
-            continue
-        for p2, v2 in b.torsion:
-            toggle(mono_mul(k1, p2), v2)
-    for k2, c2 in b.free:
-        if c2 % 2 == 0:
-            continue
-        for p1, v1 in a.torsion:
-            toggle(mono_mul(p1, k2), v1)
-    for p1, v1 in a.torsion:
-        for p2, v2 in b.torsion:
-            toggle(mono_mul(p1, p2), merge_v(v1, v2))
-
-    return IntClass(_freeze_free(free), frozenset(torsion))
+@lru_cache(maxsize=4096)
+def _rho_image(i: int, ctx: RingContext) -> MPoly2:
+    """rho of the tor variable i: w_{2k}^2 for p_k, Sq1 of the product of
+    the w_d over the doubled indices d of I for V_I."""
+    if i < 0:
+        return square(w(-2 * i), ctx)
+    [(_, [(ds, _)])] = tor_terms(MPoly2.gen(i, TOR))
+    return sq1(MPoly2(frozenset({tuple((d, 1) for d in ds)}), SW), ctx)
 
 
 def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Mod-2 reduction: coefficients mod 2, p_i to w_{2i}^2, V_I to
     Sq1 of the product of the w_{2i}, context-reduced."""
-    sq1_cache: dict = {}
-
-    def v_image(ds: tuple) -> MPoly2:
-        got = sq1_cache.get(ds)
-        if got is None:
-            base = MPoly2(frozenset({tuple((d, 1) for d in ds)}), SW)
-            got = sq1(base, ctx)
-            sq1_cache[ds] = got
-        return got
-
-    total = MPoly2.zero(SW)
-    for p_key, coeff in a.free:
-        if coeff % 2 == 0:
-            continue
-        mono = tuple((2 * i, 2 * e) for i, e in p_key)
-        total = add(total, reduce_poly(MPoly2(frozenset({mono}), SW), ctx), ctx)
-    for p_key, v_key in a.torsion:
-        mono = tuple((2 * i, 2 * e) for i, e in p_key)
-        term = reduce_poly(MPoly2(frozenset({mono}), SW), ctx)
-        for ds, e in v_key:
-            if term.is_zero():
-                break
-            term = mul(term, power(v_image(ds), e, ctx), ctx)
-        total = add(total, term, ctx)
-    return total
+    return evaluate_monomials(
+        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx
+    )
 
 
 def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> bool:
@@ -488,11 +454,18 @@ def _valid_index_sets(n: int, degree_cap: int) -> list:
     ordered by (degree, doubled tuple)."""
     pool = [1] + [d for d in range(2, n + 1, 2)]
     out = []
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            iset = IndexSet(combo)
-            if iset.degree() <= degree_cap and iset.valid_at(n):
+
+    def extend(chosen: tuple, degree: int, start: int) -> None:
+        # the pool ascends, so the first index over the cap ends the branch
+        for j in range(start, len(pool)):
+            if degree + pool[j] > degree_cap:
+                break
+            iset = IndexSet(chosen + (pool[j],))
+            if iset.valid_at(n):
                 out.append(iset)
+            extend(iset.doubled, degree + pool[j], j + 1)
+
+    extend((), 1, 0)
     out.sort(key=lambda s: (s.degree(), s.doubled))
     return out
 

@@ -14,7 +14,8 @@ report:        {"suite":...,"cases":[{"id":...,"params":...,"status":...,
                 "expected_mismatch":n}}
 
 Serialization is deterministic (canonical ordering everywhere), so equal
-values produce identical bytes.
+values produce identical bytes, and loading refuses with ValueError any
+class JSON that serialization would not write back byte for byte.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 import json
 
 from .bundlecalc import FormalBundle
-from .feshbach import IntClass, _freeze_free, _torsion_degree
+from .errors import InvalidIndexSetError
+from .feshbach import IndexSet, IntClass, _freeze_free
 from .report import Report
-from .wring import EXT, ROOT, SW, MPoly2, ext_terms, mono_degree
+from .wring import EXT, ROOT, SW, TOR, MPoly2, ext_terms, mono_degree, tor_key, tor_terms
 
 
 def _sorted_keys(p: MPoly2):
@@ -56,9 +58,7 @@ def to_json_obj(x):
                     "p": [[i, e] for i, e in p_key],
                     "V": [[list(ds), e] for ds, e in v_key],
                 }
-                for p_key, v_key in sorted(
-                    x.torsion, key=lambda k: (_torsion_degree(k), k)
-                )
+                for p_key, v_key in tor_terms(x.torsion)
             ],
         }
     if isinstance(x, FormalBundle):
@@ -84,26 +84,41 @@ def dumps(x) -> str:
     return json.dumps(to_json_obj(x), separators=(",", ":"))
 
 
-def _pairs(raw, what: str):
+def _index(i):
+    return i if type(i) is int and i >= 1 else None
+
+
+def _index_set(ds):
+    """The doubled tuple of a valid, ascending index set, else None."""
+    if not (isinstance(ds, list) and all(type(d) is int for d in ds)):
+        return None
+    try:
+        doubled = IndexSet(ds).doubled
+    except InvalidIndexSetError:
+        return None
+    return doubled if list(doubled) == ds else None
+
+
+def _pairs(raw, what: str, read_first=_index) -> tuple:
+    """(first, exponent) pairs, firsts strictly ascending and read by
+    read_first (None when malformed), exponents positive integers."""
     out = []
     for item in raw:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValueError(f"malformed {what} entry: {item!r}")
-        out.append((int(item[0]), int(item[1])))
+        first, e = read_first(item[0]), item[1]
+        ascends = not out or (first is not None and first > out[-1][0])
+        if first is None or type(e) is not int or e < 1 or not ascends:
+            raise ValueError(f"malformed or out-of-order {what} entry: {item!r}")
+        out.append((first, e))
     return tuple(out)
 
 
-def from_json_obj(obj):
-    """Inverse of to_json_obj for the class schemas (mod2 and integral)."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("not a serialized class")
+def _decode(obj):
     kind = obj["type"]
     if kind == "mod2":
         ns = ROOT if obj.get("namespace") == "root" else SW
-        keys = frozenset(_pairs(m, "monomial") for m in obj["monomials"])
-        if len(keys) != len(obj["monomials"]):
-            raise ValueError("duplicate monomials in mod2 class")
-        return MPoly2(keys, ns)
+        return MPoly2(frozenset(_pairs(m, "monomial") for m in obj["monomials"]), ns)
     if kind == "integral":
         free: dict = {}
         for t in obj["free"]:
@@ -111,14 +126,26 @@ def from_json_obj(obj):
             free[key] = free.get(key, 0) + int(t["coeff"])
         torsion = set()
         for t in obj["torsion"]:
-            v_key = tuple(sorted(
-                (tuple(int(d) for d in ds), int(e)) for ds, e in t["V"]
-            ))
-            torsion.add((_pairs(t["p"], "p-monomial"), v_key))
-        if len(torsion) != len(obj["torsion"]):
-            raise ValueError("duplicate torsion monomials")
-        return IntClass(_freeze_free(free), frozenset(torsion))
+            v_key = _pairs(t["V"], "V", _index_set)
+            if not v_key:
+                raise ValueError("a torsion term needs a V factor")
+            torsion.add(tor_key(_pairs(t["p"], "p-monomial"), v_key))
+        return IntClass(_freeze_free(free), MPoly2(frozenset(torsion), TOR))
     raise ValueError(f"cannot deserialize type {kind!r}")
+
+
+def from_json_obj(obj):
+    """Inverse of to_json_obj for the class schemas (mod2 and integral).
+    Refuses, with ValueError, any object to_json_obj would not give back."""
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise ValueError("not a serialized class")
+    try:
+        value = _decode(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {obj['type']!r} class: {exc!r}") from None
+    if to_json_obj(value) != obj:
+        raise ValueError("class JSON is not in canonical form")
+    return value
 
 
 def loads(text: str):

@@ -3,13 +3,17 @@
 This is the workhorse ring of the package: Z2[w1, w2, ...] with deg(w_i) = i,
 the universal target of all mod-2 characteristic class computations.  A
 second namespace of degree-1 "root" variables r_i backs the splitting
-principle oracle, and a third, "ext", holds the oracle ring
-Lambda(v1, v2, ...) (x) Z2[w1, w2, ...] of the invariance oracle.
+principle oracle, a third, "ext", holds the oracle ring
+Lambda(v1, v2, ...) (x) Z2[w1, w2, ...] of the invariance oracle, and a
+fourth, "tor", holds the 2-torsion part of Feshbach's integral ring.
 
 Representation.  A monomial is a tuple of (index, exponent) pairs held in
 strictly increasing index order with every exponent >= 1; the empty tuple is
 the constant monomial.  In the ext namespace w_i keeps index i and the
 exterior generator v_i takes index -i (degree i), so the v's lead the key.
+In the tor namespace the Pontrjagin class p_i takes index -i (degree 4i)
+and V_I takes the bit mask of I as its index: bit 0 is the half index and
+bit k the integer k, so deg V_I = 1 + sum of the doubled indices.
 A polynomial is a frozenset of such monomials (the coefficient field has two
 elements, so presence is the coefficient and addition is symmetric
 difference).  Values are immutable and hashable.
@@ -33,20 +37,33 @@ from .errors import CapsTooSmallError, MissingImageError, NamespaceMismatchError
 SW = "sw"
 ROOT = "root"
 EXT = "ext"
+TOR = "tor"
 
-_LETTER = {SW: "w", ROOT: "r", EXT: "w"}
+_LETTER = {SW: "w", ROOT: "r", EXT: "w", TOR: "p"}
 
 MonomialKey = tuple  # tuple[tuple[int, int], ...]
 
 
 def mono_degree(key: MonomialKey, namespace: str = SW) -> int:
     """Weighted degree of a monomial: sum(i*e) for sw, sum(e) for root,
-    sum(|i|*e) for ext."""
+    sum(|i|*e) for ext; for tor, 4i per p_i and 1 + sum(doubled) per V_I."""
     if namespace == SW:
         return sum(i * e for i, e in key)
     if namespace == ROOT:
         return sum(e for _, e in key)
-    return sum(abs(i) * e for i, e in key)
+    if namespace == EXT:
+        return sum(abs(i) * e for i, e in key)
+    return sum((-4 * i if i < 0 else 1 + sum(_mask_doubled(i))) * e for i, e in key)
+
+
+def _mask_doubled(mask: int) -> tuple:
+    """The ascending doubled indices of a tor V mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(2 * (low.bit_length() - 1) or 1)
+        mask ^= low
+    return tuple(out)
 
 
 def mono_mul(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
@@ -105,6 +122,27 @@ def ext_terms(a: MPoly2) -> list:
         rows.append((mono_degree(key, EXT), sum(1 << v for v in vs), key[n:], vs))
     rows.sort()
     return [(vs, w_key) for _, _, w_key, vs in rows]
+
+
+def tor_key(p_key: MonomialKey, v_key: Iterable) -> MonomialKey:
+    """The tor monomial of a p part, ascending (i, e) pairs, times V
+    factors given as (ascending doubled indices, exponent) pairs: p_i is
+    variable -i and V_I the bit mask of I (bit 0 for 1/2, bit k for k)."""
+    vs = sorted((sum(1 << (d >> 1) for d in ds), e) for ds, e in v_key)
+    return tuple((-i, e) for i, e in reversed(p_key)) + tuple(vs)
+
+
+def tor_terms(a: MPoly2) -> list:
+    """The monomials of a tor polynomial as (p part, V factors) in the
+    argument form of tor_key, ordered by degree, then p part, then V
+    factors (each ordered by its doubled indices)."""
+    rows = []
+    for key in a.monomials:
+        p_key = tuple((-i, e) for i, e in reversed(key) if i < 0)
+        v_key = tuple(sorted((_mask_doubled(i), e) for i, e in key if i > 0))
+        rows.append((mono_degree(key, TOR), p_key, v_key))
+    rows.sort()
+    return [row[1:] for row in rows]
 
 
 class RingContext:
@@ -297,8 +335,8 @@ def add(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
 
 
 # Pairwise products up to this count use the plain dict loop; larger
-# products go through a packed-exponent kernel.  Ext products always take
-# the dict loop, since negative indices do not pack.
+# products go through a packed-exponent kernel.  Ext and tor products always
+# take the dict loop, since negative indices and V masks do not pack.
 _PACK_THRESHOLD = 4096
 
 
@@ -317,7 +355,7 @@ def mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     cap = ctx.degree_cap
     if ns == EXT:
         out = [k for k in _mul_dict(ka, kb, ns, cap) if not _repeats_v(k)]
-    elif len(ka) * len(kb) <= _PACK_THRESHOLD:
+    elif ns == TOR or len(ka) * len(kb) <= _PACK_THRESHOLD:
         out = _mul_dict(ka, kb, ns, cap)
     else:
         out = _mul_packed(ka, kb, ns, cap)
@@ -486,7 +524,7 @@ def evaluate_monomials(
                 cached = power(images(i), e, ctx)
                 pow_cache[(i, e)] = cached
             term = mul(term, cached, ctx)
-        total = add(total, term, ctx)
+        total = add(total, term)  # each term is reduced, so the sum is too
     return total
 
 

@@ -161,3 +161,18 @@ def test_json_rejects_garbage():
         loads('{"type":"nonsense"}')
     with pytest.raises(ValueError):
         loads('{"no":"type"}')
+
+
+@pytest.mark.parametrize("blob", [
+    # index set {3/2}, which reads as V{1} through the bit mask
+    '{"type":"integral","free":[],"torsion":[{"p":[],"V":[[[3],1]]}]}',
+    # V{1}*V{1} rather than V{1}^2
+    '{"type":"integral","free":[],"torsion":[{"p":[],"V":[[[2],1],[[2],1]]}]}',
+    '{"type":"integral","free":[],"torsion":[{"p":[],"V":[[[2],0]]}]}',
+    '{"type":"integral","free":[],"torsion":[{"p":[],"V":[]}]}',
+    '{"type":"mod2","monomials":[[[0,1]]]}',
+    '{"type":"mod2","monomials":[[[2,1],[1,1]]]}',
+])
+def test_json_rejects_malformed_and_noncanonical(blob):
+    with pytest.raises(ValueError):
+        loads(blob)

@@ -1,7 +1,9 @@
 """Feshbach presentation: index sets, the formal integral ring, rho, and the
 six relation families."""
 
+import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +12,7 @@ from charclass.feshbach import (
     HALF,
     IndexSet,
     IntClass,
+    _valid_index_sets,
     int_add,
     int_mul,
     relation,
@@ -17,8 +20,17 @@ from charclass.feshbach import (
     torsion_equal,
     verify_relations,
 )
+from charclass.serialize import dumps, loads
 from charclass.steenrod import sq1
-from charclass.wring import MPoly2, RingContext, mono_degree, mul, square, w
+from charclass.wring import (
+    MPoly2,
+    RingContext,
+    mono_degree,
+    mul,
+    reduce_poly,
+    square,
+    w,
+)
 
 
 def test_doubled_encoding():
@@ -70,6 +82,9 @@ def test_formal_products():
 def test_int_mul_validates_rank():
     with pytest.raises(InvalidIndexSetError):
         int_mul(IntClass.V([2]), IntClass.p(1), n=2)
+    with pytest.raises(InvalidIndexSetError):
+        int_mul(IntClass.V(["1/2", 2]), IntClass.p(1), n=4)  # both 1/2 and n/2
+    assert int_mul(IntClass.V(["1/2", 2]), IntClass.p(1), n=5)
 
 
 def test_rho_on_generators():
@@ -202,7 +217,7 @@ def test_int_ring_axioms_random():
     for a in samples:
         assert int_add(a, zero) == a
         assert int_mul(a, one) == a
-        assert int_add(a, a.negate()).torsion == frozenset()
+        assert not int_add(a, a.negate()).torsion_part()
         assert not int_add(a, a.negate()).free
     for a, b in zip(samples, samples[1:]):
         assert int_add(a, b) == int_add(b, a)
@@ -257,6 +272,146 @@ def test_relation_convention_splits_half_with_midrank():
     # V_{{3}} * V_{{2}}
     lhs = relation(4, IndexSet.of("1/2", 1), IndexSet.of(2, 3), n=6)
     assert rho(lhs, RingContext(degree_cap=40, rank_cap=6)).is_zero()
-    for _, v_key in lhs.torsion:
-        for ds, _ in v_key:
-            assert IndexSet(ds).valid_at(6)
+    for ds in lhs.index_sets():
+        assert IndexSet(ds).valid_at(6)
+
+
+def test_torsion_text_and_json_pinned():
+    # V{1,2} comes first by bit mask, V{1/2,3} by doubled indices (1,6) < (2,4)
+    x = (
+        IntClass.V(["1/2", 3]) * IntClass.p(2)
+        + IntClass.V([1, 2])
+        + IntClass.V([1, 2]) * IntClass.V(["1/2", 3])
+    )
+    assert str(x) == "V{1,2} + V{1/2,3}*V{1,2} + p2*V{1/2,3}"
+    assert dumps(x) == (
+        '{"type":"integral","free":[],"torsion":['
+        '{"p":[],"V":[[[2,4],1]]},'
+        '{"p":[],"V":[[[1,6],1],[[2,4],1]]},'
+        '{"p":[[2,1]],"V":[[[1,6],1]]}]}'
+    )
+
+
+# -- brute-force reference for int_mul and rho -------------------------------
+# A class is (free, torsion): free maps a p-key (ascending (i, e) pairs) to a
+# nonzero integer, torsion is a set of (p-key, v-key), a v-key being
+# ascending (doubled indices, e) pairs.
+
+
+def _ref_merge(k1, k2):
+    merged = dict(k1)
+    for i, e in k2:
+        merged[i] = merged.get(i, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _ref_p_degree(p_key):
+    return sum(4 * i * e for i, e in p_key)
+
+
+def _ref_degree(term):
+    p_key, v_key = term
+    return _ref_p_degree(p_key) + sum((1 + sum(ds)) * e for ds, e in v_key)
+
+
+def _ref_mul(a, b, cap):
+    free = {}
+    for k1, c1 in a[0].items():
+        for k2, c2 in b[0].items():
+            if cap is None or _ref_p_degree(k1) + _ref_p_degree(k2) <= cap:
+                k = _ref_merge(k1, k2)
+                free[k] = free.get(k, 0) + c1 * c2
+    a_terms = a[1] | {(k, ()) for k, c in a[0].items() if c % 2}
+    b_terms = b[1] | {(k, ()) for k, c in b[0].items() if c % 2}
+    torsion = set()
+    for p1, v1 in a_terms:
+        for p2, v2 in b_terms:
+            term = (_ref_merge(p1, p2), _ref_merge(v1, v2))
+            if term[1] and (cap is None or _ref_degree(term) <= cap):
+                torsion ^= {term}
+    return {k: c for k, c in free.items() if c}, torsion
+
+
+def _ref_sq1_of_product(ds):
+    """Sq1(w_d1 * ... * w_dm) for distinct d's by the Leibniz rule, with
+    Sq1(w_d) = w1*w_d + w_(d+1) for even d and w1*w_d for odd d."""
+    keys = []
+    for d in ds:
+        rest = [(j, 1) for j in ds if j != d]
+        keys.append(rest + [(1, 1), (d, 1)])
+        if d % 2 == 0:
+            keys.append(rest + [(d + 1, 1)])
+    return MPoly2.from_keys(keys)
+
+
+def _ref_rho(a, ctx):
+    total = MPoly2.zero()
+    terms = a[1] | {(k, ()) for k, c in a[0].items() if c % 2}
+    for p_key, v_key in terms:
+        term = MPoly2.from_keys([[(2 * i, 2 * e) for i, e in p_key]])
+        for ds, e in v_key:
+            term = term * _ref_sq1_of_product(ds) ** e
+        total = total + term
+    return reduce_poly(total, ctx)
+
+
+def _ref_json(a):
+    free = sorted(a[0].items(), key=lambda kc: (_ref_p_degree(kc[0]), kc[0]))
+    torsion = sorted(a[1], key=lambda t: (_ref_degree(t), t))
+    return json.dumps({
+        "type": "integral",
+        "free": [{"coeff": c, "p": [list(p) for p in k]} for k, c in free],
+        "torsion": [
+            {"p": [list(p) for p in pk], "V": [[list(ds), e] for ds, e in vk]}
+            for pk, vk in torsion
+        ],
+    }, separators=(",", ":"))
+
+
+def _ref_random(rng, n):
+    pool = [1, 2, 4, 6, 8]
+    free, torsion = {}, set()
+    for _ in range(rng.randint(0, 3)):
+        k = _ref_merge((), [(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2))])
+        free[k] = free.get(k, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+    for _ in range(rng.randint(0, 3)):
+        p_key = _ref_merge((), [(rng.randint(1, 2), 1)] * rng.randint(0, 1))
+        v_key = ()
+        while len(v_key) < rng.randint(1, 2):
+            iset = IndexSet(rng.sample(pool, rng.randint(1, 2)))
+            if iset.valid_at(n):
+                v_key = _ref_merge(v_key, [(iset.doubled, 1)])
+        torsion ^= {(p_key, v_key)}
+    return {k: c for k, c in free.items() if c}, torsion
+
+
+def test_int_mul_and_rho_match_brute_force():
+    rng = random.Random(2011)
+    # (rank n for int_mul, ctx): no cap, a degree cap, a rank-capped ctx
+    cases = [(None, RingContext()), (None, RingContext(22)), (6, RingContext(26, 6))]
+    for n, ctx in cases:
+        for _ in range(60):
+            ra, rb = _ref_random(rng, n), _ref_random(rng, n)
+            a, b = loads(_ref_json(ra)), loads(_ref_json(rb))
+            product = int_mul(a, b, n, ctx)
+            expected = _ref_mul(ra, rb, ctx.degree_cap)
+            assert dumps(product) == _ref_json(expected)
+            assert rho(product, ctx) == _ref_rho(expected, ctx)
+            assert rho(a, ctx) == _ref_rho(ra, ctx)
+
+
+def test_valid_index_sets_matches_brute_force():
+    for n in range(19):
+        pool = [1] + list(range(2, n + 1, 2))
+        for cap in (0, 1, 2, 5, 12, 24, 40):
+            brute = [
+                IndexSet(c)
+                for size in range(1, len(pool) + 1)
+                for c in combinations(pool, size)
+                if IndexSet(c).degree() <= cap and IndexSet(c).valid_at(n)
+            ]
+            brute.sort(key=lambda s: (s.degree(), s.doubled))
+            assert _valid_index_sets(n, cap) == brute
+    # past rank 23 no new index fits under cap 24
+    assert len(_valid_index_sets(64, 24)) == 109
+    assert len(_valid_index_sets(128, 24)) == 109
