@@ -26,7 +26,7 @@ from .errors import (
     NotComplexifiableError,
     NotInIdealError,
 )
-from .feshbach import IndexSet, IntClass, rho
+from .feshbach import IndexSet, IntClass, rho, signed_sum_str
 from .steenrod import sq1
 from .wring import (
     SW,
@@ -35,6 +35,7 @@ from .wring import (
     RingContext,
     add,
     mono_degree,
+    mono_factors,
     mul,
     poly_str,
     require_degree_cap_at_least,
@@ -202,38 +203,26 @@ def is_complexifiable_integral(C: IntClass, ctx: RingContext) -> bool:
     return is_complexifiable_mod2(rho(C.torsion_part(), ctx))
 
 
-def _c_degree(c_key) -> int:
-    return sum(2 * k * e for k, e in c_key)
-
-
 class ChernExpr:
     """A complexifiable integral class written in terms of Chern classes of
     the complexification.
 
-    `free` maps Pontrjagin monomials through p_i = (-1)^i c_{2i}; `torsion`
-    is a polynomial in symbols rc_j standing for rho(c_j), and denotes the
-    unique torsion preimage of that mod-2 class when `lift_marker` is set.
+    `free` is the free part, an IntClass in the p_i, printed in Chern
+    symbols through p_i = (-1)^i c_{2i}; `torsion` is a polynomial in
+    symbols rc_j standing for rho(c_j), and denotes the unique torsion
+    preimage of that mod-2 class when `lift_marker` is set.
     """
 
     __slots__ = ("free", "torsion", "lift_marker")
 
-    def __init__(self, free: tuple, torsion: MPoly2, lift_marker: bool):
-        self.free = tuple(sorted(free, key=lambda kc: (_c_degree(kc[0]), kc[0])))
+    def __init__(self, free: IntClass, torsion: MPoly2, lift_marker: bool):
+        self.free = free
         self.torsion = torsion
         self.lift_marker = lift_marker
 
     def expand_free(self) -> IntClass:
-        """Substitute c_{2i} = (-1)^i p_i back into the free part."""
-        free = {}
-        for c_key, coeff in self.free:
-            p_key = tuple((k // 2, e) for k, e in c_key)
-            sign = -1 if sum((k // 2) * e for k, e in c_key) % 2 else 1
-            free[p_key] = free.get(p_key, 0) + sign * coeff
-        out = IntClass.zero()
-        for p_key, coeff in free.items():
-            if coeff:
-                out = out + IntClass(((p_key, coeff),))
-        return out
+        """The free part in the p_i."""
+        return self.free
 
     def expand_torsion_rho(self, ctx: RingContext = UNBOUNDED) -> MPoly2:
         """Substitute rc_j = w_j^2 back: the rho-image the torsion denotes."""
@@ -251,22 +240,14 @@ class ChernExpr:
         return hash((self.free, self.torsion, self.lift_marker))
 
     def __str__(self):
-        parts = []
-        for c_key, coeff in self.free:
-            factors = [f"c{k}^{e}" if e > 1 else f"c{k}" for k, e in c_key]
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            parts.append(("-" if coeff < 0 else "+", "*".join(factors)))
+        terms = [
+            (-coeff if sum(i * e for i, e in p_key) % 2 else coeff,
+             mono_factors(tuple((2 * i, e) for i, e in p_key), "c"))
+            for p_key, coeff in self.free.free
+        ]
         if self.lift_marker:
-            parts.append(("+", f"rho^-1({poly_str(self.torsion, 'rc')})"))
-        if not parts:
-            return "0"
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, chunk in parts[1:]:
-            text += f" {sign} {chunk}"
-        return text
+            terms.append((1, [f"rho^-1({poly_str(self.torsion, 'rc')})"]))
+        return signed_sum_str(terms)
 
     def __repr__(self):
         return f"ChernExpr({self})"
@@ -281,10 +262,5 @@ def express_via_chern(C: IntClass, ctx: RingContext) -> ChernExpr:
             "rho of the torsion part has an odd exponent; cannot express "
             "through Chern classes"
         )
-    free = []
-    for p_key, coeff in C.free:
-        c_key = tuple((2 * i, e) for i, e in p_key)
-        sign = -1 if sum(i * e for i, e in p_key) % 2 else 1
-        free.append((c_key, sign * coeff))
     halved = subring_decomposition(rho(C.torsion_part(), ctx)).poly_in_u
-    return ChernExpr(tuple(free), halved, not halved.is_zero())
+    return ChernExpr(C.free_part(), halved, not halved.is_zero())

@@ -19,7 +19,9 @@ any regime, and mixing regimes is an error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .complexifiability import ChernExpr
 from .errors import MixedExpressionError, ParseError
@@ -65,6 +67,9 @@ ClassExpr = object  # any of the node types above
 # recurse per level, so this keeps both well inside Python's stack limit.
 MAX_NESTING = 100
 
+# Only ASCII digits spell numbers; str.isdigit would admit "²" or "٣".
+DIGITS = frozenset("0123456789")
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -81,9 +86,9 @@ class _Lexer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in DIGITS:
                     j += 1
                 self.tokens.append(("nat", int(text[i:j]), i))
                 i = j
@@ -242,106 +247,60 @@ def detect_domain(node: ClassExpr) -> str | None:
     return domains.pop() if domains else None
 
 
-def _elab_mod2(node) -> MPoly2:
+def _elab(node, leaf):
+    """Fold an AST with the value ring's own + * ** and unary -; `leaf`
+    gives the value of a literal or atom, or refuses it."""
+    if isinstance(node, (IntLit, Gen, VGen)):
+        return leaf(node)
+    if isinstance(node, Pow):
+        return _elab(node.base, leaf) ** node.exp
+    if isinstance(node, Prod):
+        return reduce(operator.mul, (_elab(f, leaf) for f in node.factors))
+    if isinstance(node, Sum):
+        return reduce(operator.add, (
+            -_elab(t, leaf) if sign < 0 else _elab(t, leaf) for sign, t in node.terms
+        ))
+    raise TypeError(f"not a class expression node: {node!r}")
+
+
+def _mod2_leaf(node) -> MPoly2:
     if isinstance(node, IntLit):
         return MPoly2.one(SW) if node.value % 2 else MPoly2.zero(SW)
-    if isinstance(node, Gen):
-        if node.kind != "w":
-            raise MixedExpressionError(
-                f"{node.kind}{node.index} is not a mod-2 atom"
-            )
-        return MPoly2.gen(node.index, SW)
     if isinstance(node, VGen):
         raise MixedExpressionError("V-classes are integral, not mod-2")
-    if isinstance(node, Pow):
-        return _elab_mod2(node.base) ** node.exp
-    if isinstance(node, Prod):
-        out = MPoly2.one(SW)
-        for f in node.factors:
-            out = out * _elab_mod2(f)
-        return out
-    if isinstance(node, Sum):
-        out = MPoly2.zero(SW)
-        for _, t in node.terms:  # minus equals plus mod 2
-            out = out + _elab_mod2(t)
-        return out
-    raise TypeError(f"not a class expression node: {node!r}")
+    if node.kind != "w":
+        raise MixedExpressionError(f"{node.kind}{node.index} is not a mod-2 atom")
+    return MPoly2.gen(node.index, SW)
 
 
-def _elab_integral(node) -> IntClass:
+def _integral_leaf(node) -> IntClass:
     if isinstance(node, IntLit):
         return IntClass.integer(node.value)
-    if isinstance(node, Gen):
-        if node.kind != "p":
-            raise MixedExpressionError(
-                f"{node.kind}{node.index} is not an integral atom"
-            )
-        return IntClass.p(node.index)
     if isinstance(node, VGen):
         return IntClass.V(IndexSet(node.doubled))
-    if isinstance(node, Pow):
-        base = _elab_integral(node.base)
-        out = IntClass.integer(1)
-        for _ in range(node.exp):
-            out = out * base
-        return out
-    if isinstance(node, Prod):
-        out = IntClass.integer(1)
-        for f in node.factors:
-            out = out * _elab_integral(f)
-        return out
-    if isinstance(node, Sum):
-        out = IntClass.zero()
-        for sign, t in node.terms:
-            val = _elab_integral(t)
-            out = out + (val if sign > 0 else val.negate())
-        return out
-    raise TypeError(f"not a class expression node: {node!r}")
+    if node.kind != "p":
+        raise MixedExpressionError(f"{node.kind}{node.index} is not an integral atom")
+    return IntClass.p(node.index)
 
 
-def _elab_chern(node) -> dict:
-    # value representation: dict c_key -> int coefficient
+def _chern_leaf(node) -> IntClass:
+    """c_{2i} as (-1)^i p_i, so Chern arithmetic is integral arithmetic."""
     if isinstance(node, IntLit):
-        return {(): node.value} if node.value else {}
-    if isinstance(node, Gen):
-        if node.kind != "c":
-            raise MixedExpressionError(
-                f"{node.kind}{node.index} is not a Chern atom"
-            )
-        if node.index % 2:
-            raise MixedExpressionError(
-                f"c{node.index}: only even Chern classes arise from "
-                "complexifiable classes"
-            )
-        return {((node.index, 1),): 1}
-    if isinstance(node, Pow):
-        out = {(): 1}
-        for _ in range(node.exp):
-            out = _cdict_mul(out, _elab_chern(node.base))
-        return out
-    if isinstance(node, Prod):
-        out = {(): 1}
-        for f in node.factors:
-            out = _cdict_mul(out, _elab_chern(f))
-        return out
-    if isinstance(node, Sum):
-        out: dict = {}
-        for sign, t in node.terms:
-            for k, c in _elab_chern(t).items():
-                out[k] = out.get(k, 0) + sign * c
-        return {k: c for k, c in out.items() if c}
-    raise MixedExpressionError("V-classes cannot appear in a Chern expression")
+        return IntClass.integer(node.value)
+    if isinstance(node, VGen):
+        raise MixedExpressionError("V-classes cannot appear in a Chern expression")
+    if node.kind != "c":
+        raise MixedExpressionError(f"{node.kind}{node.index} is not a Chern atom")
+    if node.index % 2:
+        raise MixedExpressionError(
+            f"c{node.index}: only even Chern classes arise from "
+            "complexifiable classes"
+        )
+    i = node.index // 2
+    return -IntClass.p(i) if i % 2 else IntClass.p(i)
 
 
-def _cdict_mul(a: dict, b: dict) -> dict:
-    from .wring import mono_mul
-
-    out: dict = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = mono_mul(k1, k2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+_LEAVES = {"mod2": _mod2_leaf, "integral": _integral_leaf, "chern": _chern_leaf}
 
 
 def elaborate(node: ClassExpr, domain: str | None = None):
@@ -353,14 +312,10 @@ def elaborate(node: ClassExpr, domain: str | None = None):
     """
     if domain is None:
         domain = detect_domain(node) or "integral"
-    if domain == "mod2":
-        return _elab_mod2(node)
-    if domain == "integral":
-        return _elab_integral(node)
-    if domain == "chern":
-        free = tuple(_elab_chern(node).items())
-        return ChernExpr(free, MPoly2.zero(SW), False)
-    raise ValueError(f"unknown domain {domain!r}")
+    if domain not in _LEAVES:
+        raise ValueError(f"unknown domain {domain!r}")
+    value = _elab(node, _LEAVES[domain])
+    return ChernExpr(value, MPoly2.zero(SW), False) if domain == "chern" else value
 
 
 def parse_mod2(text: str) -> MPoly2:

@@ -37,10 +37,13 @@ from .wring import (
     RingContext,
     add,
     evaluate_monomials,
+    index_str,
+    mono_factors,
     mono_mul,
     mul,
     require_degree_cap_at_least,
     square,
+    tor_factors,
     tor_key,
     tor_terms,
     w,
@@ -67,10 +70,6 @@ def _to_doubled(index) -> int:
             raise InvalidIndexSetError("integer indices must be positive")
         return 2 * index
     raise InvalidIndexSetError(f"cannot read index {index!r}")
-
-
-def _index_str(d: int) -> str:
-    return "1/2" if d == 1 else str(d // 2)
 
 
 class IndexSet:
@@ -117,10 +116,10 @@ class IndexSet:
         return hash(self.doubled)
 
     def __str__(self):
-        return "{" + ",".join(_index_str(d) for d in self.doubled) + "}"
+        return "{" + ",".join(index_str(d) for d in self.doubled) + "}"
 
     def __repr__(self):
-        return f"IndexSet.of({', '.join(_index_str(d) for d in self.doubled)})"
+        return f"IndexSet.of({', '.join(index_str(d) for d in self.doubled)})"
 
 
 # free part: dict p_key -> nonzero int, frozen to a sorted tuple
@@ -140,6 +139,23 @@ def _freeze_free(d: dict) -> tuple:
     items = [(k, c) for k, c in d.items() if c]
     items.sort(key=lambda kc: (_p_degree(kc[0]), kc[0]))
     return tuple(items)
+
+
+def signed_sum_str(terms: Iterable) -> str:
+    """Join (integer coefficient, factor strings) terms as canonical text:
+    a leading '-' only on a negative first term, magnitudes other than 1
+    as a first factor, and "0" for no terms."""
+    text = ""
+    for coeff, factors in terms:
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors = [str(mag)] + factors
+        chunk = "*".join(factors)
+        if text:
+            text += f" {'-' if coeff < 0 else '+'} {chunk}"
+        else:
+            text = "-" + chunk if coeff < 0 else chunk
+    return text or "0"
 
 
 class IntClass:
@@ -213,31 +229,29 @@ class IntClass:
     def __mul__(self, other):
         return int_mul(self, other)
 
+    def __pow__(self, e: int):
+        """self**e by square-and-multiply."""
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        result, base = IntClass.integer(1), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
     def negate(self) -> "IntClass":
         """Negation: flips free coefficients, fixes torsion (2-torsion)."""
         return IntClass(tuple((k, -c) for k, c in self.free), self.torsion)
 
+    __neg__ = negate
+
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for p_key, coeff in self.free:
-            factors = [f"p{i}^{e}" if e > 1 else f"p{i}" for i, e in p_key]
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            parts.append(("-" if coeff < 0 else "+", "*".join(factors)))
-        for p_key, v_key in tor_terms(self.torsion):
-            factors = [f"p{i}^{e}" if e > 1 else f"p{i}" for i, e in p_key]
-            for ds, e in v_key:
-                v = "V{" + ",".join(_index_str(d) for d in ds) + "}"
-                factors.append(f"{v}^{e}" if e > 1 else v)
-            parts.append(("+", "*".join(factors)))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, chunk in parts[1:]:
-            text += f" {sign} {chunk}"
-        return text
+        terms = [(c, mono_factors(k, "p")) for k, c in self.free]
+        terms += [(1, tor_factors(*t)) for t in tor_terms(self.torsion)]
+        return signed_sum_str(terms)
 
     def __repr__(self):
         return f"IntClass({self})"

@@ -95,8 +95,14 @@ def mono_mul(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
     return tuple(out)
 
 
-def _factors(key: MonomialKey, letter: str) -> list:
+def mono_factors(key: MonomialKey, letter: str) -> list:
+    """The factors of a monomial as text, such as ["w1^2", "w3"]."""
     return [f"{letter}{i}^{e}" if e > 1 else f"{letter}{i}" for i, e in key]
+
+
+def index_str(d: int) -> str:
+    """A doubled V index as text: "1/2" for 1, the integer d/2 otherwise."""
+    return "1/2" if d == 1 else str(d // 2)
 
 
 def _repeats_v(key: MonomialKey) -> bool:
@@ -143,6 +149,16 @@ def tor_terms(a: MPoly2) -> list:
         rows.append((mono_degree(key, TOR), p_key, v_key))
     rows.sort()
     return [row[1:] for row in rows]
+
+
+def tor_factors(p_key: MonomialKey, v_key: Iterable) -> list:
+    """The factors of a tor monomial, given as tor_terms yields it, as text
+    in the p_i and V{...} symbols."""
+    out = mono_factors(p_key, "p")
+    for ds, e in v_key:
+        v = "V{" + ",".join(index_str(d) for d in ds) + "}"
+        out.append(f"{v}^{e}" if e > 1 else v)
+    return out
 
 
 class RingContext:
@@ -277,6 +293,9 @@ class MPoly2:
     def __pow__(self, e: int):
         return power(self, e, UNBOUNDED)
 
+    def __neg__(self):
+        return self  # characteristic 2
+
     def __str__(self):
         return poly_str(self)
 
@@ -286,17 +305,20 @@ class MPoly2:
 
 def poly_str(a: MPoly2, letter: str | None = None) -> str:
     """Canonical text: monomials in graded-lex order, `letter` overriding
-    the namespace letter (used for the u / rc symbol families)."""
+    the namespace letter (used for the u / rc symbol families); ext and tor
+    monomials print decoded, in the order of ext_terms and tor_terms."""
     if not a.monomials:
         return "0"
     if a.namespace == EXT:
-        return " + ".join(
-            "*".join([f"v{i}" for i in vs] + _factors(w_key, "w")) or "1"
-            for vs, w_key in ext_terms(a)
-        )
-    letter = letter or _LETTER[a.namespace]
-    keys = sorted(a.monomials, key=lambda k: (mono_degree(k, a.namespace), k))
-    return " + ".join("*".join(_factors(k, letter)) or "1" for k in keys)
+        monos = [[f"v{i}" for i in vs] + mono_factors(w_key, "w")
+                 for vs, w_key in ext_terms(a)]
+    elif a.namespace == TOR:
+        monos = [tor_factors(p_key, v_key) for p_key, v_key in tor_terms(a)]
+    else:
+        letter = letter or _LETTER[a.namespace]
+        keys = sorted(a.monomials, key=lambda k: (mono_degree(k, a.namespace), k))
+        monos = [mono_factors(k, letter) for k in keys]
+    return " + ".join("*".join(m) or "1" for m in monos)
 
 
 def w(index: int) -> MPoly2:

@@ -147,3 +147,10 @@ def test_deep_nesting_exit_1(capsys):
         assert "nest deeper" in err and "Traceback" not in err
     nested = "(" * 100 + "w1+w2" + ")" * 100
     assert run(capsys, "eval", "--expr", nested)[:2] == (0, "w1 + w2\n")
+
+
+def test_non_ascii_digit_exit_1(capsys):
+    code, out, err = run(capsys, "eval", "--expr", "w\u00b2")
+    assert (code, out) == (1, "")
+    assert "unexpected character" in err and "position 1" in err
+    assert "Traceback" not in err

@@ -85,6 +85,47 @@ def test_elaborate_examples():
         elaborate(parse("V{1}"), "mod2")
 
 
+def test_elaboration_refusal_messages():
+    refusals = [
+        ("p1", "mod2", "p1 is not a mod-2 atom"),
+        ("c2", "mod2", "c2 is not a mod-2 atom"),
+        ("V{1}", "mod2", "V-classes are integral, not mod-2"),
+        ("w1", "integral", "w1 is not an integral atom"),
+        ("c2", "integral", "c2 is not an integral atom"),
+        ("w1", "chern", "w1 is not a Chern atom"),
+        ("p1", "chern", "p1 is not a Chern atom"),
+        ("c3", "chern", "c3: only even Chern classes arise from complexifiable classes"),
+        ("V{1}", "chern", "V-classes cannot appear in a Chern expression"),
+        ("w1 + p1", None, "expression mixes atoms from different coefficient regimes"),
+        ("c2*V{1/2}", None, "expression mixes atoms from different coefficient regimes"),
+        ("w2^2 - c4", None, "expression mixes atoms from different coefficient regimes"),
+    ]
+    for text, domain, message in refusals:
+        with pytest.raises(MixedExpressionError) as excinfo:
+            elaborate(parse(text), domain)
+        assert str(excinfo.value) == message, (text, domain)
+    with pytest.raises(TypeError, match="not a class expression node"):
+        elaborate(Pow(object(), 2), "mod2")
+
+
+def test_refusal_under_power_zero():
+    # an atom raised to the 0th power is still read, and refused, once
+    for text, domain in [("c2 + V{1}^0", "chern"), ("w1 + p1^0", "mod2"),
+                         ("p1 + w1^0", "integral"), ("c2 + c3^0", "chern")]:
+        with pytest.raises(MixedExpressionError):
+            elaborate(parse(text), domain)
+    assert str(elaborate(parse("c2 + c4^0"), "chern")) == "1 + c2"
+
+
+def test_lexer_reads_only_ascii_digits():
+    # superscript two, Arabic-Indic three and one, fullwidth one
+    for text, position in [("w\u00b2", 1), ("w\u0663", 1), ("p\u0661", 1),
+                           ("V{\uff11}", 2)]:
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert excinfo.value.position == position
+
+
 def test_detect_domain():
     assert detect_domain(parse("w1*w2")) == "mod2"
     assert detect_domain(parse("p1 + V{1}")) == "integral"

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from charclass.errors import CapsTooSmallError, InvalidIndexSetError
+from charclass.expr import parse_integral
 from charclass.feshbach import (
     HALF,
     IndexSet,
@@ -22,6 +23,7 @@ from charclass.feshbach import (
 )
 from charclass.serialize import dumps, loads
 from charclass.steenrod import sq1
+from charclass.verify import random_integral_complexifiable
 from charclass.wring import (
     MPoly2,
     RingContext,
@@ -290,6 +292,36 @@ def test_torsion_text_and_json_pinned():
         '{"p":[],"V":[[[1,6],1],[[2,4],1]]},'
         '{"p":[[2,1]],"V":[[[1,6],1]]}]}'
     )
+
+
+
+def test_raw_torsion_polynomial_prints_decoded():
+    x = IntClass.V(["1/2", 3]) * IntClass.p(2)
+    assert str(x.torsion) == "p2*V{1/2,3}"
+    assert repr(x.torsion) == "MPoly2(p2*V{1/2,3})"
+    y = (
+        x
+        + IntClass.V([1, 2])
+        + IntClass.V([1, 2]) * IntClass.V(["1/2", 3])
+        + IntClass.p(1) * IntClass.p(1) * IntClass.V([1]) * IntClass.V([1])
+    )
+    assert str(y.torsion) == (
+        "V{1,2} + p1^2*V{1}^2 + V{1/2,3}*V{1,2} + p2*V{1/2,3}"
+    )
+    assert str(y) == str(y.torsion)
+
+
+def test_int_pow_matches_repeated_product():
+    rng = random.Random(71)
+    for _ in range(12):
+        x = random_integral_complexifiable(rng, 8)
+        expected = IntClass.integer(1)
+        for e in range(13):
+            assert x ** e == expected, (str(x), e)
+            expected = int_mul(expected, x)
+    assert parse_integral("p1^4096") == IntClass(((((1, 4096),), 1),))
+    with pytest.raises(ValueError):
+        IntClass.p(1) ** -1
 
 
 # -- brute-force reference for int_mul and rho -------------------------------

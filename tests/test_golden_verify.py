@@ -1,0 +1,26 @@
+"""Byte identity of the full verification report, text and JSON.
+
+The digests were taken from `charclass verify --suite all --degree 24
+--rank 8` before the expression elaborators were folded into one; any
+change to a case id, its order, its parameters or its outcome moves them.
+"""
+
+import hashlib
+
+from charclass.cli import main
+
+TEXT_SHA256 = "6f9a8a89d584b466a4afe382832770543cd2302634079e1ad2df2e5f57d31262"
+JSON_SHA256 = "dfbaefff016fb33b1a39e1c42a330e000d24a6e156c26f386e7d309329795397"
+JSON_BYTES = 97_251
+
+
+def test_verify_all_text_and_report_pinned(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code = main(["verify", "--suite", "all", "--degree", "24", "--rank", "8",
+                 "--report", str(report)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_SHA256
+    blob = report.read_bytes()
+    assert len(blob) == JSON_BYTES
+    assert hashlib.sha256(blob).hexdigest() == JSON_SHA256
