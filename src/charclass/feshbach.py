@@ -230,17 +230,13 @@ class IntClass:
         return int_mul(self, other)
 
     def __pow__(self, e: int):
-        """self**e by square-and-multiply."""
+        """self**e as the e-fold product."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result, base = IntClass.integer(1), self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        out = IntClass.integer(1)
+        for _ in range(e):
+            out = out * self
+        return out
 
     def negate(self) -> "IntClass":
         """Negation: flips free coefficients, fixes torsion (2-torsion)."""
