@@ -27,7 +27,7 @@ from .wring import (
     constant_term,
     evaluate_monomials,
     ext_terms,
-    grade_component,
+    mono_degree,
     mul,
     reduce_poly,
     square,
@@ -83,20 +83,26 @@ ext_reduce = reduce_poly
 class FormalBundle:
     """A bundle given by its total class (constant term 1) and a rank bound.
 
-    rank_bound None means unbounded (a stable bundle).
+    rank_bound None means unbounded (a stable bundle).  Do not mutate: the
+    first sw() call files the total's monomials by degree, once, and every
+    later call reads those buckets.  They take no part in equality, hashing,
+    repr or serialization.
     """
 
-    __slots__ = ("total", "rank_bound")
+    __slots__ = ("total", "rank_bound", "_grades")
 
     def __init__(self, total, rank_bound: int | None = None):
         if not isinstance(total, MPoly2):
             raise TypeError("total class must be an MPoly2")
         if constant_term(total) != 1:
             raise ValueError("a total class must have constant term 1")
-        if rank_bound is not None and rank_bound < 0:
-            raise ValueError("rank bound must be nonnegative")
+        if rank_bound is not None and (
+            not isinstance(rank_bound, int) or rank_bound < 0
+        ):
+            raise ValueError("rank bound must be a nonnegative integer or None")
         self.total = total
         self.rank_bound = rank_bound
+        self._grades = None
 
     def __eq__(self, other):
         return (
@@ -183,9 +189,16 @@ def sw(a: FormalBundle, k: int):
     """The degree-k class of the bundle; zero above the rank bound."""
     if k < 0:
         raise ValueError("class index must be nonnegative")
+    ns = a.total.namespace
     if a.rank_bound is not None and k > a.rank_bound:
-        return MPoly2.zero(a.total.namespace)
-    return grade_component(a.total, k)
+        return MPoly2.zero(ns)
+    if a._grades is None:
+        buckets: dict = {}
+        for key in a.total.monomials:
+            buckets.setdefault(mono_degree(key, ns), []).append(key)
+        a._grades = {d: MPoly2(frozenset(keys), ns) for d, keys in buckets.items()}
+    got = a._grades.get(k)
+    return MPoly2.zero(ns) if got is None else got
 
 
 def chern_mod2(a: FormalBundle, k: int, ctx: RingContext = UNBOUNDED):
@@ -209,17 +222,8 @@ def evaluate_class(c: MPoly2, a: FormalBundle, ctx: RingContext = UNBOUNDED):
     ambient ring."""
     if c.namespace != SW:
         raise NamespaceMismatchError("classes are polynomials in sw variables")
-    cache: dict = {}
-
-    def images(i: int):
-        got = cache.get(i)
-        if got is None:
-            got = sw(a, i)
-            cache[i] = got
-        return got
-
     return evaluate_monomials(
-        reduce_poly(c, ctx).monomials, images, a.total.namespace, ctx
+        reduce_poly(c, ctx).monomials, lambda i: sw(a, i), a.total.namespace, ctx
     )
 
 

@@ -11,6 +11,8 @@ Chern symbols of the complexification.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .bundlecalc import (
     ExtPoly,
     FormalBundle,
@@ -141,11 +143,20 @@ def invariance_oracle(c: MPoly2, ctx: RingContext) -> bool:
     require_rank_cap_at_least(ctx, d, "invariance oracle")
     # all action happens in degrees <= d, so compute in that truncation
     work = RingContext(degree_cap=d)
-    fg = whitney_sum(fiber_bundle(work), universal_bundle(work), work)
-    g = universal_bundle(work)
+    fg, g = _test_pair(d)
     lhs = evaluate_class(c, fg, work)
     rhs = evaluate_class(c, g, work)
     return lhs == ExtPoly.from_mpoly(rhs)
+
+
+@lru_cache(maxsize=32)
+def _test_pair(d: int) -> tuple:
+    """The canonical test pair (fiber + universal, universal) truncated at
+    degree d.  Bundles are immutable, so every class of degree d shares one
+    pair, and with it the pair's degree buckets."""
+    work = RingContext(degree_cap=d)
+    g = universal_bundle(work)
+    return whitney_sum(fiber_bundle(work), g, work), g
 
 
 def _doubled_w_monomial(dset) -> MPoly2:

@@ -364,9 +364,13 @@ _PACK_THRESHOLD = 4096
 
 def mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Product, distributing and cancelling mod 2, context-reduced."""
+    return _mul_reduced(reduce_poly(a, ctx), reduce_poly(b, ctx), ctx)
+
+
+def _mul_reduced(a: MPoly2, b: MPoly2, ctx: RingContext) -> MPoly2:
+    """mul on operands the context already admits: no factor lies above the
+    rank cap, so only the degree cap and a repeated v can drop a product."""
     ns = _check_namespaces(a, b)
-    a = reduce_poly(a, ctx)
-    b = reduce_poly(b, ctx)
     ka, kb = a.monomials, b.monomials
     if not ka or not kb:
         return MPoly2.zero(ns)
@@ -505,11 +509,11 @@ def power(a: MPoly2, e: int, ctx: RingContext = UNBOUNDED) -> MPoly2:
     base = reduce_poly(a, ctx)
     while e:
         if e & 1:
-            result = mul(result, base, ctx)
+            result = _mul_reduced(result, base, ctx)
         e >>= 1
         if e:
             base = square(base, ctx)
-    return reduce_poly(result, ctx)
+    return result
 
 
 def grade_component(a: MPoly2, k: int) -> MPoly2:
@@ -534,7 +538,8 @@ def evaluate_monomials(
     """Sum over monomials of the product of images, a ring homomorphism.
 
     `images(i)` must return the value substituted for variable i, in
-    `namespace`.  Powers of images are memoized across monomials.
+    `namespace`.  Powers of images are memoized across monomials; they come
+    out of power() reduced, so the products skip mul's reduce.
     """
     pow_cache: dict = {}
     total = MPoly2.zero(namespace)
@@ -545,7 +550,7 @@ def evaluate_monomials(
             if cached is None:
                 cached = power(images(i), e, ctx)
                 pow_cache[(i, e)] = cached
-            term = mul(term, cached, ctx)
+            term = _mul_reduced(term, cached, ctx)
         total = add(total, term)  # each term is reduced, so the sum is too
     return total
 

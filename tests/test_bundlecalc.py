@@ -26,10 +26,13 @@ from charclass.errors import CapsTooSmallError, NamespaceMismatchError
 from charclass.serialize import dumps, to_json_obj
 from charclass.verify import random_mod2
 from charclass.wring import (
+    EXT,
     ROOT,
+    SW,
     MPoly2,
     RingContext,
     constant_term,
+    grade_component,
     mul,
     reduce_poly,
     square,
@@ -213,6 +216,15 @@ def test_formal_bundle_validation():
         FormalBundle("1 + w1")
 
 
+def test_rank_bound_validation():
+    total = MPoly2.one() + w(1)
+    for bad in (1.5, "3", -1):
+        with pytest.raises(ValueError):
+            FormalBundle(total, bad)
+    assert FormalBundle(total, 0).rank_bound == 0
+    assert FormalBundle(total).rank_bound is None
+
+
 def test_rank_bound_reads_zero_above():
     b = FormalBundle(MPoly2.one() + w(1) + w(2), rank_bound=2)
     assert sw(b, 3).is_zero()
@@ -322,3 +334,49 @@ def test_ext_mul_matches_brute_force():
             tb = _random_ext_terms(rng, rng.randint(0, 8))
             got = ext_mul(_ext_value(ta), _ext_value(tb), ctx)
             assert _ext_terms_of(got) == _brute_ext_product(ta, tb, degree_cap, rank_cap)
+
+
+def _with_unit(total):
+    return total if constant_term(total) else total + MPoly2.one(total.namespace)
+
+
+def _seeded_totals(rng):
+    """Total classes in each namespace: sw, root (the same keys read with
+    degree-1 variables) and ext."""
+    for _ in range(6):
+        c = random_mod2(rng, 14, max_terms=10)
+        yield _with_unit(c)
+        yield _with_unit(MPoly2(c.monomials, ROOT))
+        yield _with_unit(_ext_value(_random_ext_terms(rng, 10)))
+
+
+def test_sw_reads_degree_buckets():
+    rng = random.Random(35)
+    seen = set()
+    for total in _seeded_totals(rng):
+        seen.add(total.namespace)
+        top = total.degree()
+        for bound in (None, rng.randint(0, top)):
+            b = FormalBundle(total, bound)
+            for k in range(top + 3):
+                got = sw(b, k)
+                assert got.namespace == total.namespace
+                if bound is not None and k > bound:
+                    assert got.is_zero()
+                else:
+                    assert got == grade_component(b.total, k)
+            assert b.total is total
+    assert seen == {SW, ROOT, EXT}
+
+
+def test_graded_bundle_equals_fresh_one():
+    rng = random.Random(36)
+    for total in _seeded_totals(rng):
+        graded = FormalBundle(total, 3)
+        for k in range(total.degree() + 1):
+            sw(graded, k)
+        fresh = FormalBundle(total, 3)
+        assert graded == fresh and fresh == graded
+        assert hash(graded) == hash(fresh)
+        assert repr(graded) == repr(fresh)
+        assert dumps(graded) == dumps(fresh)

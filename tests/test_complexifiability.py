@@ -6,8 +6,16 @@ import random
 
 import pytest
 
-from charclass.bundlecalc import trivial_bundle, universal_bundle
+from charclass.bundlecalc import (
+    ExtPoly,
+    evaluate_class,
+    fiber_bundle,
+    trivial_bundle,
+    universal_bundle,
+    whitney_sum,
+)
 from charclass.complexifiability import (
+    _test_pair,
     express_via_chern,
     ideal_decomposition,
     invariance_oracle,
@@ -113,6 +121,33 @@ def test_theorem1_biconditional_random():
     for k in range(60):
         c = random_squares_member(rng, 16) if k % 2 else random_mod2(rng, 16)
         assert invariance_oracle(c, ctx) == is_complexifiable_mod2(c)
+
+
+def _oracle_fresh(c):
+    """The invariance oracle with its test pair built afresh for c."""
+    work = RingContext(degree_cap=c.degree())
+    fg = whitney_sum(fiber_bundle(work), universal_bundle(work), work)
+    lhs = evaluate_class(c, fg, work)
+    rhs = evaluate_class(c, universal_bundle(work), work)
+    return lhs == ExtPoly.from_mpoly(rhs)
+
+
+def test_memoized_test_pair_matches_fresh_route():
+    rng = random.Random(57)
+    classes = []
+    for k in range(24):
+        top = (6, 11, 16)[k % 3]
+        classes.append(random_squares_member(rng, top) if k % 2 else random_mod2(rng, top))
+    ctx = RingContext(degree_cap=16, rank_cap=16)
+    expected = [_oracle_fresh(c) for c in classes]
+    assert True in expected and False in expected
+    for _ in range(2):
+        assert [invariance_oracle(c, ctx) for c in classes] == expected
+    for d in {c.degree() for c in classes}:
+        work = RingContext(degree_cap=d)
+        fg, g = _test_pair(d)
+        assert fg.total == whitney_sum(fiber_bundle(work), universal_bundle(work), work).total
+        assert g.total == universal_bundle(work).total
 
 
 def test_lemma3_spot_cases():

@@ -1,8 +1,11 @@
-"""Byte identity of the full verification report, text and JSON.
+"""Byte identity of the verification reports, text and JSON.
 
-The digests were taken from `charclass verify --suite all --degree 24
---rank 8` before the expression elaborators were folded into one; any
-change to a case id, its order, its parameters or its outcome moves them.
+The digests of the full report were taken from `charclass verify --suite
+all --degree 24 --rank 8` before the expression elaborators were folded
+into one; any change to a case id, its order, its parameters or its outcome
+moves them.  The theorem1 digest at degree 48, the oracle workload's top
+degree, was taken before `sw` read per-bundle degree buckets and before the
+oracle's test pair was memoized.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ from charclass.cli import main
 TEXT_SHA256 = "6f9a8a89d584b466a4afe382832770543cd2302634079e1ad2df2e5f57d31262"
 JSON_SHA256 = "dfbaefff016fb33b1a39e1c42a330e000d24a6e156c26f386e7d309329795397"
 JSON_BYTES = 97_251
+THEOREM1_48_SHA256 = "1f6bfd07a4d53e9d2bc9fce6228a932436613d2cf82694af84b3be6ba1e02771"
 
 
 def test_verify_all_text_and_report_pinned(capsys, tmp_path):
@@ -24,3 +28,10 @@ def test_verify_all_text_and_report_pinned(capsys, tmp_path):
     blob = report.read_bytes()
     assert len(blob) == JSON_BYTES
     assert hashlib.sha256(blob).hexdigest() == JSON_SHA256
+
+
+def test_verify_theorem1_degree_48_pinned(capsys):
+    code = main(["verify", "--suite", "theorem1", "--degree", "48"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM1_48_SHA256

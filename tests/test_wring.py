@@ -77,6 +77,17 @@ def test_substitute_examples():
     assert substitute(w(1) * w(2), {1: w(1), 2: square(w(1))}) == power(w(1), 3)
 
 
+def test_substitute_reduces_images_above_the_caps():
+    rng = random.Random(15)
+    for degree_cap, rank_cap in ((10, None), (None, 4), (9, 5)):
+        ctx = RingContext(degree_cap, rank_cap)
+        for _ in range(30):
+            a = random_mod2(rng, 8)
+            # images reach indices and degrees above both caps
+            images = {i: random_mod2(rng, 14) for i in a.variables()}
+            assert substitute(a, images, ctx) == reduce_poly(substitute(a, images), ctx)
+
+
 def test_substitute_missing_image():
     with pytest.raises(MissingImageError):
         substitute(w(1) * w(2), {1: w(1)})
