@@ -29,7 +29,7 @@ from .complexifiability import (
     subring_decomposition,
 )
 from .errors import CharclassError, MixedExpressionError, ParseError
-from .expr import parse_integral, parse_mod2
+from .expr import DIGITS, parse_integral, parse_mod2
 from .feshbach import rho
 from .report import Report
 from .steenrod import sq1
@@ -71,7 +71,7 @@ def _make_bundle(name: str, ctx: RingContext):
         return fiber_bundle(ctx)
     if name.startswith("roots:"):
         raw = name.split(":", 1)[1]
-        if not raw.isdigit() or int(raw) < 1:
+        if not raw or not set(raw) <= DIGITS or int(raw) < 1:
             raise ParseError(f"roots:<m> needs a positive integer, got {raw!r}", 0)
         return roots_bundle(int(raw), ctx)
     raise ParseError(

@@ -418,17 +418,18 @@ def _pack_stats(keys):
 
 
 def _mul_packed(ka, kb, ns, cap):
-    """Pack exponent vectors into integers so exponent addition is a single
-    integer add; route through numpy when everything fits in 64 bits."""
+    """Pack exponent vectors into integers, one field per variable index, so
+    exponent addition is a single integer add; route through numpy when all
+    fields fit in 64 bits."""
     if not ka or not kb:
-        return set()
+        return []
     mi_a, me_a = _pack_stats(ka)
     mi_b, me_b = _pack_stats(kb)
-    max_index = max(mi_a, mi_b)
+    fields = max(mi_a, mi_b)
     bits = (me_a + me_b).bit_length()
-    if max_index * bits <= 64:
-        return _mul_numpy(ka, kb, ns, cap, bits)
-    return _mul_pyint(ka, kb, ns, cap, max(bits, 16))
+    if fields * bits <= 64:
+        return _mul_numpy(ka, kb, ns, cap, bits, fields)
+    return _mul_pyint(ka, kb, ns, cap, bits, fields)
 
 
 def _pack(key, bits) -> int:
@@ -445,13 +446,39 @@ def _unpack(v: int, bits: int) -> MonomialKey:
     while v:
         e = v & mask
         if e:
-            out.append((i, int(e)))
+            out.append((i, e))
         v >>= bits
         i += 1
     return tuple(out)
 
 
-def _mul_numpy(ka, kb, ns, cap, bits):
+def _decode(matrix: np.ndarray, bits: int) -> list:
+    """The monomial keys of the rows of an (n, m) matrix of exponents below
+    2**bits, column j holding the exponent of variable j + 1.
+
+    Like mono_mul, the keys share their (index, exponent) pairs: one tuple
+    per distinct pair, every key a slice of one flat tuple of them."""
+    m = matrix.shape[1]
+    ends = np.cumsum(np.count_nonzero(matrix, axis=1)).tolist()
+    rows, cols = np.nonzero(matrix)  # row by row, ascending index within a row
+    exps = matrix[rows, cols]
+    values = None
+    if bits + (m - 1).bit_length() > 64:  # exps * m + cols would overflow
+        values, exps = np.unique(exps, return_inverse=True)
+        values = values.tolist()
+    codes = exps.astype(np.uint64) * np.uint64(m) + cols.astype(np.uint64)
+    del rows, cols, exps  # free the field arrays before the sort
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    del codes
+    pairs = [
+        (c % m + 1, c // m if values is None else values[c // m])
+        for c in uniq.tolist()
+    ]
+    flat = tuple(map(pairs.__getitem__, inverse.tolist()))
+    return [flat[s:e] for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _mul_numpy(ka, kb, ns, cap, bits, fields):
     pa = np.fromiter((_pack(k, bits) for k in ka), dtype=np.uint64, count=len(ka))
     pb = np.fromiter((_pack(k, bits) for k in kb), dtype=np.uint64, count=len(kb))
     parts = []
@@ -468,12 +495,17 @@ def _mul_numpy(ka, kb, ns, cap, bits):
             parts.append(sums.ravel())
     vals, counts = np.unique(np.concatenate(parts), return_counts=True)
     odd = vals[counts & 1 == 1]
-    return {_unpack(int(v), bits) for v in odd}
+    exps = odd[:, None] >> (np.arange(fields, dtype=np.uint64) * np.uint64(bits))
+    exps &= np.uint64((1 << bits) - 1)
+    return _decode(exps, bits)
 
 
-def _mul_pyint(ka, kb, ns, cap, bits):
-    pa = [(_pack(k, bits), mono_degree(k, ns)) for k in ka]
-    pb = sorted((mono_degree(k, ns), _pack(k, bits)) for k in kb)
+def _mul_pyint(ka, kb, ns, cap, bits, fields):
+    """The big-int kernel.  Fields of 64 bits or less are packed 16, 32 or
+    64 bits wide, so the sums decode as a numpy view of their bytes."""
+    width = next((f for f in (16, 32, 64) if f >= bits), bits)
+    pa = [(_pack(k, width), mono_degree(k, ns)) for k in ka]
+    pb = sorted((mono_degree(k, ns), _pack(k, width)) for k in kb)
     deg_b = [d for d, _ in pb]
     packed_b = [p for _, p in pb]
     out: set = set()
@@ -488,7 +520,11 @@ def _mul_pyint(ka, kb, ns, cap, bits):
             row = packed_b
         # products within one row are distinct, so set-toggling is sound
         toggle([va + vb for vb in row])
-    return {_unpack(v, bits) for v in out}
+    if width > 64:
+        return [_unpack(v, width) for v in out]
+    size = width // 8 * fields
+    blob = b"".join([v.to_bytes(size, "little") for v in out])
+    return _decode(np.frombuffer(blob, dtype=f"<u{width // 8}").reshape(-1, fields), bits)
 
 
 def square(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:

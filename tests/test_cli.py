@@ -72,6 +72,14 @@ def test_parse_error_exit_1(capsys):
     assert "positive" in err
 
 
+def test_roots_bundle_needs_ascii_digits(capsys):
+    for raw in ("\u0663", "\u00b2", "", "0", "-2", " 3"):
+        code, out, err = run(capsys, "eval", "--expr", "w1", "--bundle", f"roots:{raw}",
+                             "--degree", "8")
+        assert (code, out) == (1, ""), raw
+        assert "roots:<m> needs a positive integer" in err, raw
+
+
 def test_mixed_expression_exit_1(capsys):
     code, _, err = run(capsys, "eval", "--expr", "w1 + p1")
     assert code == 1

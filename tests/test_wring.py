@@ -1,5 +1,6 @@
 """Ring axioms, truncation coherence, and kernel agreement for MPoly2."""
 
+import hashlib
 import random
 
 import pytest
@@ -186,3 +187,130 @@ def test_from_keys_canonicalizes():
     assert p.is_zero()  # the same monomial twice cancels
     q = MPoly2.from_keys([[(3, 1), (3, 1)]])
     assert q == square(w(3))
+
+
+# -- packed kernels above the dict/packed switch ------------------------------
+
+
+def _random_keys(rng, terms, max_index, max_exp, top=None, width=3):
+    """`terms` distinct monomials, each in 1..width variables of index at
+    most max_index with exponents in 1..max_exp, of degree at most top if
+    given (so that a degree cap >= top leaves the factor whole)."""
+    keys = set()
+    while len(keys) < terms:
+        merged = {i: rng.randint(1, max_exp)
+                  for i in rng.sample(range(1, max_index + 1), rng.randint(1, width))}
+        key = tuple(sorted(merged.items()))
+        if top is None or mono_degree(key) <= top:
+            keys.add(key)
+    return keys
+
+
+def _poly(keys):
+    return MPoly2(frozenset(keys), SW)
+
+
+# sha256 of the serialized results of _pinned_products, taken with the
+# per-term unpack that preceded the bulk decode
+PACKED_PRODUCTS_SHA256 = "76eb4e0d4fda732e4a274c8ba0c4026493d0b9f7bd0cca83489423444fca8065"
+
+
+def _pinned_products():
+    """Seeded products above the 4,096-pair switch: numpy-packed (indices
+    up to 8) and big-int-packed (indices up to 40) factors, with and
+    without a degree cap, plus one power and one substitute."""
+    rng = random.Random(21)
+    out = []
+    for max_index, cap in ((8, None), (8, 14), (40, None), (40, 50)):
+        a = _poly(_random_keys(rng, 80, max_index, 3, cap) | {()})
+        b = _poly(_random_keys(rng, 80, max_index, 3, cap))
+        out.append(mul(a, b, RingContext(cap)))
+    base = _poly(_random_keys(rng, 70, 10, 2, 12))
+    out.append(power(base, 3, RingContext(24)))
+    images = {i: _poly(_random_keys(rng, 70, 12, 2, 40) | {()}) for i in (1, 2, 3)}
+    source = w(1) * w(2) + w(3) * square(w(1)) + w(2) * w(3)
+    out.append(substitute(source, images, RingContext(40)))
+    return out
+
+
+def test_packed_products_pinned():
+    from charclass.serialize import dumps
+
+    blob = "\n".join(dumps(p) for p in _pinned_products()).encode()
+    assert hashlib.sha256(blob).hexdigest() == PACKED_PRODUCTS_SHA256
+
+
+def _kernel_cases():
+    """name -> (left keys, right keys, degree cap, packed bits); the packed
+    bits, max_index * bits of the exponent sums, are given where they are the
+    point of the case."""
+    rng = random.Random(22)
+    cases = {
+        # at the 64-bit edge: 16 fields of 4 bits pack, 13 of 5 do not
+        "fits_64": (_random_keys(rng, 80, 16, 7), _random_keys(rng, 80, 16, 7), None, 64),
+        "needs_65": (_random_keys(rng, 80, 13, 15), _random_keys(rng, 80, 13, 15), 60, 65),
+        # w1 alone: one field, which numpy packs up to 64 bits wide
+        "one_field_64": ({((1, e),) for e in range(2**62, 2**62 + 70)},
+                         {((1, e),) for e in range(2**62, 2**62 + 70)}, None, 64),
+        "one_field_65": ({((1, e),) for e in range(2**63, 2**63 + 70)},
+                         {((1, e),) for e in range(2**63, 2**63 + 70)}, None, 65),
+        "constant": (_random_keys(rng, 70, 10, 2) | {()},
+                     _random_keys(rng, 70, 10, 2) | {()}, 9, None),
+    }
+    # exponent sums of exactly `bits` bits, on both sides of 16, 32 and 64:
+    # w1^(2^(bits-2)) in both factors sets the field width
+    for bits in (16, 17, 32, 33, 64, 65):
+        big = {((1, 1 << (bits - 2)),)}
+        cases[f"sum_{bits}_bits"] = (_random_keys(rng, 70, 20, 3) | big,
+                                     _random_keys(rng, 70, 20, 3) | big, None, 20 * bits)
+    # every pair occurs twice, so the product cancels to zero (the big-int
+    # kernel needs the right factor's keys distinct)
+    a, b = _random_keys(rng, 70, 9, 3), _random_keys(rng, 70, 9, 3)
+    cases["cancels"] = (list(a) * 2, list(b), None, None)
+    a, b = _random_keys(rng, 70, 30, 3), _random_keys(rng, 70, 30, 3)
+    cases["cancels_wide"] = (list(a) * 2, list(b), None, None)
+    # no monomial has degree 0, so cap 1 drops every pair
+    for name, max_index in (("cap_drops_all", 9), ("cap_drops_all_wide", 30)):
+        cases[name] = (_random_keys(rng, 70, max_index, 3),
+                       _random_keys(rng, 70, max_index, 3), 1, None)
+    return cases
+
+
+def test_packed_kernels_agree_above_the_switch():
+    from charclass.wring import _mul_dict, _mul_numpy, _mul_pyint, _pack_stats
+
+    empty = {"cancels", "cancels_wide", "cap_drops_all", "cap_drops_all_wide"}
+    for name, (ka, kb, cap, packed_bits) in _kernel_cases().items():
+        assert len(ka) * len(kb) > 4096, name
+        (mi_a, me_a), (mi_b, me_b) = _pack_stats(ka), _pack_stats(kb)
+        fields, bits = max(mi_a, mi_b), (me_a + me_b).bit_length()
+        assert packed_bits in (None, fields * bits), name
+        expected = frozenset(_mul_dict(ka, kb, SW, cap))
+        assert (not expected) == (name in empty), name
+        assert (() in expected) == (name == "constant"), name
+        kernels = [_mul_pyint]
+        if fields * bits <= 64:
+            kernels.append(_mul_numpy)
+        for kernel in kernels:
+            got = kernel(ka, kb, SW, cap, bits, fields)
+            assert frozenset(got) == expected, (name, kernel.__name__)
+            assert all(type(i) is int and type(e) is int for k in got for i, e in k)
+
+
+def test_truncation_coherence_above_the_switch():
+    rng = random.Random(23)
+    for max_index, contexts in ((8, ((16, None), (20, 7))), (40, ((45, None), (70, 36)))):
+        for degree_cap, rank_cap in contexts:
+            ctx = RingContext(degree_cap, rank_cap)
+            a = _poly(_random_keys(rng, 110, max_index, 3, degree_cap))
+            b = _poly(_random_keys(rng, 110, max_index, 3, degree_cap))
+            ra, rb = reduce_poly(a, ctx), reduce_poly(b, ctx)
+            assert len(ra.monomials) * len(rb.monomials) > 4096
+            assert reduce_poly(mul(a, b), ctx) == mul(ra, rb, ctx)
+            base = _poly(_random_keys(rng, 70, max_index, 3, degree_cap // 2 + 2))
+            assert reduce_poly(power(base, 3), ctx) == power(reduce_poly(base, ctx), 3, ctx)
+            images = {i: _poly(_random_keys(rng, 70, max_index, 2, degree_cap) | {()})
+                      for i in (1, 2, 3)}
+            source = w(1) * w(2) + w(3) * square(w(1)) + w(2) * w(3)
+            assert reduce_poly(substitute(source, images), ctx) == substitute(
+                source, {i: reduce_poly(p, ctx) for i, p in images.items()}, ctx)
