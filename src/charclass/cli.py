@@ -50,12 +50,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def integer(raw: str) -> int:
+    """A decimal integer: an optional leading '-', then ASCII digits only,
+    as in the expression lexer (int() also reads other scripts' digits, '_'
+    separators and surrounding spaces)."""
+    digits = raw[1:] if raw.startswith("-") else raw
+    if not digits or not set(digits) <= DIGITS:
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def _default_degree() -> int:
     raw = os.environ.get("CHARCLASS_DEFAULT_DEGREE")
     if raw is None:
         return 24
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         raise CharclassError(
             f"CHARCLASS_DEFAULT_DEGREE must be an integer, got {raw!r}"
@@ -158,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, rank_default=None):
         p.add_argument("--expr", required=True, help="class expression")
-        p.add_argument("--degree", type=int, default=_default_degree(),
+        p.add_argument("--degree", type=integer, default=_default_degree(),
                        help="degree cap (default 24)")
-        p.add_argument("--rank", type=int, default=rank_default,
+        p.add_argument("--rank", type=integer, default=rank_default,
                        help="rank cap (default unbounded)")
 
     p = sub.add_parser("eval", help="evaluate a mod-2 class, optionally on a bundle")
@@ -200,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--degree", type=int, default=_default_degree())
-    p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--degree", type=integer, default=_default_degree())
+    p.add_argument("--rank", type=integer, default=8)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--report", help="write the JSON report to this file")
     p.set_defaults(func=cmd_verify)
 

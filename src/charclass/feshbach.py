@@ -51,6 +51,13 @@ from .wring import (
 
 HALF = Fraction(1, 2)
 
+# Largest V index.  The tor namespace stores V_I as a bit mask with bit k set
+# for index k (wring.tor_key), so a V factor costs memory linear in its
+# index; without a bound, V{99999999999} would ask for gigabytes.  The
+# degree of V{2**15}, 1 + 2**16, lies far above the degree caps in use (tens
+# to a few thousand).
+MAX_V_INDEX = 1 << 15
+
 
 def _to_doubled(index) -> int:
     if isinstance(index, str):
@@ -85,6 +92,10 @@ class IndexSet:
             if d < 1 or (d != 1 and d % 2 == 1):
                 raise InvalidIndexSetError(
                     f"doubled index {d} does not encode 1/2 or a positive integer"
+                )
+            if d > 2 * MAX_V_INDEX:
+                raise InvalidIndexSetError(
+                    f"V index {d // 2} is above the limit {MAX_V_INDEX}"
                 )
         self.doubled = ds
 

@@ -418,38 +418,53 @@ def _pack_stats(keys):
 
 
 def _mul_packed(ka, kb, ns, cap):
-    """Pack exponent vectors into integers, one field per variable index, so
-    exponent addition is a single integer add; route through numpy when all
-    fields fit in 64 bits."""
+    """The one packed kernel.  Each exponent vector becomes a row of uint64
+    words holding whole fields of `bits` bits, so exponent addition is one
+    broadcast add over all pairs, and the rows are counted mod 2 by
+    np.unique.  Exponent sums wider than 64 bits fit no uint64 field and take
+    the dict loop."""
     if not ka or not kb:
         return []
     mi_a, me_a = _pack_stats(ka)
     mi_b, me_b = _pack_stats(kb)
     fields = max(mi_a, mi_b)
     bits = (me_a + me_b).bit_length()
-    if fields * bits <= 64:
-        return _mul_numpy(ka, kb, ns, cap, bits, fields)
-    return _mul_pyint(ka, kb, ns, cap, bits, fields)
+    if bits > 64:
+        return _mul_dict(ka, kb, ns, cap)
+    per = 64 // bits
+    words = -(-fields // per)
+    if cap is not None:  # kb by degree, so each row of ka keeps a prefix
+        kb = sorted(kb, key=lambda k: mono_degree(k, ns))
+        deg_b = [mono_degree(k, ns) for k in kb]
+        hi = np.array([bisect_right(deg_b, cap - mono_degree(k, ns)) for k in ka])
+        cols = np.arange(len(kb))
+    pa = _pack(ka, bits, per, words)
+    pb = _pack(kb, bits, per, words)
+    parts = []
+    chunk = max(1, 4_000_000 // (len(kb) * words))
+    for lo in range(0, len(ka), chunk):
+        sums = pa[lo : lo + chunk, None] + pb[None, :]
+        if cap is not None:
+            parts.append(sums[cols < hi[lo : lo + chunk, None]])
+        else:
+            parts.append(sums.reshape(-1, words))
+    # a row of one word sorts fastest as a plain uint64, wider rows as bytes
+    row = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+    vals, counts = np.unique(np.concatenate(parts).view(row).ravel(), return_counts=True)
+    odd = vals[counts & 1 == 1].view(np.uint64).reshape(-1, words)
+    per = min(per, fields)  # fields in use per word
+    exps = odd[:, :, None] >> (np.arange(per, dtype=np.uint64) * np.uint64(bits))
+    exps &= np.uint64((1 << bits) - 1)
+    return _decode(exps.reshape(-1, words * per)[:, :fields], bits)
 
 
-def _pack(key, bits) -> int:
-    v = 0
-    for i, e in key:
-        v |= e << (bits * (i - 1))
-    return v
-
-
-def _unpack(v: int, bits: int) -> MonomialKey:
-    mask = (1 << bits) - 1
-    out = []
-    i = 1
-    while v:
-        e = v & mask
-        if e:
-            out.append((i, e))
-        v >>= bits
-        i += 1
-    return tuple(out)
+def _pack(keys, bits, per, words) -> np.ndarray:
+    """The keys as rows of `words` uint64 words, `per` fields to a word."""
+    exps = np.zeros((len(keys), words * per), dtype=np.uint64)
+    rows = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+    exps[rows, [i - 1 for k in keys for i, _ in k]] = [e for k in keys for _, e in k]
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(bits)
+    return (exps.reshape(len(keys), words, per) << shifts).sum(axis=2, dtype=np.uint64)
 
 
 def _decode(matrix: np.ndarray, bits: int) -> list:
@@ -476,55 +491,6 @@ def _decode(matrix: np.ndarray, bits: int) -> list:
     ]
     flat = tuple(map(pairs.__getitem__, inverse.tolist()))
     return [flat[s:e] for s, e in zip([0] + ends[:-1], ends)]
-
-
-def _mul_numpy(ka, kb, ns, cap, bits, fields):
-    pa = np.fromiter((_pack(k, bits) for k in ka), dtype=np.uint64, count=len(ka))
-    pb = np.fromiter((_pack(k, bits) for k in kb), dtype=np.uint64, count=len(kb))
-    parts = []
-    if cap is not None:
-        da = np.fromiter((mono_degree(k, ns) for k in ka), dtype=np.int64, count=len(ka))
-        db = np.fromiter((mono_degree(k, ns) for k in kb), dtype=np.int64, count=len(kb))
-    chunk = max(1, 4_000_000 // len(kb))
-    for lo in range(0, len(ka), chunk):
-        sums = pa[lo : lo + chunk, None] + pb[None, :]
-        if cap is not None:
-            keep = (da[lo : lo + chunk, None] + db[None, :]) <= cap
-            parts.append(sums[keep])
-        else:
-            parts.append(sums.ravel())
-    vals, counts = np.unique(np.concatenate(parts), return_counts=True)
-    odd = vals[counts & 1 == 1]
-    exps = odd[:, None] >> (np.arange(fields, dtype=np.uint64) * np.uint64(bits))
-    exps &= np.uint64((1 << bits) - 1)
-    return _decode(exps, bits)
-
-
-def _mul_pyint(ka, kb, ns, cap, bits, fields):
-    """The big-int kernel.  Fields of 64 bits or less are packed 16, 32 or
-    64 bits wide, so the sums decode as a numpy view of their bytes."""
-    width = next((f for f in (16, 32, 64) if f >= bits), bits)
-    pa = [(_pack(k, width), mono_degree(k, ns)) for k in ka]
-    pb = sorted((mono_degree(k, ns), _pack(k, width)) for k in kb)
-    deg_b = [d for d, _ in pb]
-    packed_b = [p for _, p in pb]
-    out: set = set()
-    toggle = out.symmetric_difference_update
-    for va, da in pa:
-        if cap is not None:
-            hi = bisect_right(deg_b, cap - da)
-            if not hi:
-                continue
-            row = packed_b[:hi]
-        else:
-            row = packed_b
-        # products within one row are distinct, so set-toggling is sound
-        toggle([va + vb for vb in row])
-    if width > 64:
-        return [_unpack(v, width) for v in out]
-    size = width // 8 * fields
-    blob = b"".join([v.to_bytes(size, "little") for v in out])
-    return _decode(np.frombuffer(blob, dtype=f"<u{width // 8}").reshape(-1, fields), bits)
 
 
 def square(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:

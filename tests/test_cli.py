@@ -162,3 +162,37 @@ def test_non_ascii_digit_exit_1(capsys):
     assert (code, out) == (1, "")
     assert "unexpected character" in err and "position 1" in err
     assert "Traceback" not in err
+
+
+def test_integer_options_read_ascii_digits_only(capsys):
+    # int() would read each of these: Arabic-Indic, fullwidth and Devanagari
+    # digits, '_' separators and surrounding spaces
+    for raw in ("٣", "３", "२", " 1_0 ", "1_0", " 3", "3 ", "+3", "-", ""):
+        for option, argv in (("--degree", ["eval", "--expr", "w1"]),
+                             ("--rank", ["rho", "--expr", "V{1}"]),
+                             ("--seed", ["verify", "--suite", "theorem1"])):
+            code, out, err = run(capsys, *argv, option, raw)
+            assert (code, out) == (1, ""), (option, raw)
+            assert f"argument {option}: invalid integer value" in err
+    code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--degree", "4",
+                       "--seed", "-3")
+    assert code == 0 and "seed=-3" in out
+    assert run(capsys, "eval", "--expr", "w1^3*w2", "--degree", "04")[:2] == (0, "0\n")
+
+
+def test_default_degree_env_reads_ascii_digits_only(capsys, monkeypatch):
+    for raw in ("٢", " 4", "1_0"):
+        monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", raw)
+        code, out, err = run(capsys, "eval", "--expr", "w1")
+        assert (code, out) == (1, ""), raw
+        assert "CHARCLASS_DEFAULT_DEGREE must be an integer" in err
+
+
+def test_v_index_limit(capsys):
+    from charclass.feshbach import MAX_V_INDEX
+
+    code, out, _ = run(capsys, "rho", "--expr", f"V{{{MAX_V_INDEX}}}")
+    assert (code, out) == (0, "0\n")  # degree 1 + 2 * MAX_V_INDEX is above the cap
+    code, out, err = run(capsys, "rho", "--expr", f"V{{1,{MAX_V_INDEX + 1}}}")
+    assert (code, out) == (2, "")
+    assert f"V index {MAX_V_INDEX + 1} is above the limit {MAX_V_INDEX}" in err

@@ -48,6 +48,20 @@ def test_doubled_encoding():
         IndexSet.of(0)
 
 
+def test_v_index_limit():
+    from charclass.feshbach import MAX_V_INDEX
+
+    assert IndexSet.of(MAX_V_INDEX).doubled == (2 * MAX_V_INDEX,)
+    for index in (MAX_V_INDEX + 1, 10**11):  # refused before any V mask exists
+        with pytest.raises(InvalidIndexSetError, match="above the limit"):
+            IndexSet.of(index)
+    blob = '{"type":"integral","free":[],"torsion":[{"p":[],"V":[[[%d],1]]}]}'
+    assert loads(blob % (2 * MAX_V_INDEX)) == IntClass.V([MAX_V_INDEX])
+    for doubled in (2 * MAX_V_INDEX + 2, 40000000):
+        with pytest.raises(ValueError):
+            loads(blob % doubled)
+
+
 def test_index_set_degree():
     assert IndexSet.of("1/2").degree() == 2
     assert IndexSet.of(2).degree() == 5

@@ -167,7 +167,7 @@ def test_packed_kernels_agree_with_dict():
 
 
 def test_pyint_fallback_on_wide_exponents():
-    # exponents too large for 64-bit packing force the big-int path; a
+    # 79 fields of 17 bits pack 3 to a word, so each row spans 27 words; a
     # self-product must still collapse to the Frobenius square
     keys = frozenset({((i, 40000 + i),) for i in range(1, 80)} | {()})
     big = MPoly2(keys, SW)
@@ -216,8 +216,8 @@ PACKED_PRODUCTS_SHA256 = "76eb4e0d4fda732e4a274c8ba0c4026493d0b9f7bd0cca83489423
 
 
 def _pinned_products():
-    """Seeded products above the 4,096-pair switch: numpy-packed (indices
-    up to 8) and big-int-packed (indices up to 40) factors, with and
+    """Seeded products above the 4,096-pair switch: factors packed in one
+    word (indices up to 8) and in two words (indices up to 40), with and
     without a degree cap, plus one power and one substitute."""
     rng = random.Random(21)
     out = []
@@ -249,11 +249,14 @@ def _kernel_cases():
         # at the 64-bit edge: 16 fields of 4 bits pack, 13 of 5 do not
         "fits_64": (_random_keys(rng, 80, 16, 7), _random_keys(rng, 80, 16, 7), None, 64),
         "needs_65": (_random_keys(rng, 80, 13, 15), _random_keys(rng, 80, 13, 15), 60, 65),
-        # w1 alone: one field, which numpy packs up to 64 bits wide
+        # w1 alone: one field, which packs up to 64 bits wide
         "one_field_64": ({((1, e),) for e in range(2**62, 2**62 + 70)},
                          {((1, e),) for e in range(2**62, 2**62 + 70)}, None, 64),
         "one_field_65": ({((1, e),) for e in range(2**63, 2**63 + 70)},
                          {((1, e),) for e in range(2**63, 2**63 + 70)}, None, 65),
+        # degrees above 2**63 under a cap, which int64 degree arrays overflow
+        "one_field_64_capped": ({((1, e),) for e in range(2**63, 2**63 + 70)},
+                                {((1, e),) for e in range(1, 71)}, 2**63 + 100, 64),
         "constant": (_random_keys(rng, 70, 10, 2) | {()},
                      _random_keys(rng, 70, 10, 2) | {()}, 9, None),
     }
@@ -263,12 +266,18 @@ def _kernel_cases():
         big = {((1, 1 << (bits - 2)),)}
         cases[f"sum_{bits}_bits"] = (_random_keys(rng, 70, 20, 3) | big,
                                      _random_keys(rng, 70, 20, 3) | big, None, 20 * bits)
-    # every pair occurs twice, so the product cancels to zero (the big-int
-    # kernel needs the right factor's keys distinct)
+    # every pair occurs twice, so the product cancels to zero
     a, b = _random_keys(rng, 70, 9, 3), _random_keys(rng, 70, 9, 3)
     cases["cancels"] = (list(a) * 2, list(b), None, None)
     a, b = _random_keys(rng, 70, 30, 3), _random_keys(rng, 70, 30, 3)
     cases["cancels_wide"] = (list(a) * 2, list(b), None, None)
+    # 42 fields of 3 bits fill two words exactly; under the cap, kept
+    # products still pair an index of the first word with one of the second
+    span = {((1, 3), (42, 3)), ((21, 1), (22, 1))}
+    cases["two_words_full"] = (_random_keys(rng, 80, 42, 3) | span,
+                               _random_keys(rng, 80, 42, 3) | span, None, 126)
+    cases["capped_two_words"] = (_random_keys(rng, 80, 42, 3, 50) | span,
+                                 _random_keys(rng, 80, 42, 3, 50), 50, 126)
     # no monomial has degree 0, so cap 1 drops every pair
     for name, max_index in (("cap_drops_all", 9), ("cap_drops_all_wide", 30)):
         cases[name] = (_random_keys(rng, 70, max_index, 3),
@@ -277,9 +286,10 @@ def _kernel_cases():
 
 
 def test_packed_kernels_agree_above_the_switch():
-    from charclass.wring import _mul_dict, _mul_numpy, _mul_pyint, _pack_stats
+    from charclass.wring import _mul_dict, _mul_packed, _pack_stats
 
     empty = {"cancels", "cancels_wide", "cap_drops_all", "cap_drops_all_wide"}
+    two_words = {"two_words_full", "capped_two_words"}
     for name, (ka, kb, cap, packed_bits) in _kernel_cases().items():
         assert len(ka) * len(kb) > 4096, name
         (mi_a, me_a), (mi_b, me_b) = _pack_stats(ka), _pack_stats(kb)
@@ -288,13 +298,12 @@ def test_packed_kernels_agree_above_the_switch():
         expected = frozenset(_mul_dict(ka, kb, SW, cap))
         assert (not expected) == (name in empty), name
         assert (() in expected) == (name == "constant"), name
-        kernels = [_mul_pyint]
-        if fields * bits <= 64:
-            kernels.append(_mul_numpy)
-        for kernel in kernels:
-            got = kernel(ka, kb, SW, cap, bits, fields)
-            assert frozenset(got) == expected, (name, kernel.__name__)
-            assert all(type(i) is int and type(e) is int for k in got for i, e in k)
+        # keys with an index in each word: 1..21 fill the first, 22..42 the second
+        spans = any(k and k[0][0] <= 21 < k[-1][0] for k in expected)
+        assert spans or name not in two_words, name
+        got = _mul_packed(ka, kb, SW, cap)
+        assert frozenset(got) == expected, name
+        assert all(type(i) is int and type(e) is int for k in got for i, e in k)
 
 
 def test_truncation_coherence_above_the_switch():
