@@ -22,6 +22,8 @@ when relation left-hand sides are constructed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -33,6 +35,7 @@ from .wring import (
     SW,
     TOR,
     UNBOUNDED,
+    MonomialKey,
     MPoly2,
     RingContext,
     add,
@@ -327,11 +330,14 @@ def _rho_image(i: int, ctx: RingContext) -> MPoly2:
     return sq1(MPoly2(frozenset({tuple((d, 1) for d in ds)}), SW), ctx)
 
 
-def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
+def rho(
+    a: IntClass, ctx: RingContext = UNBOUNDED, powers: dict | None = None
+) -> MPoly2:
     """Mod-2 reduction: coefficients mod 2, p_i to w_{2i}^2, V_I to
-    Sq1 of the product of the w_{2i}, context-reduced."""
+    Sq1 of the product of the w_{2i}, context-reduced.  Calls with the same
+    ctx may share one `powers` dict, the memo of evaluate_monomials."""
     return evaluate_monomials(
-        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx
+        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx, powers
     )
 
 
@@ -354,33 +360,38 @@ def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> boo
 # -- relation construction -------------------------------------------------
 
 
-def _make_V(ds: frozenset, n: int | None) -> IntClass:
-    """V for a computed index set, applying the rank-n convention: a set
-    containing both the half index and n/2 splits off V_{{n/2}}."""
+def _convention(ds, n: int | None) -> list:
+    """The doubled index sets of the V factors for a computed index set,
+    applying the rank-n convention: a set containing both the half index
+    and n/2 splits off V_{{n/2}}."""
     if n is not None and n > 1 and 1 in ds and n in ds:
-        rest = frozenset(ds) - {1, n}
+        rest = ds - {1, n}
         if not rest:
             raise InvalidIndexSetError(
                 f"V{IndexSet(ds)} at rank {n} has no convention expansion"
             )
-        return int_mul(IntClass.V(IndexSet({n})), _make_V(rest, n), n)
+        return [(n,), *_convention(rest, n)]
     iset = IndexSet(ds)
     iset.require_valid_at(n)
-    return IntClass.V(iset)
+    return [iset.doubled]
 
 
-def _p_factor(d: int) -> IntClass:
-    """p for a doubled index: p_{1/2} means V_{{1/2}} by convention."""
-    if d == 1:
-        return IntClass.V(IndexSet({1}))
-    return IntClass.p(d // 2)
+def _tor_term(sets: list, ps: frozenset = frozenset()) -> MonomialKey:
+    """The tor monomial of V factors, given as doubled index sets, times p
+    for each doubled index in the set ps: p_{1/2} means V_{{1/2}} by
+    convention.  Repeated V factors merge into exponents."""
+    if 1 in ps:
+        sets = sets + [(1,)]
+    p_key = [(d // 2, 1) for d in sorted(ps) if d != 1]
+    return tor_key(p_key, Counter(sets).items())
 
 
-def _p_product(ds: Iterable[int], n: int | None) -> IntClass:
-    out = IntClass.integer(1)
-    for d in sorted(ds):
-        out = int_mul(out, _p_factor(d), n)
-    return out
+def _torsion_sum(keys: Iterable[MonomialKey]) -> IntClass:
+    """The torsion class of the mod-2 sum of tor monomials."""
+    acc: set = set()
+    for key in keys:
+        acc.symmetric_difference_update({key})
+    return IntClass((), MPoly2(frozenset(acc), TOR))
 
 
 def relation(
@@ -406,53 +417,47 @@ def relation(
     if k == 6:
         if n is None or n % 2 != 0 or n < 2:
             raise ValueError("relation 6 needs a finite even rank")
-        half = IntClass.V(IndexSet({1}))
-        vn = IntClass.V(IndexSet({n}))
-        return int_add(int_mul(half, IntClass.p(n // 2), n), int_mul(vn, vn, n))
+        vn = IndexSet({n}).doubled
+        return _torsion_sum([_tor_term([(1,)], frozenset({n})), _tor_term([vn, vn])])
 
     if I is None:
         raise ValueError(f"relation {k} needs I")
     I.require_valid_at(n)
-    si = set(I.doubled)
+    si = frozenset(I.doubled)
     if len(si) <= 1:
         raise ValueError("the cardinality of I must exceed one")
 
     if k == 5:
-        lhs = IntClass.zero()
-        for d in I.doubled:
-            term = int_mul(IntClass.V(IndexSet({d})), _make_V(si - {d}, n), n)
-            lhs = int_add(lhs, term)
-        return lhs
+        return _torsion_sum(
+            _tor_term([(d,), *_convention(si - {d}, n)]) for d in I.doubled
+        )
 
     if J is None:
         raise ValueError(f"relation {k} needs J")
     J.require_valid_at(n)
-    sj = set(J.doubled)
+    sj = frozenset(J.doubled)
     if len(si) > len(sj):
         raise ValueError("the cardinality of I must not exceed that of J")
-    vi, vj = IntClass.V(I), IntClass.V(J)
+    vij = _tor_term([I.doubled, J.doubled])
 
     if k == 2:
         if not (si & sj):
             raise ValueError("relation 2 needs intersecting I and J")
         if si <= sj:
             raise ValueError("relation 2 needs I not contained in J")
-        lhs = int_mul(vi, vj, n)
-        lhs = int_add(lhs, int_mul(_make_V(si | sj, n), _make_V(si & sj, n), n))
-        cross = int_mul(_make_V(si - sj, n), _make_V(sj - si, n), n)
-        return int_add(lhs, int_mul(cross, _p_product(si & sj, n), n))
+        return _torsion_sum([
+            vij,
+            _tor_term(_convention(si | sj, n) + _convention(si & sj, n)),
+            _tor_term(_convention(si - sj, n) + _convention(sj - si, n), si & sj),
+        ])
 
     if k == 3:
         if not (si < sj):
             raise ValueError("relation 3 needs I a proper subset of J")
-        lhs = int_mul(vi, vj, n)
-        for d in I.doubled:
-            term = int_mul(
-                IntClass.V(IndexSet({d})), _make_V((sj - si) | {d}, n), n
-            )
-            term = int_mul(term, _p_product(si - {d}, n), n)
-            lhs = int_add(lhs, term)
-        return lhs
+        return _torsion_sum([vij] + [
+            _tor_term([(d,), *_convention((sj - si) | {d}, n)], si - {d})
+            for d in I.doubled
+        ])
 
     if k == 4:
         if si & sj:
@@ -461,11 +466,9 @@ def relation(
             raise ValueError(
                 "relation 4 with equal cardinalities needs min(I) < min(J)"
             )
-        lhs = int_mul(vi, vj, n)
-        for d in I.doubled:
-            term = int_mul(IntClass.V(IndexSet({d})), _make_V((si | sj) - {d}, n), n)
-            lhs = int_add(lhs, term)
-        return lhs
+        return _torsion_sum([vij] + [
+            _tor_term([(d,), *_convention((si | sj) - {d}, n)]) for d in I.doubled
+        ])
 
     raise ValueError(f"unknown relation family {k}")
 
@@ -497,9 +500,12 @@ def verify_relations(n: int, degree_cap: int) -> Report:
     ctx = RingContext(degree_cap, n)
     report = Report(f"relations[n={n},degree<={degree_cap}]")
     sets = _valid_index_sets(n, degree_cap)
+    frozen = [frozenset(s.doubled) for s in sets]
+    degrees = [s.degree() for s in sets]  # ascending, as sets are ordered
+    powers: dict = {}  # rho's factor powers, shared by the cases of this call
 
     def check(case_id: str, params: dict, lhs: IntClass):
-        image = rho(lhs, ctx)
+        image = rho(lhs, ctx, powers)
         if lhs.free:
             report.add(case_id, params, FAIL, "free part is nonzero")
         elif image.is_zero():
@@ -507,16 +513,13 @@ def verify_relations(n: int, degree_cap: int) -> Report:
         else:
             report.add(case_id, params, FAIL, f"rho = {image}")
 
-    for I in sets:
-        si = set(I.doubled)
+    for I, si, deg_i in zip(sets, frozen, degrees):
         if len(si) <= 1:
             continue
-        for J in sets:
-            sj = set(J.doubled)
+        # the J with deg I + deg J <= degree_cap, in order
+        for j in range(bisect_right(degrees, degree_cap - deg_i)):
+            J, sj = sets[j], frozen[j]
             if len(si) > len(sj):
-                continue
-            pair_deg = I.degree() + J.degree()
-            if pair_deg > degree_cap:
                 continue
             params = {"n": n, "I": str(I), "J": str(J)}
             # family 2: intersecting, incomparable (symmetric: dedup equal sizes)
@@ -535,7 +538,7 @@ def verify_relations(n: int, degree_cap: int) -> Report:
             ):
                 check(f"rel4[n={n},I={I},J={J}]", {"relation": 4, **params},
                       relation(4, I, J, n=n))
-        if I.degree() + 1 <= degree_cap:
+        if deg_i + 1 <= degree_cap:
             check(f"rel5[n={n},I={I}]", {"relation": 5, "n": n, "I": str(I)},
                   relation(5, I, n=n))
     if n % 2 == 0 and 2 + 2 * n <= degree_cap:

@@ -405,29 +405,24 @@ def _mul_dict(ka, kb, ns, cap):
 
 
 def _pack_stats(keys):
-    max_index = 0
-    max_exp = 0
-    for key in keys:
-        if key:
-            if key[-1][0] > max_index:
-                max_index = key[-1][0]
-            m = max(e for _, e in key)
-            if m > max_exp:
-                max_exp = m
-    return max_index, max_exp
+    """The variable indices occurring in keys, and the largest exponent."""
+    indices = {i for key in keys for i, _ in key}
+    max_exp = max((e for key in keys for _, e in key), default=0)
+    return indices, max_exp
 
 
 def _mul_packed(ka, kb, ns, cap):
     """The one packed kernel.  Each exponent vector becomes a row of uint64
-    words holding whole fields of `bits` bits, so exponent addition is one
-    broadcast add over all pairs, and the rows are counted mod 2 by
-    np.unique.  Exponent sums wider than 64 bits fit no uint64 field and take
-    the dict loop."""
+    words holding whole fields of `bits` bits, one field per variable that
+    occurs in either factor, so exponent addition is one broadcast add over
+    all pairs, and the rows are counted mod 2 by np.unique.  Exponent sums
+    wider than 64 bits fit no uint64 field and take the dict loop."""
     if not ka or not kb:
         return []
-    mi_a, me_a = _pack_stats(ka)
-    mi_b, me_b = _pack_stats(kb)
-    fields = max(mi_a, mi_b)
+    ix_a, me_a = _pack_stats(ka)
+    ix_b, me_b = _pack_stats(kb)
+    columns = sorted(ix_a | ix_b)  # field j holds variable columns[j]
+    fields = len(columns)
     bits = (me_a + me_b).bit_length()
     if bits > 64:
         return _mul_dict(ka, kb, ns, cap)
@@ -438,8 +433,9 @@ def _mul_packed(ka, kb, ns, cap):
         deg_b = [mono_degree(k, ns) for k in kb]
         hi = np.array([bisect_right(deg_b, cap - mono_degree(k, ns)) for k in ka])
         cols = np.arange(len(kb))
-    pa = _pack(ka, bits, per, words)
-    pb = _pack(kb, bits, per, words)
+    field = {i: j for j, i in enumerate(columns)}
+    pa = _pack(ka, field, bits, per, words)
+    pb = _pack(kb, field, bits, per, words)
     parts = []
     chunk = max(1, 4_000_000 // (len(kb) * words))
     for lo in range(0, len(ka), chunk):
@@ -455,21 +451,23 @@ def _mul_packed(ka, kb, ns, cap):
     per = min(per, fields)  # fields in use per word
     exps = odd[:, :, None] >> (np.arange(per, dtype=np.uint64) * np.uint64(bits))
     exps &= np.uint64((1 << bits) - 1)
-    return _decode(exps.reshape(-1, words * per)[:, :fields], bits)
+    return _decode(exps.reshape(-1, words * per)[:, :fields], bits, columns)
 
 
-def _pack(keys, bits, per, words) -> np.ndarray:
-    """The keys as rows of `words` uint64 words, `per` fields to a word."""
+def _pack(keys, field, bits, per, words) -> np.ndarray:
+    """The keys as rows of `words` uint64 words, `per` fields to a word,
+    variable i in field field[i]."""
     exps = np.zeros((len(keys), words * per), dtype=np.uint64)
     rows = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
-    exps[rows, [i - 1 for k in keys for i, _ in k]] = [e for k in keys for _, e in k]
+    exps[rows, [field[i] for k in keys for i, _ in k]] = [e for k in keys for _, e in k]
     shifts = np.arange(per, dtype=np.uint64) * np.uint64(bits)
     return (exps.reshape(len(keys), words, per) << shifts).sum(axis=2, dtype=np.uint64)
 
 
-def _decode(matrix: np.ndarray, bits: int) -> list:
+def _decode(matrix: np.ndarray, bits: int, columns: list) -> list:
     """The monomial keys of the rows of an (n, m) matrix of exponents below
-    2**bits, column j holding the exponent of variable j + 1.
+    2**bits, column j holding the exponent of variable columns[j] (the
+    columns ascending).
 
     Like mono_mul, the keys share their (index, exponent) pairs: one tuple
     per distinct pair, every key a slice of one flat tuple of them."""
@@ -486,7 +484,7 @@ def _decode(matrix: np.ndarray, bits: int) -> list:
     uniq, inverse = np.unique(codes, return_inverse=True)
     del codes
     pairs = [
-        (c % m + 1, c // m if values is None else values[c // m])
+        (columns[c % m], c // m if values is None else values[c // m])
         for c in uniq.tolist()
     ]
     flat = tuple(map(pairs.__getitem__, inverse.tolist()))
@@ -536,14 +534,18 @@ def evaluate_monomials(
     images: Callable[[int], MPoly2],
     namespace: str,
     ctx: RingContext = UNBOUNDED,
+    pow_cache: dict | None = None,
 ) -> MPoly2:
     """Sum over monomials of the product of images, a ring homomorphism.
 
     `images(i)` must return the value substituted for variable i, in
-    `namespace`.  Powers of images are memoized across monomials; they come
+    `namespace`.  Powers of images are memoized across monomials in
+    `pow_cache`, keyed by (i, e): a fresh dict unless the caller passes one
+    to share between calls with the same images and ctx.  The powers come
     out of power() reduced, so the products skip mul's reduce.
     """
-    pow_cache: dict = {}
+    if pow_cache is None:
+        pow_cache = {}
     total = MPoly2.zero(namespace)
     for key in monomials:
         term = MPoly2.one(namespace)

@@ -1,7 +1,12 @@
 """CLI behavior: commands, exit codes, determinism, and report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import charclass
 from charclass.cli import main
 
 
@@ -196,3 +201,15 @@ def test_v_index_limit(capsys):
     code, out, err = run(capsys, "rho", "--expr", f"V{{1,{MAX_V_INDEX + 1}}}")
     assert (code, out) == (2, "")
     assert f"V index {MAX_V_INDEX + 1} is above the limit {MAX_V_INDEX}" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["verify", "--suite", "relations", "--rank", "4"]
+    env = dict(os.environ)
+    src = str(Path(charclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "charclass", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out and proc.stdout == out

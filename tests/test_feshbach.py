@@ -4,6 +4,7 @@ six relation families."""
 import json
 import random
 from itertools import combinations
+from typing import Iterable
 
 import pytest
 
@@ -13,6 +14,9 @@ from charclass.feshbach import (
     HALF,
     IndexSet,
     IntClass,
+    _convention,
+    _tor_term,
+    _torsion_sum,
     _valid_index_sets,
     int_add,
     int_mul,
@@ -461,3 +465,161 @@ def test_valid_index_sets_matches_brute_force():
     # past rank 23 no new index fits under cap 24
     assert len(_valid_index_sets(64, 24)) == 109
     assert len(_valid_index_sets(128, 24)) == 109
+
+
+# -- reference route for relation left-hand sides ----------------------------
+# Families 2-6 built as products of IntClass values through int_mul, the
+# construction relation() used before it built tor keys directly; kept as an
+# independent route, side conditions and refusals included.
+
+
+def _make_V(ds: frozenset, n: int | None) -> IntClass:
+    """V for a computed index set, applying the rank-n convention: a set
+    containing both the half index and n/2 splits off V_{{n/2}}."""
+    if n is not None and n > 1 and 1 in ds and n in ds:
+        rest = frozenset(ds) - {1, n}
+        if not rest:
+            raise InvalidIndexSetError(
+                f"V{IndexSet(ds)} at rank {n} has no convention expansion"
+            )
+        return int_mul(IntClass.V(IndexSet({n})), _make_V(rest, n), n)
+    iset = IndexSet(ds)
+    iset.require_valid_at(n)
+    return IntClass.V(iset)
+
+
+def _p_factor(d: int) -> IntClass:
+    """p for a doubled index: p_{1/2} means V_{{1/2}} by convention."""
+    if d == 1:
+        return IntClass.V(IndexSet({1}))
+    return IntClass.p(d // 2)
+
+
+def _p_product(ds: Iterable[int], n: int | None) -> IntClass:
+    out = IntClass.integer(1)
+    for d in sorted(ds):
+        out = int_mul(out, _p_factor(d), n)
+    return out
+
+
+def _reference_relation(
+    k: int,
+    I: IndexSet | None = None,
+    J: IndexSet | None = None,
+    n: int | None = None,
+) -> IntClass:
+    if k == 6:
+        if n is None or n % 2 != 0 or n < 2:
+            raise ValueError("relation 6 needs a finite even rank")
+        half = IntClass.V(IndexSet({1}))
+        vn = IntClass.V(IndexSet({n}))
+        return int_add(int_mul(half, IntClass.p(n // 2), n), int_mul(vn, vn, n))
+
+    if I is None:
+        raise ValueError(f"relation {k} needs I")
+    I.require_valid_at(n)
+    si = set(I.doubled)
+    if len(si) <= 1:
+        raise ValueError("the cardinality of I must exceed one")
+
+    if k == 5:
+        lhs = IntClass.zero()
+        for d in I.doubled:
+            term = int_mul(IntClass.V(IndexSet({d})), _make_V(si - {d}, n), n)
+            lhs = int_add(lhs, term)
+        return lhs
+
+    if J is None:
+        raise ValueError(f"relation {k} needs J")
+    J.require_valid_at(n)
+    sj = set(J.doubled)
+    if len(si) > len(sj):
+        raise ValueError("the cardinality of I must not exceed that of J")
+    vi, vj = IntClass.V(I), IntClass.V(J)
+
+    if k == 2:
+        if not (si & sj):
+            raise ValueError("relation 2 needs intersecting I and J")
+        if si <= sj:
+            raise ValueError("relation 2 needs I not contained in J")
+        lhs = int_mul(vi, vj, n)
+        lhs = int_add(lhs, int_mul(_make_V(si | sj, n), _make_V(si & sj, n), n))
+        cross = int_mul(_make_V(si - sj, n), _make_V(sj - si, n), n)
+        return int_add(lhs, int_mul(cross, _p_product(si & sj, n), n))
+
+    if k == 3:
+        if not (si < sj):
+            raise ValueError("relation 3 needs I a proper subset of J")
+        lhs = int_mul(vi, vj, n)
+        for d in I.doubled:
+            term = int_mul(
+                IntClass.V(IndexSet({d})), _make_V((sj - si) | {d}, n), n
+            )
+            term = int_mul(term, _p_product(si - {d}, n), n)
+            lhs = int_add(lhs, term)
+        return lhs
+
+    if k == 4:
+        if si & sj:
+            raise ValueError("relation 4 needs disjoint I and J")
+        if len(si) == len(sj) and min(si) >= min(sj):
+            raise ValueError(
+                "relation 4 with equal cardinalities needs min(I) < min(J)"
+            )
+        lhs = int_mul(vi, vj, n)
+        for d in I.doubled:
+            term = int_mul(IntClass.V(IndexSet({d})), _make_V((si | sj) - {d}, n), n)
+            lhs = int_add(lhs, term)
+        return lhs
+
+    raise ValueError(f"unknown relation family {k}")
+
+
+def _outcome(build, *args):
+    """The value of build(*args), or the type and message it raised."""
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 - the refusal is compared
+        return type(exc), str(exc)
+
+
+# (rank, degree cap) of the differential sweep.  The index sets come from two
+# ranks higher than the one checked, so some are invalid there, and each cap
+# reaches a set holding n/2 beside another index, so that the rank-n
+# convention splits some computed sets.
+_DIFFERENTIAL_RANKS = (
+    (None, 14), (2, 10), (3, 10), (4, 10), (6, 12), (8, 12), (12, 16), (16, 19),
+)
+
+
+def test_relation_matches_int_mul_reference():
+    splits = refusals = 0
+    for n, cap in _DIFFERENTIAL_RANKS:
+        sets = _valid_index_sets((n or 12) + 2, cap)
+        for k in (2, 3, 4, 5, 6, 7):
+            for I in [None] + sets:
+                for J in [None] + (sets if k in (2, 3, 4) else []):
+                    got = _outcome(relation, k, I, J, n)
+                    assert got == _outcome(_reference_relation, k, I, J, n), (k, I, J, n)
+                    if isinstance(got, tuple):
+                        refusals += 1
+                    elif k in (2, 4) and {1, n} <= set(I.doubled + J.doubled):
+                        splits += 1  # I | J holds both 1/2 and n/2
+    assert splits and refusals
+
+
+def test_convention_matches_make_v():
+    # every subset of the pool at each rank, the unsplittable {1/2, n/2}
+    # and sets invalid at the rank included
+    for n in (None, 2, 3, 4, 6, 8, 12):
+        pool = [1] + list(range(2, (n or 8) + 3, 2))
+        for size in range(1, 4):
+            for ds in map(frozenset, combinations(pool, size)):
+                got = _outcome(lambda: _torsion_sum([_tor_term(_convention(ds, n))]))
+                assert got == _outcome(_make_V, ds, n), (ds, n)
+        if n and n % 2 == 0:
+            message = f"V{{1/2,{n // 2}}} at rank {n} has no convention expansion"
+            for build in (_convention, _make_V):
+                with pytest.raises(InvalidIndexSetError) as err:
+                    build(frozenset({1, n}), n)
+                assert str(err.value) == message

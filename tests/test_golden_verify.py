@@ -5,7 +5,9 @@ all --degree 24 --rank 8` before the expression elaborators were folded
 into one; any change to a case id, its order, its parameters or its outcome
 moves them.  The theorem1 digest at degree 48, the oracle workload's top
 degree, was taken before `sw` read per-bundle degree buckets and before the
-oracle's test pair was memoized.
+oracle's test pair was memoized.  The relations digests at rank 40 (every
+rank-convention case at degree 24, and family 6) were taken before relation
+left-hand sides were built as tor keys.
 """
 
 import hashlib
@@ -16,6 +18,9 @@ TEXT_SHA256 = "6f9a8a89d584b466a4afe382832770543cd2302634079e1ad2df2e5f57d31262"
 JSON_SHA256 = "dfbaefff016fb33b1a39e1c42a330e000d24a6e156c26f386e7d309329795397"
 JSON_BYTES = 97_251
 THEOREM1_48_SHA256 = "1f6bfd07a4d53e9d2bc9fce6228a932436613d2cf82694af84b3be6ba1e02771"
+RELATIONS_40_TEXT_SHA256 = "302149819bcd32652030408550fb12fcba7c33d72f655eff82364058232e453f"
+RELATIONS_40_JSON_SHA256 = "9b07e86b0b64eccf777df11b321aa8a63c93d936bab8a8d8f700deea4841c512"
+RELATIONS_40_JSON_BYTES = 1_184_715
 
 
 def test_verify_all_text_and_report_pinned(capsys, tmp_path):
@@ -35,3 +40,15 @@ def test_verify_theorem1_degree_48_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == THEOREM1_48_SHA256
+
+
+def test_verify_relations_rank_40_pinned(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code = main(["verify", "--suite", "relations", "--degree", "24",
+                 "--rank", "40", "--report", str(report)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_40_TEXT_SHA256
+    blob = report.read_bytes()
+    assert len(blob) == RELATIONS_40_JSON_BYTES
+    assert hashlib.sha256(blob).hexdigest() == RELATIONS_40_JSON_SHA256

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -242,8 +243,8 @@ def test_packed_products_pinned():
 
 def _kernel_cases():
     """name -> (left keys, right keys, degree cap, packed bits); the packed
-    bits, max_index * bits of the exponent sums, are given where they are the
-    point of the case."""
+    bits, the number of distinct indices times the bits of the exponent
+    sums, are given where they are the point of the case."""
     rng = random.Random(22)
     cases = {
         # at the 64-bit edge: 16 fields of 4 bits pack, 13 of 5 do not
@@ -276,13 +277,33 @@ def _kernel_cases():
     span = {((1, 3), (42, 3)), ((21, 1), (22, 1))}
     cases["two_words_full"] = (_random_keys(rng, 80, 42, 3) | span,
                                _random_keys(rng, 80, 42, 3) | span, None, 126)
-    cases["capped_two_words"] = (_random_keys(rng, 80, 42, 3, 50) | span,
+    # fields go to occurring indices only, so w1..w42 keep the capped case's
+    # 42 fields: field j holds w(j+1), and the words split between w21 and w22
+    cover = {((i, 1),) for i in range(1, 43)}
+    cases["capped_two_words"] = (_random_keys(rng, 80, 42, 3, 50) | span | cover,
                                  _random_keys(rng, 80, 42, 3, 50), 50, 126)
     # no monomial has degree 0, so cap 1 drops every pair
     for name, max_index in (("cap_drops_all", 9), ("cap_drops_all_wide", 30)):
         cases[name] = (_random_keys(rng, 70, max_index, 3),
                        _random_keys(rng, 70, max_index, 3), 1, None)
+    # few distinct indices spread far apart: only the indices that occur
+    # take a field, 12 of 3 bits here and 30 of 3 bits (two words) below
+    low, high = _random_keys(rng, 70, 6, 3), _random_keys(rng, 70, 6, 3)
+    cases["sparse_high"] = (low, _spread(high, [3000 + 7 * i for i in range(6)]),
+                            None, 36)
+    spread = sorted(rng.sample(range(1, 10**6), 30))
+    a, b = _random_keys(rng, 80, 30, 3), _random_keys(rng, 80, 30, 3)
+    cases["sparse_high_two_words"] = (_spread(a, spread), _spread(b, spread),
+                                      None, 90)
+    a, b = _spread(a, spread), _spread(b, spread)
+    mid = sorted(mono_degree(x) + mono_degree(y) for x in a for y in b)[3200]
+    cases["sparse_high_capped"] = (a, b, mid, 90)
     return cases
+
+
+def _spread(keys, indices):
+    """The keys with variable i renamed to indices[i - 1] (ascending)."""
+    return {tuple((indices[i - 1], e) for i, e in k) for k in keys}
 
 
 def test_packed_kernels_agree_above_the_switch():
@@ -292,8 +313,8 @@ def test_packed_kernels_agree_above_the_switch():
     two_words = {"two_words_full", "capped_two_words"}
     for name, (ka, kb, cap, packed_bits) in _kernel_cases().items():
         assert len(ka) * len(kb) > 4096, name
-        (mi_a, me_a), (mi_b, me_b) = _pack_stats(ka), _pack_stats(kb)
-        fields, bits = max(mi_a, mi_b), (me_a + me_b).bit_length()
+        (ix_a, me_a), (ix_b, me_b) = _pack_stats(ka), _pack_stats(kb)
+        fields, bits = len(ix_a | ix_b), (me_a + me_b).bit_length()
         assert packed_bits in (None, fields * bits), name
         expected = frozenset(_mul_dict(ka, kb, SW, cap))
         assert (not expected) == (name in empty), name
@@ -304,6 +325,22 @@ def test_packed_kernels_agree_above_the_switch():
         got = _mul_packed(ka, kb, SW, cap)
         assert frozenset(got) == expected, name
         assert all(type(i) is int and type(e) is int for k in got for i, e in k)
+
+
+def test_sparse_high_indices_pack_by_occurring_index():
+    # 70 x 70 pairs over 140 distinct indices near 3,000: rows sized by the
+    # largest index would need about 120 MB for the decode matrix alone
+    a = sum((w(i) for i in range(1, 71)), MPoly2.zero())
+    b = sum((w(i) for i in range(3001, 3071)), MPoly2.zero())
+    tracemalloc.start()
+    try:
+        product = mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.monomials == {((i, 1), (j, 1)) for i in range(1, 71)
+                                 for j in range(3001, 3071)}
+    assert peak < 20 * 2**20, peak
 
 
 def test_truncation_coherence_above_the_switch():
