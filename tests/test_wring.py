@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from charclass.bundlecalc import evaluate_class, roots_bundle
 from charclass.errors import MissingImageError, NamespaceMismatchError
 from charclass.wring import (
     SW,
@@ -239,6 +240,35 @@ def test_packed_products_pinned():
 
     blob = "\n".join(dumps(p) for p in _pinned_products()).encode()
     assert hashlib.sha256(blob).hexdigest() == PACKED_PRODUCTS_SHA256
+
+
+# sha256 of the serialized results of _pinned_sums, taken when every term of
+# a sum was its own product
+PRODUCT_SUMS_SHA256 = "c62d94a78ff19cecf3f50a52b0ef7400163683be59c2e8d27b2d39e1549a3bcf"
+
+
+def _pinned_sums():
+    """Seeded sums of products: a substitute whose products each have at
+    most 4,096 pairs but whose sum has more, and evaluate_class on 10 roots,
+    whose products pass the switch on their own; with and without a cap."""
+    rng = random.Random(24)
+    images = {i: _poly(_random_keys(rng, 60, 12, 2, 30) | {()}) for i in (1, 2, 3)}
+    source = (w(1) * w(2) + w(1) * w(3) + w(2) * w(3) + square(w(1)) * w(2)
+              + w(3) * square(w(2)) + w(1) + w(3) + square(w(3)))
+    # 61 terms an image: at most 3,721 pairs a product, six such products
+    assert max(len(p.monomials) for p in images.values()) ** 2 <= 4096
+    out = [substitute(source, images, RingContext(cap)) for cap in (None, 30)]
+    c = w(2) * w(3) + w(1) * w(4) * w(5) + square(w(2)) * w(3) + w(6) + w(1)
+    roots = roots_bundle(10)
+    out += [evaluate_class(c, roots, RingContext(cap)) for cap in (None, 9)]
+    return out
+
+
+def test_product_sums_pinned():
+    from charclass.serialize import dumps
+
+    blob = "\n".join(dumps(p) for p in _pinned_sums()).encode()
+    assert hashlib.sha256(blob).hexdigest() == PRODUCT_SUMS_SHA256
 
 
 def _kernel_cases():
