@@ -28,6 +28,7 @@ inputs first and prune during multiplication.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -356,10 +357,14 @@ def add(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     return reduce_poly(out, ctx)
 
 
-# Pairwise products up to this count use the plain dict loop; larger
-# products go through a packed-exponent kernel.  Ext and tor products always
-# take the dict loop, since negative indices and V masks do not pack.
+# A sum of products of up to this many term pairs in all takes the dict loop,
+# a larger one the packed kernel.  Ext and tor sums always take the dict loop,
+# since negative indices and V masks do not pack.
 _PACK_THRESHOLD = 4096
+# Words of packed pair sums held at once: a product's broadcast chunk, and the
+# pending rows of a sum, counted down to their odd rows when they pass it.
+_CHUNK_WORDS = 4_000_000
+_ONE = frozenset({()})  # the keys of the constant 1
 
 
 def mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
@@ -372,36 +377,52 @@ def _mul_reduced(a: MPoly2, b: MPoly2, ctx: RingContext) -> MPoly2:
     rank cap, so only the degree cap and a repeated v can drop a product."""
     ns = _check_namespaces(a, b)
     ka, kb = a.monomials, b.monomials
-    if not ka or not kb:
-        return MPoly2.zero(ns)
-    if ka == {()}:
-        return b
-    if kb == {()}:
+    if not ka or kb == _ONE:
         return a
-    cap = ctx.degree_cap
+    if not kb or ka == _ONE:
+        return b
+    return MPoly2(_sum_products([(ka, kb)], ns, ctx.degree_cap), ns)
+
+
+def _sum_products(pairs, ns, cap):
+    """The odd monomials of the sum of left * right over the (left keys,
+    right keys) pairs, without products above the degree cap or, in ext,
+    with a repeated v.  The factors must be context-reduced: a constant side
+    adds the other side's keys as they are.  A factor that recurs should be
+    the same object, whose degrees and packed rows are then made once."""
+    const, rest, total = set(), [], 0
+    for a, b in pairs:
+        if a == _ONE or b == _ONE:
+            const.symmetric_difference_update(b if a == _ONE else a)
+        else:
+            rest.append((a, b))
+            total += len(a) * len(b)
+    small = total <= _PACK_THRESHOLD or ns in (EXT, TOR)
+    out = (_mul_dict if small else _mul_packed)(rest, ns, cap)
     if ns == EXT:
-        out = [k for k in _mul_dict(ka, kb, ns, cap) if not _repeats_v(k)]
-    elif ns == TOR or len(ka) * len(kb) <= _PACK_THRESHOLD:
-        out = _mul_dict(ka, kb, ns, cap)
-    else:
-        out = _mul_packed(ka, kb, ns, cap)
-    return MPoly2(frozenset(out), ns)
+        out = [k for k in out if not _repeats_v(k)]
+    return frozenset(const).symmetric_difference(out) if const else frozenset(out)
 
 
-def _mul_dict(ka, kb, ns, cap):
-    items_a = [(k, mono_degree(k, ns)) for k in ka]
-    items_b = [(k, mono_degree(k, ns)) for k in kb]
+def _mul_dict(pairs, ns, cap):
+    """The dict path of _sum_products: every product toggled into one dict.
+    Each distinct factor's degrees are computed once, and only under a cap."""
     out: dict = {}
-    for k1, d1 in items_a:
-        for k2, d2 in items_b:
-            if cap is not None and d1 + d2 > cap:
-                continue
-            k = mono_mul(k1, k2)
-            if k in out:
-                del out[k]
-            else:
-                out[k] = None
-    return out.keys()
+    factors = {id(f): f for pair in pairs for f in pair}
+    items = {i: [(k, 0 if cap is None else mono_degree(k, ns)) for k in f]
+             for i, f in factors.items()}
+    for ka, kb in pairs:
+        items_b = items[id(kb)]
+        for k1, d1 in items[id(ka)]:
+            for k2, d2 in items_b:
+                if cap is not None and d1 + d2 > cap:
+                    continue
+                k = mono_mul(k1, k2)
+                if k in out:
+                    del out[k]
+                else:
+                    out[k] = None
+    return out
 
 
 def _pack_stats(keys):
@@ -411,47 +432,62 @@ def _pack_stats(keys):
     return indices, max_exp
 
 
-def _mul_packed(ka, kb, ns, cap):
-    """The one packed kernel.  Each exponent vector becomes a row of uint64
-    words holding whole fields of `bits` bits, one field per variable that
-    occurs in either factor, so exponent addition is one broadcast add over
-    all pairs, and the rows are counted mod 2 by np.unique.  Exponent sums
-    wider than 64 bits fit no uint64 field and take the dict loop."""
-    if not ka or not kb:
-        return []
-    ix_a, me_a = _pack_stats(ka)
-    ix_b, me_b = _pack_stats(kb)
-    columns = sorted(ix_a | ix_b)  # field j holds variable columns[j]
-    fields = len(columns)
-    bits = (me_a + me_b).bit_length()
-    if bits > 64:
-        return _mul_dict(ka, kb, ns, cap)
-    per = 64 // bits
+def _mul_packed(pairs, ns, cap):
+    """The packed path of _sum_products.  Each exponent vector becomes a row
+    of uint64 words holding whole fields of `bits` bits, one field per
+    variable that occurs in any factor, so a product's exponent additions
+    are one broadcast add over its pairs, and the rows of all products are
+    counted mod 2 by np.unique.  Exponent sums wider than 64 bits fit no
+    uint64 field and send the whole sum to the dict loop."""
+    pairs = [(a, b) for a, b in pairs if a and b]
+    factors = {id(f): f for pair in pairs for f in pair}
+    stats = {i: _pack_stats(f) for i, f in factors.items()}
+    columns = sorted(set().union(*(ix for ix, _ in stats.values())))
+    bits = max([stats[id(a)][1] + stats[id(b)][1] for a, b in pairs] or [0])
+    bits = bits.bit_length()
+    if bits > 64 or not columns:
+        return _mul_dict(pairs, ns, cap)
+    fields, per = len(columns), 64 // bits
     words = -(-fields // per)
-    if cap is not None:  # kb by degree, so each row of ka keeps a prefix
-        kb = sorted(kb, key=lambda k: mono_degree(k, ns))
-        deg_b = [mono_degree(k, ns) for k in kb]
-        hi = np.array([bisect_right(deg_b, cap - mono_degree(k, ns)) for k in ka])
-        cols = np.arange(len(kb))
-    field = {i: j for j, i in enumerate(columns)}
-    pa = _pack(ka, field, bits, per, words)
-    pb = _pack(kb, field, bits, per, words)
-    parts = []
-    chunk = max(1, 4_000_000 // (len(kb) * words))
-    for lo in range(0, len(ka), chunk):
-        sums = pa[lo : lo + chunk, None] + pb[None, :]
-        if cap is not None:
-            parts.append(sums[cols < hi[lo : lo + chunk, None]])
-        else:
-            parts.append(sums.reshape(-1, words))
+    field = {i: j for j, i in enumerate(columns)}  # field j holds columns[j]
+    if cap is not None:  # factors by degree, so each left row keeps a prefix
+        items = {i: sorted(((mono_degree(k, ns), k) for k in f), key=itemgetter(0))
+                 for i, f in factors.items()}
+        factors = {i: [k for _, k in got] for i, got in items.items()}
+        degrees = {i: [d for d, _ in got] for i, got in items.items()}
+    packed = {i: _pack(f, field, bits, per, words) for i, f in factors.items()}
     # a row of one word sorts fastest as a plain uint64, wider rows as bytes
     row = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
-    vals, counts = np.unique(np.concatenate(parts).view(row).ravel(), return_counts=True)
-    odd = vals[counts & 1 == 1].view(np.uint64).reshape(-1, words)
+    parts, pending, budget = [], 0, _CHUNK_WORDS
+    for a, b in pairs:
+        pa, pb = packed[id(a)], packed[id(b)]
+        if cap is not None:  # rows of pa by degree: their prefixes shrink
+            deg_b = degrees[id(b)]
+            hi = np.array([bisect_right(deg_b, cap - d) for d in degrees[id(a)]])
+        chunk = max(1, _CHUNK_WORDS // (len(pb) * words))
+        for lo in range(0, len(pa), chunk):
+            top = len(pb) if cap is None else hi[lo]
+            sums = pa[lo : lo + chunk, None] + pb[None, :top]
+            if cap is not None:
+                sums = sums[np.arange(top) < hi[lo : lo + chunk, None]]
+            parts.append(sums.reshape(-1, words))
+            pending += parts[-1].size
+            if pending > budget:  # count the pending rows down to the odd ones
+                parts = [_odd_rows(parts, row, words)]
+                pending = parts[0].size
+                budget = max(_CHUNK_WORDS, 2 * pending)
+    odd = _odd_rows(parts, row, words)
     per = min(per, fields)  # fields in use per word
     exps = odd[:, :, None] >> (np.arange(per, dtype=np.uint64) * np.uint64(bits))
     exps &= np.uint64((1 << bits) - 1)
     return _decode(exps.reshape(-1, words * per)[:, :fields], bits, columns)
+
+
+def _odd_rows(parts, row, words) -> np.ndarray:
+    """The rows of `words` words occurring an odd number of times in parts."""
+    rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    vals, counts = np.unique(rows.view(row).ravel(), return_counts=True)
+    return vals[counts & 1 == 1].view(np.uint64).reshape(-1, words)
 
 
 def _pack(keys, field, bits, per, words) -> np.ndarray:
@@ -542,21 +578,24 @@ def evaluate_monomials(
     `namespace`.  Powers of images are memoized across monomials in
     `pow_cache`, keyed by (i, e): a fresh dict unless the caller passes one
     to share between calls with the same images and ctx.  The powers come
-    out of power() reduced, so the products skip mul's reduce.
+    out of power() reduced, so the products skip mul's reduce, and every
+    term's last factor is multiplied in by one _sum_products call.
     """
-    if pow_cache is None:
-        pow_cache = {}
-    total = MPoly2.zero(namespace)
-    for key in monomials:
-        term = MPoly2.one(namespace)
+    pow_cache = {} if pow_cache is None else pow_cache
+    one, pairs = MPoly2.one(namespace), []
+    for key in monomials:  # the product of all factors but the last, and the last
+        head, last = one, None
         for i, e in key:
             cached = pow_cache.get((i, e))
             if cached is None:
                 cached = power(images(i), e, ctx)
+                _check_namespaces(one, cached)
                 pow_cache[(i, e)] = cached
-            term = _mul_reduced(term, cached, ctx)
-        total = add(total, term)  # each term is reduced, so the sum is too
-    return total
+            if last is not None:
+                head = last if head is one else _mul_reduced(head, last, ctx)
+            last = cached
+        pairs.append((head.monomials, _ONE if last is None else last.monomials))
+    return MPoly2(_sum_products(pairs, namespace, ctx.degree_cap), namespace)
 
 
 def substitute(

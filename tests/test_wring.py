@@ -9,7 +9,9 @@ import pytest
 from charclass.bundlecalc import evaluate_class, roots_bundle
 from charclass.errors import MissingImageError, NamespaceMismatchError
 from charclass.wring import (
+    EXT,
     SW,
+    TOR,
     MPoly2,
     RingContext,
     add,
@@ -163,8 +165,9 @@ def test_packed_kernels_agree_with_dict():
         a = random_mod2(rng, 14)
         b = random_mod2(rng, 14)
         for cap in (None, 9):
-            assert frozenset(_mul_dict(a.monomials, b.monomials, SW, cap)) == frozenset(
-                _mul_packed(a.monomials, b.monomials, SW, cap)
+            pair = [(a.monomials, b.monomials)]
+            assert frozenset(_mul_dict(pair, SW, cap)) == frozenset(
+                _mul_packed(pair, SW, cap)
             )
 
 
@@ -346,13 +349,13 @@ def test_packed_kernels_agree_above_the_switch():
         (ix_a, me_a), (ix_b, me_b) = _pack_stats(ka), _pack_stats(kb)
         fields, bits = len(ix_a | ix_b), (me_a + me_b).bit_length()
         assert packed_bits in (None, fields * bits), name
-        expected = frozenset(_mul_dict(ka, kb, SW, cap))
+        expected = frozenset(_mul_dict([(ka, kb)], SW, cap))
         assert (not expected) == (name in empty), name
         assert (() in expected) == (name == "constant"), name
         # keys with an index in each word: 1..21 fill the first, 22..42 the second
         spans = any(k and k[0][0] <= 21 < k[-1][0] for k in expected)
         assert spans or name not in two_words, name
-        got = _mul_packed(ka, kb, SW, cap)
+        got = _mul_packed([(ka, kb)], SW, cap)
         assert frozenset(got) == expected, name
         assert all(type(i) is int and type(e) is int for k in got for i, e in k)
 
@@ -371,6 +374,103 @@ def test_sparse_high_indices_pack_by_occurring_index():
     assert product.monomials == {((i, 1), (j, 1)) for i in range(1, 71)
                                  for j in range(3001, 3071)}
     assert peak < 20 * 2**20, peak
+
+
+def test_sum_keeps_its_pending_rows_near_the_budget(monkeypatch):
+    # 190 products of 61 x 61 pairs, 706,990 one-word rows (5.7 MB) in all,
+    # whose odd rows are few: the pending rows are counted down whenever
+    # they pass the chunk budget, lowered here to 50,000 words; kept whole,
+    # they would take the peak to about 18 MB
+    import charclass.wring as wring
+
+    rng = random.Random(26)
+    images = {i: _poly(_random_keys(rng, 60, 4, 3) | {()}) for i in range(1, 21)}
+    source = sum((w(i) * w(j) for i in range(1, 21) for j in range(i + 1, 21)),
+                 MPoly2.zero())
+    expected = substitute(source, images)
+    monkeypatch.setattr(wring, "_CHUNK_WORDS", 50_000)
+    tracemalloc.start()
+    try:
+        got = substitute(source, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 4 * 2**20, peak
+
+
+def _namespace_keys(rng, ns, terms, cap):
+    """`terms` distinct monomials of the namespace, of degree at most cap if
+    given, as _sum_products needs its factors reduced: sw keys in w1..w8,
+    ext keys v_i * w_j^e (products may repeat a v), tor keys p_i^e * V_I."""
+    keys = set()
+    while len(keys) < terms:
+        if ns == SW:
+            key = next(iter(_random_keys(rng, 1, 8, 3)))
+        elif ns == EXT:  # v_i is variable -i
+            key = ((-rng.randint(1, 5), 1), (rng.randint(1, 6), rng.randint(1, 3)))
+        else:  # p_i is variable -i, V_I the bit mask of I
+            key = ((-rng.randint(1, 3), rng.randint(1, 2)), (rng.randint(1, 15), 1))
+        if cap is None or mono_degree(key, ns) <= cap:
+            keys.add(key)
+    return frozenset(keys)
+
+
+def _sum_cases():
+    """name -> (namespace, pairs, cap)."""
+    rng = random.Random(25)
+    one = frozenset({()})
+    cases = {}
+    for cap in (None, 24):
+        def keys(terms, ns=SW):
+            return _namespace_keys(rng, ns, terms, cap)
+
+        # four products of 3,000 pairs, 12,000 in all
+        small = [(keys(50), keys(60)) for _ in range(4)]
+        cases[f"each_below_total_above_{cap}"] = (SW, small, cap)
+        # indices up to 40 take more fields than one word holds, for all pairs
+        wide = (frozenset(_random_keys(rng, 50, 40, 3, cap)),
+                frozenset(_random_keys(rng, 60, 40, 3, cap)))
+        cases[f"one_pair_widens_{cap}"] = (SW, small + [wide], cap)
+        a, b = keys(70), keys(70)
+        cases[f"repeat_cancels_{cap}"] = (SW, [(a, b), (a, b)], cap)
+        cases[f"repeat_leaves_rest_{cap}"] = (SW, small + [(a, b), (a, b)], cap)
+        cases[f"constants_{cap}"] = (
+            SW, small + [(one, small[0][1]), (small[1][0], one), (one, one)], cap)
+        for ns in (EXT, TOR):
+            pairs = [(keys(40, ns), keys(40, ns)) for _ in range(4)]
+            cases[f"{ns}_{cap}"] = (ns, pairs + [(one, pairs[0][0])], cap)
+    # exponent sums of 65 bits send the whole sum to the dict loop
+    huge = frozenset({((1, 2**63),), ((2, 1),)})
+    small = cases["each_below_total_above_None"][1]
+    cases["wide_exponents"] = (SW, small + [(huge, huge)], None)
+    return cases
+
+
+def test_sum_of_products_is_the_xor_of_its_products():
+    from charclass.wring import _mul_dict, _mul_packed, _pack_stats, _sum_products
+
+    def packed_bits(pairs):  # fields times the bits of the widest exponent sum
+        stats = [(_pack_stats(a), _pack_stats(b)) for a, b in pairs]
+        fields = len(set().union(*(ia | ib for (ia, _), (ib, _) in stats)))
+        return fields * max(ma + mb for (_, ma), (_, mb) in stats).bit_length()
+
+    for name, (ns, pairs, cap) in _sum_cases().items():
+        if name.startswith(("each_below", "one_pair", "constants")):
+            assert all(len(a) * len(b) <= 4096 for a, b in pairs), name
+            assert sum(len(a) * len(b) for a, b in pairs) > 4096, name
+        if name.startswith("one_pair"):
+            assert packed_bits(pairs[:-1]) <= 64 < packed_bits(pairs), name
+        ctx = RingContext(cap)
+        raw = set()
+        for pair in pairs:
+            raw ^= set(_mul_dict([pair], ns, cap))
+        expected = {k for k in raw if ctx.admits(k, ns)}  # no repeated v
+        assert (len(raw) > len(expected)) == (ns == EXT), name
+        assert (not expected) == name.startswith("repeat_cancels"), name
+        assert _sum_products(pairs, ns, cap) == expected, name
+        if ns == SW:
+            assert frozenset(_mul_packed(pairs, ns, cap)) == expected, name
 
 
 def test_truncation_coherence_above_the_switch():
