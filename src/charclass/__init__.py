@@ -9,7 +9,6 @@ relies on.
 """
 
 from .bundlecalc import (
-    ExtPoly,
     FormalBundle,
     cartan_restrict,
     chern_mod2,
@@ -74,6 +73,7 @@ from .wring import (
     reduce_poly,
     square,
     substitute,
+    v,
     w,
 )
 

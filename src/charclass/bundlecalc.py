@@ -26,7 +26,6 @@ from .wring import (
     add,
     constant_term,
     evaluate_monomials,
-    ext_terms,
     mono_degree,
     mul,
     reduce_poly,
@@ -34,49 +33,24 @@ from .wring import (
 )
 
 
-class ExtPoly(MPoly2):
-    """Element of the oracle ring: an MPoly2 in the ext namespace, where
-    v_i is variable -i.  Ring operations return plain ext MPoly2 values."""
-
-    __slots__ = ()
-
-    @classmethod
-    def zero(cls) -> "ExtPoly":
-        return cls(frozenset(), EXT)
-
-    @classmethod
-    def one(cls) -> "ExtPoly":
-        return cls(frozenset({()}), EXT)
-
-    @classmethod
-    def nu(cls, index: int) -> "ExtPoly":
-        if index < 1:
-            raise ValueError("exterior generator index must be positive")
-        return cls(frozenset({((-index, 1),)}), EXT)
-
-    @classmethod
-    def from_mpoly(cls, a: MPoly2) -> MPoly2:
-        """An sw polynomial as an oracle-ring value; ext values pass through."""
-        if a.namespace == EXT:
-            return a
-        if a.namespace != SW:
-            raise NamespaceMismatchError(
-                "only sw polynomials embed into the oracle ring"
-            )
-        return cls(a.monomials, EXT)
-
-    def w_part(self) -> MPoly2:
-        """The image under setting every exterior generator to zero.  Ring
-        operations return plain MPoly2s; call ExtPoly.w_part(x) on those."""
-        return MPoly2(frozenset(wk for vs, wk in ext_terms(self) if not vs), SW)
+def to_ext(a: MPoly2) -> MPoly2:
+    """An sw polynomial as an oracle-ring value; ext values pass through."""
+    if a.namespace == EXT:
+        return a
+    if a.namespace != SW:
+        raise NamespaceMismatchError(
+            "only sw polynomials embed into the oracle ring"
+        )
+    return MPoly2(a.monomials, EXT)
 
 
+# Aliases of wring.mul and reduce_poly for ext values.  Only bench/tracing.py
+# needs them: it binds both by name at install.
 def ext_mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Product in the oracle ring: wring.mul on ext values."""
     return mul(a, b, ctx)
 
 
-# the oracle ring truncates like every other namespace
 ext_reduce = reduce_poly
 
 
@@ -141,7 +115,7 @@ def fiber_bundle(ctx: RingContext) -> FormalBundle:
     if ctx.degree_cap is None:
         raise CapsTooSmallError("the fiber bundle needs a finite degree cap")
     keys = {()} | {((-i, 1),) for i in range(1, ctx.degree_cap + 1)}
-    return FormalBundle(ExtPoly(frozenset(keys), EXT), None)
+    return FormalBundle(MPoly2(frozenset(keys), EXT), None)
 
 
 def roots_bundle(m: int, ctx: RingContext = UNBOUNDED) -> FormalBundle:
@@ -162,7 +136,7 @@ def whitney_sum(
     A plain sw bundle summed with an oracle-ring one embeds first."""
     ta, tb = a.total, b.total
     if EXT in (ta.namespace, tb.namespace):
-        ta, tb = ExtPoly.from_mpoly(ta), ExtPoly.from_mpoly(tb)
+        ta, tb = to_ext(ta), to_ext(tb)
     elif ta.namespace != tb.namespace:
         raise NamespaceMismatchError(
             "cannot combine bundles over different variable namespaces"
@@ -227,7 +201,7 @@ def evaluate_class(c: MPoly2, a: FormalBundle, ctx: RingContext = UNBOUNDED):
     )
 
 
-def cartan_restrict(c: MPoly2) -> ExtPoly:
+def cartan_restrict(c: MPoly2) -> MPoly2:
     """Restriction along the Cartan fiber inclusion: w_i maps to v_i, so any
     monomial containing a squared variable dies."""
     if c.namespace != SW:
@@ -238,4 +212,4 @@ def cartan_restrict(c: MPoly2) -> ExtPoly:
         for key in c.monomials
         if all(e == 1 for _, e in key)
     )
-    return ExtPoly(out, EXT)
+    return MPoly2(out, EXT)

@@ -14,11 +14,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bundlecalc import (
-    ExtPoly,
     FormalBundle,
     cartan_restrict,  # noqa: F401  (re-exported: kernel test for the ideal)
     evaluate_class,
     fiber_bundle,
+    to_ext,
     underlying_of_complexification,
     universal_bundle,
     whitney_sum,
@@ -146,7 +146,7 @@ def invariance_oracle(c: MPoly2, ctx: RingContext) -> bool:
     fg, g = _test_pair(d)
     lhs = evaluate_class(c, fg, work)
     rhs = evaluate_class(c, g, work)
-    return lhs == ExtPoly.from_mpoly(rhs)
+    return lhs == to_ext(rhs)
 
 
 @lru_cache(maxsize=32)
@@ -221,15 +221,19 @@ class ChernExpr:
     `free` is the free part, an IntClass in the p_i, printed in Chern
     symbols through p_i = (-1)^i c_{2i}; `torsion` is a polynomial in
     symbols rc_j standing for rho(c_j), and denotes the unique torsion
-    preimage of that mod-2 class when `lift_marker` is set.
+    preimage of that mod-2 class when it is nonzero (`lift_marker`).
     """
 
-    __slots__ = ("free", "torsion", "lift_marker")
+    __slots__ = ("free", "torsion")
 
-    def __init__(self, free: IntClass, torsion: MPoly2, lift_marker: bool):
+    def __init__(self, free: IntClass, torsion: MPoly2):
         self.free = free
         self.torsion = torsion
-        self.lift_marker = lift_marker
+
+    @property
+    def lift_marker(self) -> bool:
+        """True when there is a torsion part to lift through rho."""
+        return not self.torsion.is_zero()
 
     def expand_free(self) -> IntClass:
         """The free part in the p_i."""
@@ -244,11 +248,10 @@ class ChernExpr:
             isinstance(other, ChernExpr)
             and self.free == other.free
             and self.torsion == other.torsion
-            and self.lift_marker == other.lift_marker
         )
 
     def __hash__(self):
-        return hash((self.free, self.torsion, self.lift_marker))
+        return hash((self.free, self.torsion))
 
     def __str__(self):
         terms = [
@@ -274,4 +277,4 @@ def express_via_chern(C: IntClass, ctx: RingContext) -> ChernExpr:
             "through Chern classes"
         )
     halved = subring_decomposition(rho(C.torsion_part(), ctx)).poly_in_u
-    return ChernExpr(C.free_part(), halved, not halved.is_zero())
+    return ChernExpr(C.free_part(), halved)

@@ -315,7 +315,7 @@ def elaborate(node: ClassExpr, domain: str | None = None):
     if domain not in _LEAVES:
         raise ValueError(f"unknown domain {domain!r}")
     value = _elab(node, _LEAVES[domain])
-    return ChernExpr(value, MPoly2.zero(SW), False) if domain == "chern" else value
+    return ChernExpr(value, MPoly2.zero(SW)) if domain == "chern" else value
 
 
 def parse_mod2(text: str) -> MPoly2:

@@ -31,11 +31,8 @@ class Report:
     def add(self, id: str, params: dict, status: str, detail: str = "") -> None:
         self.cases.append(CaseRecord(id, params, status, detail))
 
-    def extend(self, other: "Report", prefix: str = "") -> None:
-        for c in other.cases:
-            self.cases.append(
-                CaseRecord(prefix + c.id, c.params, c.status, c.detail)
-            )
+    def extend(self, other: "Report") -> None:
+        self.cases.extend(other.cases)
 
     def summary(self) -> dict:
         out = {"pass": 0, "fail": 0, "expected_mismatch": 0}

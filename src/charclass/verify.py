@@ -39,6 +39,7 @@ from .wring import (
     mono_degree,
     mul,
     reduce_poly,
+    require_degree_cap_at_least,
     square,
 )
 
@@ -198,7 +199,11 @@ def suite_relations(max_rank: int = 8, degree: int = 24) -> Report:
 
 def suite_identities(degree: int = 24, seed: int = 0) -> Report:
     """The remaining verified identities: doubled-bundle squares, Sq1 laws,
-    the Cartan kernel, the root oracle, and the integral theorems."""
+    the Cartan kernel, the root oracle, and the integral theorems.
+
+    Refuses degree < 1: a square-free witness needs a variable, and at
+    degree 0 only the constant 1 can be drawn."""
+    require_degree_cap_at_least(RingContext(degree_cap=degree), 1, "identities suite")
     rng = random.Random(seed)
     report = Report(f"identities[degree<={degree},seed={seed}]")
 

@@ -332,6 +332,13 @@ def r(index: int) -> MPoly2:
     return MPoly2.gen(index, ROOT)
 
 
+def v(index: int) -> MPoly2:
+    """The exterior generator v_index of the oracle ring (degree = index)."""
+    if index < 1:
+        raise ValueError("exterior generator index must be positive")
+    return MPoly2(frozenset({((-index, 1),)}), EXT)
+
+
 def _check_namespaces(a: MPoly2, b: MPoly2) -> str:
     if a.namespace != b.namespace:
         raise NamespaceMismatchError(

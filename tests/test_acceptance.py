@@ -7,7 +7,6 @@ this is symbolic algebra) and asserts its stated time budget.
 
 import random
 import time
-from itertools import combinations
 
 from charclass.bundlecalc import (
     sw,
@@ -21,13 +20,11 @@ from charclass.complexifiability import (
     ideal_decomposition,
     invariance_oracle,
     is_complexifiable_integral,
-    is_complexifiable_mod2,
-    lemma3_lhs,
-    lemma3_rhs,
 )
 from charclass.errors import NotInIdealError
 from charclass.expr import parse_integral, parse_mod2
-from charclass.feshbach import IndexSet, rho, verify_relations
+from charclass.feshbach import rho
+from charclass.report import EXPECTED_MISMATCH
 from charclass.serialize import dumps, loads
 from charclass.steenrod import sq1
 from charclass.verify import (
@@ -35,7 +32,9 @@ from charclass.verify import (
     random_integral_complexifiable,
     random_mod2,
     random_squarefree_containing,
-    random_squares_member,
+    suite_lemma3,
+    suite_relations,
+    suite_theorem1,
 )
 from charclass.wring import (
     SW,
@@ -129,19 +128,13 @@ def test_criterion_3_cartan_kernel():
 
 def test_criterion_4_theorem1_biconditional():
     t0 = time.perf_counter()
-    rng = random.Random(SEED)
-    ctx = RingContext(degree_cap=16)
-    disagreements = 0
-    members = 0
-    for k in range(200):
-        c = random_squares_member(rng, 16) if k % 2 else random_mod2(rng, 16)
-        member = is_complexifiable_mod2(c)
-        members += member
-        if invariance_oracle(c, ctx) != member:
-            disagreements += 1
+    report = suite_theorem1(degree=16, count=200, seed=SEED)
+    members = sum(c.params["member"] for c in report.cases)
     elapsed = time.perf_counter() - t0
-    assert disagreements == 0
+    assert len(report.cases) == 200
+    assert report.failures == 0, str(report)  # membership == oracle throughout
     assert 0 < members < 200  # the sample really mixes both kinds
+    assert members == 109
     assert elapsed < 30.0
     _report(4, "Theorem 1 biconditional", elapsed,
             f"200 samples ({members} members), 0 disagreements")
@@ -149,32 +142,14 @@ def test_criterion_4_theorem1_biconditional():
 
 def test_criterion_5_lemma3():
     t0 = time.perf_counter()
-    ctx = RingContext(degree_cap=40)
-    bundle = universal_bundle(ctx)
-    derived_failures = 0
-    verbatim_unexpected = 0
-    mismatches = 0
-    cases = 0
-    for size in (1, 2, 3):
-        for combo in combinations((1, 2, 4, 6), size):
-            iset = IndexSet(combo)
-            cases += 1
-            lhs = lemma3_lhs(iset, bundle, ctx)
-            if lhs != lemma3_rhs(iset, bundle, ctx, "derived"):
-                derived_failures += 1
-            verbatim = lemma3_rhs(iset, bundle, ctx, "verbatim")
-            if 1 in combo:
-                if lhs == verbatim:
-                    verbatim_unexpected += 1
-                else:
-                    mismatches += 1
-            elif lhs != verbatim:
-                verbatim_unexpected += 1
+    report = suite_lemma3()
     elapsed = time.perf_counter() - t0
-    assert cases == 14
-    assert derived_failures == 0
-    assert verbatim_unexpected == 0
-    assert mismatches == 7  # every half-index case, recorded as expected
+    assert len(report.cases) == 28  # 14 index sets, derived and verbatim
+    assert report.failures == 0, str(report)
+    # every half-index verbatim case, recorded as expected
+    assert report.summary() == {"pass": 21, "fail": 0, "expected_mismatch": 7}
+    mismatched = [c.params for c in report.cases if c.status == EXPECTED_MISMATCH]
+    assert all(p["mode"] == "verbatim" and "1/2" in p["I"] for p in mismatched)
     assert elapsed < 30.0
     _report(5, "Lemma 3 expansion", elapsed,
             "14 cases, derived exact, 7 expected verbatim mismatches")
@@ -182,12 +157,11 @@ def test_criterion_5_lemma3():
 
 def test_criterion_6_feshbach_relations():
     t0 = time.perf_counter()
-    total = 0
-    for n in range(2, 9):
-        report = verify_relations(n, 24)
-        assert report.failures == 0, str(report)
-        total += len(report.cases)
+    report = suite_relations(max_rank=8, degree=24)
     elapsed = time.perf_counter() - t0
+    assert report.failures == 0, str(report)
+    total = len(report.cases)
+    assert total == 212
     assert elapsed < 60.0
     _report(6, "Feshbach relations", elapsed, f"{total} cases, 0 failures")
 

@@ -7,16 +7,15 @@ from itertools import combinations
 import pytest
 
 from charclass.bundlecalc import (
-    ExtPoly,
     FormalBundle,
     cartan_restrict,
     chern_mod2,
     evaluate_class,
-    ext_mul,
     fiber_bundle,
     pontrjagin_mod2,
     roots_bundle,
     sw,
+    to_ext,
     trivial_bundle,
     underlying_of_complexification,
     universal_bundle,
@@ -32,10 +31,12 @@ from charclass.wring import (
     MPoly2,
     RingContext,
     constant_term,
+    ext_terms,
     grade_component,
     mul,
     reduce_poly,
     square,
+    v,
     w,
 )
 
@@ -76,8 +77,9 @@ def test_fiber_bundle_examples():
     assert str(f.total) == "1 + v1 + v2"
     big = RingContext(degree_cap=14)
     doubled = underlying_of_complexification(fiber_bundle(big), big)
-    assert doubled.total == ExtPoly.one()
-    assert fiber_bundle(big).total.w_part() == MPoly2.one()
+    assert doubled.total == MPoly2.one(EXT)
+    # setting every v_i to zero leaves the constant 1
+    assert [wk for vs, wk in ext_terms(fiber_bundle(big).total) if not vs] == [()]
     with pytest.raises(CapsTooSmallError):
         fiber_bundle(RingContext())
 
@@ -125,15 +127,15 @@ def test_evaluate_class_examples():
     u = universal_bundle(ctx)
     assert evaluate_class(square(w(2)), u, ctx) == square(w(2))
     f = fiber_bundle(ctx)
-    assert evaluate_class(w(1), f, ctx) == ExtPoly.nu(1)
+    assert evaluate_class(w(1), f, ctx) == v(1)
     with pytest.raises(NamespaceMismatchError):
         evaluate_class(MPoly2.gen(1, ROOT), u, ctx)
 
 
 def test_cartan_restrict_examples():
     assert cartan_restrict(square(w(1))).is_zero()
-    assert cartan_restrict(w(1) * w(2)) == ext_mul(ExtPoly.nu(1), ExtPoly.nu(2))
-    assert cartan_restrict(square(w(1)) * w(3) + w(2)) == ExtPoly.nu(2)
+    assert cartan_restrict(w(1) * w(2)) == mul(v(1), v(2))
+    assert cartan_restrict(square(w(1)) * w(3) + w(2)) == v(2)
 
 
 def test_cartan_restrict_is_ring_hom():
@@ -142,7 +144,7 @@ def test_cartan_restrict_is_ring_hom():
         a = random_mod2(rng, 10)
         b = random_mod2(rng, 10)
         assert cartan_restrict(a + b) == cartan_restrict(a) + cartan_restrict(b)
-        assert cartan_restrict(a * b) == ext_mul(cartan_restrict(a), cartan_restrict(b))
+        assert cartan_restrict(a * b) == mul(cartan_restrict(a), cartan_restrict(b))
 
 
 def test_cartan_kernel_characterization():
@@ -156,12 +158,34 @@ def test_cartan_kernel_characterization():
         assert in_kernel == every_monomial_squared
 
 
+def test_oracle_ring_values_are_plain_mpoly2():
+    ctx = RingContext(degree_cap=6)
+    fiber = fiber_bundle(ctx)
+    universal = universal_bundle(ctx)
+    for value in (
+        fiber.total,
+        cartan_restrict(w(1)),
+        whitney_sum(fiber, universal, ctx).total,
+        evaluate_class(w(1) * w(2) + square(w(2)), fiber, ctx),
+    ):
+        assert type(value) is MPoly2
+        assert value.namespace == EXT
+    with pytest.raises(ValueError, match="exterior generator index must be positive"):
+        v(0)
+    with pytest.raises(NamespaceMismatchError,
+                       match="only sw polynomials embed into the oracle ring"):
+        to_ext(MPoly2.gen(1, ROOT))
+    v2 = v(2)
+    assert to_ext(v2) is v2  # ext values pass through
+    assert to_ext(w(2)) == MPoly2(w(2).monomials, EXT)
+
+
 def test_exterior_generators_square_to_zero():
-    v1 = ExtPoly.nu(1)
-    assert ext_mul(v1, v1).is_zero()
-    prod = ext_mul(ExtPoly.nu(2), ExtPoly.nu(3))
+    v1 = v(1)
+    assert mul(v1, v1).is_zero()
+    prod = mul(v(2), v(3))
     assert not prod.is_zero()
-    assert ext_mul(prod, ExtPoly.nu(2)).is_zero()
+    assert mul(prod, v(2)).is_zero()
 
 
 def test_roots_bundle_examples():
@@ -291,11 +315,11 @@ def _random_ext_terms(rng, count):
 
 
 def _ext_value(terms):
-    out = ExtPoly.zero()
+    out = MPoly2.zero(EXT)
     for vs, wk in terms:
-        term = ExtPoly.from_mpoly(MPoly2(frozenset({wk})))
+        term = to_ext(MPoly2(frozenset({wk})))
         for i in vs:
-            term = ext_mul(term, ExtPoly.nu(i))
+            term = mul(term, v(i))
         out = out + term
     return out
 
@@ -332,7 +356,7 @@ def test_ext_mul_matches_brute_force():
         for _ in range(40):
             ta = _random_ext_terms(rng, rng.randint(0, 8))
             tb = _random_ext_terms(rng, rng.randint(0, 8))
-            got = ext_mul(_ext_value(ta), _ext_value(tb), ctx)
+            got = mul(_ext_value(ta), _ext_value(tb), ctx)
             assert _ext_terms_of(got) == _brute_ext_product(ta, tb, degree_cap, rank_cap)
 
 

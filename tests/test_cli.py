@@ -104,6 +104,11 @@ def test_caps_too_small_exit_2(capsys):
     code, _, err = run(capsys, "complexifiable", "--expr", "V{5}^2",
                        "--integral", "--degree", "4")
     assert code == 2
+    # at degree 0 a square-free witness has no variable to contain
+    for suite in ("identities", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--degree", "0")
+        assert (code, out) == (2, ""), suite
+        assert "identities suite needs degree_cap >= 1, got 0" in err, suite
 
 
 def test_usage_error_exit_1(capsys):
