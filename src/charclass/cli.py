@@ -4,7 +4,10 @@ Exit codes: 0 success; 1 parse/usage error; 2 domain error (e.g. not
 complexifiable where required); 3 verification suite failure (cases marked
 expected-mismatch do not fail a suite).
 
-The default degree cap is 24, overridable with CHARCLASS_DEFAULT_DEGREE.
+The default degree cap is 24, overridable with CHARCLASS_DEFAULT_DEGREE,
+which every call to `main` reads afresh.  The argument parser is built once
+per process and per default degree, so an in-process caller pays for it
+once; it holds no answers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from . import serialize
 from .bundlecalc import (
@@ -219,10 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser(default_degree: int) -> argparse.ArgumentParser:
+    """build_parser(), built again only when the default degree it reads
+    changes."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parser(_default_degree()).parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     except CharclassError as e:

@@ -25,8 +25,8 @@ from functools import reduce
 
 from .complexifiability import ChernExpr
 from .errors import MixedExpressionError, ParseError
-from .feshbach import IndexSet, IntClass
-from .wring import SW, MPoly2
+from .feshbach import IndexSet, IntClass, int_add_all
+from .wring import SW, MPoly2, add_all
 
 
 @dataclass(frozen=True)
@@ -247,19 +247,21 @@ def detect_domain(node: ClassExpr) -> str | None:
     return domains.pop() if domains else None
 
 
-def _elab(node, leaf):
-    """Fold an AST with the value ring's own + * ** and unary -; `leaf`
-    gives the value of a literal or atom, or refuses it."""
+def _elab(node, leaf, total):
+    """Fold an AST with the value ring's own * ** and unary -, and add up
+    each Sum's terms in one pass with `total`; `leaf` gives the value of a
+    literal or atom, or refuses it."""
     if isinstance(node, (IntLit, Gen, VGen)):
         return leaf(node)
     if isinstance(node, Pow):
-        return _elab(node.base, leaf) ** node.exp
+        return _elab(node.base, leaf, total) ** node.exp
     if isinstance(node, Prod):
-        return reduce(operator.mul, (_elab(f, leaf) for f in node.factors))
+        return reduce(operator.mul, (_elab(f, leaf, total) for f in node.factors))
     if isinstance(node, Sum):
-        return reduce(operator.add, (
-            -_elab(t, leaf) if sign < 0 else _elab(t, leaf) for sign, t in node.terms
-        ))
+        return total([
+            -_elab(t, leaf, total) if sign < 0 else _elab(t, leaf, total)
+            for sign, t in node.terms
+        ])
     raise TypeError(f"not a class expression node: {node!r}")
 
 
@@ -300,7 +302,12 @@ def _chern_leaf(node) -> IntClass:
     return -IntClass.p(i) if i % 2 else IntClass.p(i)
 
 
-_LEAVES = {"mod2": _mod2_leaf, "integral": _integral_leaf, "chern": _chern_leaf}
+# each regime's leaf function and many-term sum
+_REGIMES = {
+    "mod2": (_mod2_leaf, add_all),
+    "integral": (_integral_leaf, int_add_all),
+    "chern": (_chern_leaf, int_add_all),
+}
 
 
 def elaborate(node: ClassExpr, domain: str | None = None):
@@ -312,9 +319,9 @@ def elaborate(node: ClassExpr, domain: str | None = None):
     """
     if domain is None:
         domain = detect_domain(node) or "integral"
-    if domain not in _LEAVES:
+    if domain not in _REGIMES:
         raise ValueError(f"unknown domain {domain!r}")
-    value = _elab(node, _LEAVES[domain])
+    value = _elab(node, *_REGIMES[domain])
     return ChernExpr(value, MPoly2.zero(SW)) if domain == "chern" else value
 
 

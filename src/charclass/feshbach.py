@@ -38,7 +38,7 @@ from .wring import (
     MonomialKey,
     MPoly2,
     RingContext,
-    add,
+    add_all,
     evaluate_monomials,
     index_str,
     mono_factors,
@@ -268,10 +268,19 @@ class IntClass:
 
 
 def int_add(a: IntClass, b: IntClass) -> IntClass:
-    free = dict(a.free)
-    for k, c in b.free:
-        free[k] = free.get(k, 0) + c
-    return IntClass(_freeze_free(free), add(a.torsion, b.torsion))
+    return int_add_all((a, b))
+
+
+def int_add_all(classes: Iterable[IntClass]) -> IntClass:
+    """The sum of one or more classes in one pass: one coefficient dict for
+    the free parts and one sum of the torsion parts."""
+    free: dict = {}
+    torsions = []
+    for a in classes:
+        for k, c in a.free:
+            free[k] = free.get(k, 0) + c
+        torsions.append(a.torsion)
+    return IntClass(_freeze_free(free), add_all(torsions))
 
 
 def _validate_rank(a: IntClass, n: int | None) -> None:

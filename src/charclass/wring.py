@@ -31,8 +31,6 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 from .errors import CapsTooSmallError, MissingImageError, NamespaceMismatchError
 
 SW = "sw"
@@ -359,9 +357,19 @@ def reduce_poly(a: MPoly2, ctx: RingContext) -> MPoly2:
 
 def add(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Sum = symmetric difference of monomial sets, context-reduced."""
-    ns = _check_namespaces(a, b)
-    out = MPoly2(a.monomials ^ b.monomials, ns)
-    return reduce_poly(out, ctx)
+    return add_all((a, b), ctx)
+
+
+def add_all(polys: Iterable[MPoly2], ctx: RingContext = UNBOUNDED) -> MPoly2:
+    """The sum of one or more polynomials of one namespace in one pass: the
+    monomials occurring an odd number of times, context-reduced."""
+    polys = iter(polys)
+    first = next(polys)
+    acc = set(first.monomials)
+    for b in polys:
+        _check_namespaces(first, b)
+        acc ^= b.monomials
+    return reduce_poly(MPoly2(frozenset(acc), first.namespace), ctx)
 
 
 # A sum of products of up to this many term pairs in all takes the dict loop,
@@ -446,6 +454,8 @@ def _mul_packed(pairs, ns, cap):
     are one broadcast add over its pairs, and the rows of all products are
     counted mod 2 by np.unique.  Exponent sums wider than 64 bits fit no
     uint64 field and send the whole sum to the dict loop."""
+    import numpy as np  # only here and in its helpers: most calls never pack
+
     pairs = [(a, b) for a, b in pairs if a and b]
     factors = {id(f): f for pair in pairs for f in pair}
     stats = {i: _pack_stats(f) for i, f in factors.items()}
@@ -492,6 +502,8 @@ def _mul_packed(pairs, ns, cap):
 
 def _odd_rows(parts, row, words) -> np.ndarray:
     """The rows of `words` words occurring an odd number of times in parts."""
+    import numpy as np
+
     rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
     vals, counts = np.unique(rows.view(row).ravel(), return_counts=True)
     return vals[counts & 1 == 1].view(np.uint64).reshape(-1, words)
@@ -500,6 +512,8 @@ def _odd_rows(parts, row, words) -> np.ndarray:
 def _pack(keys, field, bits, per, words) -> np.ndarray:
     """The keys as rows of `words` uint64 words, `per` fields to a word,
     variable i in field field[i]."""
+    import numpy as np
+
     exps = np.zeros((len(keys), words * per), dtype=np.uint64)
     rows = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
     exps[rows, [field[i] for k in keys for i, _ in k]] = [e for k in keys for _, e in k]
@@ -514,6 +528,8 @@ def _decode(matrix: np.ndarray, bits: int, columns: list) -> list:
 
     Like mono_mul, the keys share their (index, exponent) pairs: one tuple
     per distinct pair, every key a slice of one flat tuple of them."""
+    import numpy as np
+
     m = matrix.shape[1]
     ends = np.cumsum(np.count_nonzero(matrix, axis=1)).tolist()
     rows, cols = np.nonzero(matrix)  # row by row, ascending index within a row

@@ -218,3 +218,46 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out and proc.stdout == out
+
+
+def test_parser_reuse_rereads_the_default_degree(capsys, monkeypatch):
+    monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", "4")
+    assert run(capsys, "eval", "--expr", "w1^3*w2")[:2] == (0, "0\n")
+    monkeypatch.delenv("CHARCLASS_DEFAULT_DEGREE")
+    assert run(capsys, "eval", "--expr", "w1^3*w2")[:2] == (0, "w1^3*w2\n")
+
+
+def test_parser_reuse_after_usage_error_and_help(capsys):
+    assert run(capsys, "eval", "--degree", "8")[0] == 1  # missing --expr
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: charclass")
+    code, out, _ = run(capsys, "eval", "--help")
+    assert code == 0 and "--bundle" in out
+    assert run(capsys, "eval", "--expr", "w2 + w1", "--degree", "8") == (0, "w1 + w2\n", "")
+
+
+def test_bad_default_degree_env_refused_with_an_explicit_degree(capsys, monkeypatch):
+    assert run(capsys, "eval", "--expr", "w1", "--degree", "8")[:2] == (0, "w1\n")
+    monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", "not-a-number")
+    code, out, err = run(capsys, "eval", "--expr", "w1", "--degree", "8")
+    assert (code, out) == (1, "")
+    assert "CHARCLASS_DEFAULT_DEGREE must be an integer, got 'not-a-number'" in err
+
+
+def test_numpy_loads_only_for_packed_products():
+    code = (
+        "import sys\n"
+        "from charclass import cli, wring\n"
+        "assert cli.main(['eval', '--expr', 'w3 + w1*w2', '--degree', '8']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+        "a = wring.add_all(wring.w(i) for i in range(1, 66))\n"
+        "wring.mul(a, a)  # 65 * 65 = 4,225 term pairs: the packed kernel\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(charclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "w1*w2 + w3\nFalse\nTrue\n"

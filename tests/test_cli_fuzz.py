@@ -1,7 +1,8 @@
 """Seeded CLI fuzz: argv built from the expression grammar, run in-process.
 
 Every run must end in a documented exit code (0 answer, 1 usage, 2 domain)
-with no exception.  Large exponents on parenthesized groups stay out: the
+with no exception, and a second run of the same argv list in the same
+process must give the same exit codes and output.  Large exponents on parenthesized groups stay out: the
 parser elaborates `^` before any degree cap applies, so they measure the
 size of the uncapped power, not the CLI's handling of its input.
 """
@@ -100,14 +101,21 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys):
     rng = random.Random(2011)
     codes = {}
     start = time.perf_counter()
+    runs = []
     for _ in range(RUNS):
         argv = _argv(rng)
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err, argv
         codes.setdefault(argv[0], set()).add(code)
+        runs.append((argv, (code, out, err)))
     assert time.perf_counter() - start < 10
     # every subcommand ran, and every exit code occurred
     assert set(codes) == {c for c, _ in COMMANDS}
     assert set().union(*codes.values()) == {0, 1, 2}
+    # a replay in the same process answers alike: the parser, built once per
+    # process, keeps nothing from one call to the next
+    for argv, first in runs:
+        code = main(argv)
+        assert (code, *capsys.readouterr()) == first, argv

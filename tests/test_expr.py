@@ -1,13 +1,16 @@
 """Parser, elaboration, canonical printing, and the JSON forms."""
 
 import json
+import operator
 import random
+from functools import reduce
 
 import pytest
 
 from charclass.errors import MixedExpressionError, ParseError
 from charclass.expr import (
     Gen,
+    IntLit,
     Pow,
     Prod,
     Sum,
@@ -217,3 +220,70 @@ def test_json_rejects_garbage():
 def test_json_rejects_malformed_and_noncanonical(blob):
     with pytest.raises(ValueError):
         loads(blob)
+
+
+def _pairwise(node, domain):
+    """Elaboration with every sum folded pairwise by reduce(operator.add)."""
+    if isinstance(node, Sum):
+        return reduce(operator.add, [
+            -_pairwise(t, domain) if sign < 0 else _pairwise(t, domain)
+            for sign, t in node.terms
+        ])
+    if isinstance(node, Prod):
+        return reduce(operator.mul, [_pairwise(f, domain) for f in node.factors])
+    if isinstance(node, Pow):
+        return _pairwise(node.base, domain) ** node.exp
+    assert isinstance(node, (IntLit, Gen, VGen))
+    value = elaborate(node, domain)
+    return value.free if domain == "chern" else value
+
+
+_ATOMS = {
+    "mod2": lambda rng: f"w{rng.randint(1, 9)}",
+    "integral": lambda rng: rng.choice((
+        f"p{rng.randint(1, 4)}",
+        "V{" + ",".join(sorted({rng.choice(("1/2", "1", "2", "3")) for _ in range(3)},
+                               key=lambda i: "0" if i == "1/2" else i)) + "}",
+    )),
+    "chern": lambda rng: f"c{2 * rng.randint(1, 4)}",
+}
+
+
+def _random_sum(rng, domain: str, n_terms: int, depth: int = 0) -> str:
+    """A seeded sum of signed products: integer literals as coefficients,
+    parenthesized sums up to two levels deep, and cancelling pairs."""
+    terms = []
+    while len(terms) < n_terms:
+        factors = []
+        if rng.random() < 0.3:
+            factors.append(str(rng.randint(0, 5)))
+        for _ in range(rng.randint(1, 3)):
+            if depth < 2 and rng.random() < 0.05:
+                inner = _random_sum(rng, domain, rng.randint(1, 4), depth + 1)
+                factors.append(f"({inner})" + ("^2" if rng.random() < 0.3 else ""))
+            else:
+                atom = _ATOMS[domain](rng)
+                factors.append(atom + (f"^{rng.randint(2, 3)}" if rng.random() < 0.2 else ""))
+        sign = rng.choice((1, -1))
+        terms.append((sign, "*".join(factors)))
+        if rng.random() < 0.2:  # a pair that cancels
+            terms.append((-sign, terms[-1][1]))
+    rng.shuffle(terms)
+    text = ("-" if terms[0][0] < 0 else "") + terms[0][1]
+    for sign, t in terms[1:]:
+        text += (" - " if sign < 0 else " + ") + t
+    return text
+
+
+@pytest.mark.parametrize("domain", ["mod2", "integral", "chern"])
+def test_one_pass_sum_matches_the_pairwise_fold(domain):
+    rng = random.Random(11)
+    for n_terms in (1, 2, 3, 7, 40, 150, 500):
+        ast = parse(_random_sum(rng, domain, n_terms))
+        got, want = elaborate(ast, domain), _pairwise(ast, domain)
+        if domain == "chern":
+            assert not got.lift_marker
+            got = got.free
+        assert got == want
+        assert str(got) == str(want)
+        assert dumps(got) == dumps(want)
