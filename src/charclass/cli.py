@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, rank_default=None):
         p.add_argument("--expr", required=True, help="class expression")
         p.add_argument("--degree", type=integer, default=_default_degree(),
-                       help="degree cap (default 24)")
+                       help="degree cap (default %(default)s)")
         p.add_argument("--rank", type=integer, default=rank_default,
                        help="rank cap (default unbounded)")
 
@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--degree", type=integer, default=_default_degree())
+    p.add_argument("--degree", type=integer, default=_default_degree(),
+                   help="degree cap (default %(default)s)")
     p.add_argument("--rank", type=integer, default=8)
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--report", help="write the JSON report to this file")

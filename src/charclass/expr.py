@@ -14,19 +14,21 @@ The optional leading minus admits canonical integral output, which can
 start with a negative term.  `1/2` is only legal inside V-braces.
 Elaboration targets one coefficient regime: mod-2 (w atoms), integral
 (p and V atoms), or Chern (even c atoms); integer literals are fine in
-any regime, and mixing regimes is an error.
+any regime, and mixing regimes is an error.  A product of powers of atoms,
+with bare literals as coefficients, becomes one monomial in one step; only
+parenthesized groups and literal powers use the value ring's * and **.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from .complexifiability import ChernExpr
 from .errors import MixedExpressionError, ParseError
 from .feshbach import IndexSet, IntClass, int_add_all
-from .wring import SW, MPoly2, add_all
+from .wring import SW, TOR, MPoly2, add_all, tor_key
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ DIGITS = frozenset("0123456789")
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._run()
 
@@ -247,66 +248,106 @@ def detect_domain(node: ClassExpr) -> str | None:
     return domains.pop() if domains else None
 
 
-def _elab(node, leaf, total):
-    """Fold an AST with the value ring's own * ** and unary -, and add up
-    each Sum's terms in one pass with `total`; `leaf` gives the value of a
-    literal or atom, or refuses it."""
-    if isinstance(node, (IntLit, Gen, VGen)):
-        return leaf(node)
+def _term_factors(node):
+    """The (atom or literal, exponent) factors, left to right, of a product
+    of powers of atoms with bare integer literals as coefficients: an atom,
+    a power of an atom, a literal, or a Prod of those.  None for any other
+    node, such as a parenthesized group or a literal under ^."""
+    factors = node.factors if isinstance(node, Prod) else (node,)
+    out = []
+    for f in factors:
+        if isinstance(f, Pow) and isinstance(f.base, (Gen, VGen)):
+            out.append((f.base, f.exp))
+        elif isinstance(f, (IntLit, Gen, VGen)):
+            out.append((f, 1))
+        else:
+            return None
+    return out
+
+
+def _elab(node, term, total):
+    """Elaborate an AST: `term` builds the value of a product of powers of
+    atoms in one step, or refuses its first bad atom; any other node folds
+    with the value ring's own * ** and unary -, and each Sum's terms are
+    added up in one pass with `total`."""
+    factors = _term_factors(node)
+    if factors is not None:
+        return term(factors)
     if isinstance(node, Pow):
-        return _elab(node.base, leaf, total) ** node.exp
+        return _elab(node.base, term, total) ** node.exp
     if isinstance(node, Prod):
-        return reduce(operator.mul, (_elab(f, leaf, total) for f in node.factors))
+        return reduce(operator.mul, (_elab(f, term, total) for f in node.factors))
     if isinstance(node, Sum):
         return total([
-            -_elab(t, leaf, total) if sign < 0 else _elab(t, leaf, total)
+            -_elab(t, term, total) if sign < 0 else _elab(t, term, total)
             for sign, t in node.terms
         ])
     raise TypeError(f"not a class expression node: {node!r}")
 
 
-def _mod2_leaf(node) -> MPoly2:
-    if isinstance(node, IntLit):
-        return MPoly2.one(SW) if node.value % 2 else MPoly2.zero(SW)
-    if isinstance(node, VGen):
-        raise MixedExpressionError("V-classes are integral, not mod-2")
-    if node.kind != "w":
-        raise MixedExpressionError(f"{node.kind}{node.index} is not a mod-2 atom")
-    return MPoly2.gen(node.index, SW)
+def _mod2_term(factors) -> MPoly2:
+    """One sw monomial from the summed exponents, times the literals'
+    parity."""
+    exps: dict = {}
+    odd = True
+    for atom, e in factors:
+        if isinstance(atom, IntLit):
+            odd = odd and atom.value % 2 == 1
+        elif isinstance(atom, VGen):
+            raise MixedExpressionError("V-classes are integral, not mod-2")
+        elif atom.kind != "w":
+            raise MixedExpressionError(f"{atom.kind}{atom.index} is not a mod-2 atom")
+        else:
+            exps[atom.index] = exps.get(atom.index, 0) + e
+    if not odd:
+        return MPoly2.zero(SW)
+    return MPoly2(frozenset({tuple(sorted((i, e) for i, e in exps.items() if e))}), SW)
 
 
-def _integral_leaf(node) -> IntClass:
-    if isinstance(node, IntLit):
-        return IntClass.integer(node.value)
-    if isinstance(node, VGen):
-        return IntClass.V(IndexSet(node.doubled))
-    if node.kind != "p":
-        raise MixedExpressionError(f"{node.kind}{node.index} is not an integral atom")
-    return IntClass.p(node.index)
+def _integral_term(factors, chern: bool = False) -> IntClass:
+    """One free p monomial with the literals' product as coefficient, or,
+    when a V factor remains, one tor monomial if that product is odd and 0
+    if it is even (2*V_I = 0).  With chern, the atoms are even Chern
+    classes, c_{2i} read as (-1)^i p_i."""
+    coeff, p_exps, v_exps = 1, {}, {}
+    for atom, e in factors:
+        if isinstance(atom, IntLit):
+            coeff *= atom.value
+        elif chern:
+            if isinstance(atom, VGen):
+                raise MixedExpressionError("V-classes cannot appear in a Chern expression")
+            if atom.kind != "c":
+                raise MixedExpressionError(f"{atom.kind}{atom.index} is not a Chern atom")
+            if atom.index % 2:
+                raise MixedExpressionError(
+                    f"c{atom.index}: only even Chern classes arise from "
+                    "complexifiable classes"
+                )
+            i = atom.index // 2
+            if i % 2 and e % 2:
+                coeff = -coeff
+            p_exps[i] = p_exps.get(i, 0) + e
+        elif isinstance(atom, VGen):
+            ds = IndexSet(atom.doubled).doubled
+            v_exps[ds] = v_exps.get(ds, 0) + e
+        elif atom.kind != "p":
+            raise MixedExpressionError(f"{atom.kind}{atom.index} is not an integral atom")
+        else:
+            p_exps[atom.index] = p_exps.get(atom.index, 0) + e
+    p_key = tuple(sorted((i, e) for i, e in p_exps.items() if e))
+    v_key = [(ds, e) for ds, e in v_exps.items() if e]
+    if not v_key:
+        return IntClass(((p_key, coeff),) if coeff else ())
+    if coeff % 2 == 0:
+        return IntClass()
+    return IntClass((), MPoly2(frozenset({tor_key(p_key, v_key)}), TOR))
 
 
-def _chern_leaf(node) -> IntClass:
-    """c_{2i} as (-1)^i p_i, so Chern arithmetic is integral arithmetic."""
-    if isinstance(node, IntLit):
-        return IntClass.integer(node.value)
-    if isinstance(node, VGen):
-        raise MixedExpressionError("V-classes cannot appear in a Chern expression")
-    if node.kind != "c":
-        raise MixedExpressionError(f"{node.kind}{node.index} is not a Chern atom")
-    if node.index % 2:
-        raise MixedExpressionError(
-            f"c{node.index}: only even Chern classes arise from "
-            "complexifiable classes"
-        )
-    i = node.index // 2
-    return -IntClass.p(i) if i % 2 else IntClass.p(i)
-
-
-# each regime's leaf function and many-term sum
+# each regime's term builder and many-term sum
 _REGIMES = {
-    "mod2": (_mod2_leaf, add_all),
-    "integral": (_integral_leaf, int_add_all),
-    "chern": (_chern_leaf, int_add_all),
+    "mod2": (_mod2_term, add_all),
+    "integral": (_integral_term, int_add_all),
+    "chern": (partial(_integral_term, chern=True), int_add_all),
 }
 
 

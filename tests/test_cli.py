@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import charclass
 from charclass.cli import main
 
@@ -14,6 +16,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, timeout=60):
+    """A fresh interpreter with the package on its path."""
+    env = dict(os.environ)
+    src = str(Path(charclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_complexifiable_true(capsys):
@@ -210,11 +221,7 @@ def test_v_index_limit(capsys):
 
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["verify", "--suite", "relations", "--rank", "4"]
-    env = dict(os.environ)
-    src = str(Path(charclass.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "charclass", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python("-m", "charclass", *argv)
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out and proc.stdout == out
@@ -254,10 +261,34 @@ def test_numpy_loads_only_for_packed_products():
         "wring.mul(a, a)  # 65 * 65 = 4,225 term pairs: the packed kernel\n"
         "print('numpy' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    src = str(Path(charclass.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "w1*w2 + w3\nFalse\nTrue\n"
+
+
+@pytest.mark.parametrize("atom, degree", [("p1", 399999999996), ("V{1}", 299999999997)])
+@pytest.mark.parametrize("command", [["rho"], ["chern-express"],
+                                     ["complexifiable", "--integral"]])
+def test_huge_atom_powers_answer_at_once(command, atom, degree):
+    # a power of an atom is one monomial: no e-fold product, so no hang; a
+    # subprocess with a timeout makes a regression fail instead of block
+    argv = [*command, "--expr", f"{atom}^99999999999", "--degree", "24"]
+    proc = run_python("-m", "charclass", *argv, timeout=20)
+    if command == ["rho"]:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"needs degree_cap >= {degree}, got 24" in proc.stderr
+
+
+def test_degree_help_shows_the_default_in_use(capsys, monkeypatch):
+    # the cached parser is keyed by the default degree, so each call below
+    # reads its own parser's help
+    for env, default in [("4", "4"), (None, "24")]:
+        if env is None:
+            monkeypatch.delenv("CHARCLASS_DEFAULT_DEGREE", raising=False)
+        else:
+            monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", env)
+        for command in ("eval", "verify"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0 and f"degree cap (default {default})" in out, command

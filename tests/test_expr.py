@@ -7,7 +7,8 @@ from functools import reduce
 
 import pytest
 
-from charclass.errors import MixedExpressionError, ParseError
+from charclass import feshbach, wring
+from charclass.errors import InvalidIndexSetError, MixedExpressionError, ParseError
 from charclass.expr import (
     Gen,
     IntLit,
@@ -21,10 +22,10 @@ from charclass.expr import (
     parse_integral,
     parse_mod2,
 )
-from charclass.feshbach import IntClass
+from charclass.feshbach import MAX_V_INDEX, IndexSet, IntClass
 from charclass.serialize import dumps, loads
 from charclass.verify import random_integral_complexifiable, random_mod2
-from charclass.wring import MPoly2, square, w
+from charclass.wring import SW, MPoly2, square, w
 
 
 def test_parse_structure():
@@ -102,6 +103,11 @@ def test_elaboration_refusal_messages():
         ("w1 + p1", None, "expression mixes atoms from different coefficient regimes"),
         ("c2*V{1/2}", None, "expression mixes atoms from different coefficient regimes"),
         ("w2^2 - c4", None, "expression mixes atoms from different coefficient regimes"),
+        # a product's first bad atom, left to right, also under ^0
+        ("w1*p1^0*V{1}", "mod2", "p1 is not a mod-2 atom"),
+        ("0*V{1}^0*w2", "mod2", "V-classes are integral, not mod-2"),
+        ("p1*c3^0*w1", "integral", "c3 is not an integral atom"),
+        ("c2*c3^0*p1", "chern", "c3: only even Chern classes arise from complexifiable classes"),
     ]
     for text, domain, message in refusals:
         with pytest.raises(MixedExpressionError) as excinfo:
@@ -118,6 +124,9 @@ def test_refusal_under_power_zero():
         with pytest.raises(MixedExpressionError):
             elaborate(parse(text), domain)
     assert str(elaborate(parse("c2 + c4^0"), "chern")) == "1 + c2"
+    # every V set is validated, before any later atom is read
+    with pytest.raises(InvalidIndexSetError, match="above the limit"):
+        elaborate(parse(f"0*V{{{MAX_V_INDEX + 1}}}^0*w1"), "integral")
 
 
 def test_lexer_reads_only_ascii_digits():
@@ -287,3 +296,95 @@ def test_one_pass_sum_matches_the_pairwise_fold(domain):
         assert got == want
         assert str(got) == str(want)
         assert dumps(got) == dumps(want)
+
+
+def _reference_atom(domain, rng):
+    """A random atom of the regime as (text, value from the public
+    constructors), drawn from small pools so that atoms repeat."""
+    if domain == "mod2":
+        i = rng.randint(1, 4)
+        return f"w{i}", w(i)
+    if domain == "chern":
+        i = rng.randint(1, 3)
+        return f"c{2 * i}", IntClass.integer((-1) ** i) * IntClass.p(i)
+    if rng.random() < 0.5:
+        i = rng.randint(1, 3)
+        return f"p{i}", IntClass.p(i)
+    indices = rng.choice([("1/2",), (1,), ("1/2", 2), (1, 3)])
+    text = "V{" + ",".join(str(i) for i in indices) + "}"
+    return text, IntClass.V(IndexSet.of(*indices))
+
+
+def _reference_literal(domain, n):
+    if domain == "mod2":
+        return MPoly2.one(SW) if n % 2 else MPoly2.zero(SW)
+    return IntClass.integer(n)
+
+
+def _random_term(rng, domain, literal_powers=True):
+    """A product of powers of atoms, bare literals 0-5 and (unless left
+    out) literal powers, as (text, its value by the ring's own * and **)."""
+    texts, values = [], []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.15:
+            n = rng.randint(0, 5)
+            texts.append(str(n))
+            values.append(_reference_literal(domain, n))
+        elif roll < 0.25 and literal_powers:
+            n, e = rng.randint(0, 3), rng.randint(0, 3)
+            texts.append(f"{n}^{e}")
+            values.append(_reference_literal(domain, n) ** e)
+        else:
+            text, value = _reference_atom(domain, rng)
+            e = rng.choice((None, 0, 1, 2, 3, 5))
+            texts.append(text if e is None else f"{text}^{e}")
+            values.append(value if e is None else value ** e)
+    return "*".join(texts), reduce(operator.mul, values)
+
+
+_FIXED_TERMS = {
+    "mod2": [("w3*w1*w3", w(3) * w(1) * w(3)), ("0^0*w1", w(1)),
+             ("w2^0", MPoly2.one(SW)), ("4*w1", MPoly2.zero(SW))],
+    "integral": [
+        ("V{1}*V{1}^2", IntClass.V([1]) * IntClass.V([1]) ** 2),
+        ("p2*p2^3*V{1/2,2}", IntClass.p(2) * IntClass.p(2) ** 3
+         * IntClass.V(IndexSet.of("1/2", 2))),
+        ("2^3*p1", IntClass.integer(8) * IntClass.p(1)),
+        ("0^0*p1", IntClass.p(1)), ("V{1}^0*3*p1", IntClass.integer(3) * IntClass.p(1)),
+        ("2*p1*V{1}", IntClass.zero()), ("3*p1*V{1}", IntClass.p(1) * IntClass.V([1])),
+    ],
+    "chern": [("c2^3*c4^2*c6", -IntClass.p(1) ** 3 * IntClass.p(2) ** 2 * -IntClass.p(3)),
+              ("c2^0*5", IntClass.integer(5)), ("c6*c2", IntClass.p(3) * IntClass.p(1))],
+}
+
+
+@pytest.mark.parametrize("domain", ["mod2", "integral", "chern"])
+def test_terms_match_the_ring_products_of_their_atoms(domain):
+    rng = random.Random(12)
+    cases = _FIXED_TERMS[domain] + [_random_term(rng, domain) for _ in range(300)]
+    for text, want in cases:
+        got = elaborate(parse(text), domain)
+        if domain == "chern":
+            got = got.free
+        assert got == want, text
+        assert str(got) == str(want), text
+        assert dumps(got) == dumps(want), text
+
+
+@pytest.mark.parametrize("domain", ["mod2", "integral", "chern"])
+def test_monomial_terms_take_no_ring_product(domain, monkeypatch):
+    rng = random.Random(13)
+    text = " + ".join(_random_term(rng, domain, literal_powers=False)[0]
+                      for _ in range(200))
+    calls = []
+    for module, name in [(wring, "_sum_products"), (feshbach, "int_mul")]:
+        def counted(*args, _real=getattr(module, name), **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    elaborate(parse(text), domain)
+    assert calls == []
+    # a parenthesized group still multiplies in the ring, and is counted
+    elaborate(parse(f"({text})*{text.split(' + ')[0]}"), domain)
+    assert calls
