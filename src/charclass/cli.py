@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chern_express)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p.add_argument("--degree", type=integer, default=_default_degree(),
                    help="degree cap (default %(default)s)")
     p.add_argument("--rank", type=integer, default=8)

@@ -28,7 +28,7 @@ from .errors import (
     NotComplexifiableError,
     NotInIdealError,
 )
-from .feshbach import IndexSet, IntClass, rho, signed_sum_str
+from .feshbach import IndexSet, IntClass, doubled_w_monomial, rho, signed_sum_str
 from .steenrod import sq1
 from .wring import (
     SW,
@@ -159,16 +159,10 @@ def _test_pair(d: int) -> tuple:
     return whitney_sum(fiber_bundle(work), g, work), g
 
 
-def _doubled_w_monomial(dset) -> MPoly2:
-    """The single monomial prod w_{2i} over an index set, doubled encoding
-    (the half index contributes w_1)."""
-    return MPoly2(frozenset({tuple((d, 1) for d in dset)}), SW)
-
-
 def lemma3_lhs(I: IndexSet, b: FormalBundle, ctx: RingContext = UNBOUNDED):
     """rho of the squared torsion generator on a bundle: the square of Sq1
     of prod w_{2i}, evaluated on the bundle."""
-    formal = square(sq1(_doubled_w_monomial(I.doubled), ctx), ctx)
+    formal = square(sq1(doubled_w_monomial(I.doubled), ctx), ctx)
     return evaluate_class(formal, b, ctx)
 
 
@@ -191,7 +185,7 @@ def lemma3_rhs(
     formal = MPoly2.zero(SW)
     ds = I.doubled
     for d in ds:
-        rest = _doubled_w_monomial(tuple(2 * d2 for d2 in ds if d2 != d))
+        rest = doubled_w_monomial(tuple(2 * d2 for d2 in ds if d2 != d))
         if d == 1:
             factor = square(MPoly2.gen(1 if mode == "verbatim" else 2, SW))
         else:

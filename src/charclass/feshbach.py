@@ -329,6 +329,12 @@ def int_mul(
     return IntClass(_freeze_free(free), MPoly2(torsion, TOR))
 
 
+def doubled_w_monomial(ds) -> MPoly2:
+    """The single monomial prod w_d over ascending doubled indices d: the
+    product of the w_{2i} over an index set, the half index giving w_1."""
+    return MPoly2(frozenset({tuple((d, 1) for d in ds)}), SW)
+
+
 @lru_cache(maxsize=4096)
 def _rho_image(i: int, ctx: RingContext) -> MPoly2:
     """rho of the tor variable i: w_{2k}^2 for p_k, Sq1 of the product of
@@ -336,7 +342,7 @@ def _rho_image(i: int, ctx: RingContext) -> MPoly2:
     if i < 0:
         return square(w(-2 * i), ctx)
     [(_, [(ds, _)])] = tor_terms(MPoly2.gen(i, TOR))
-    return sq1(MPoly2(frozenset({tuple((d, 1) for d in ds)}), SW), ctx)
+    return sq1(doubled_w_monomial(ds), ctx)
 
 
 def rho(
@@ -403,6 +409,27 @@ def _torsion_sum(keys: Iterable[MonomialKey]) -> IntClass:
     return IntClass((), MPoly2(frozenset(acc), TOR))
 
 
+def _pair_refusal(k: int, si: frozenset, sj: frozenset) -> str | None:
+    """The message refusing relation family k (2, 3 or 4) on index sets I
+    and J, given as sets of doubled indices, or None when it applies."""
+    if len(si) > len(sj):
+        return "the cardinality of I must not exceed that of J"
+    if k == 2:
+        if not (si & sj):
+            return "relation 2 needs intersecting I and J"
+        if si <= sj:
+            return "relation 2 needs I not contained in J"
+    elif k == 3:
+        if not (si < sj):
+            return "relation 3 needs I a proper subset of J"
+    elif k == 4:
+        if si & sj:
+            return "relation 4 needs disjoint I and J"
+        if len(si) == len(sj) and min(si) >= min(sj):
+            return "relation 4 with equal cardinalities needs min(I) < min(J)"
+    return None
+
+
 def relation(
     k: int,
     I: IndexSet | None = None,
@@ -412,10 +439,8 @@ def relation(
     """Left-hand side of relation family k (1..6) of the presentation.
 
     Side conditions (violations raise ValueError):
-      1: any I.                     2: |I|>1, |I|<=|J|, I&J nonempty, I not<=J.
-      3: |I|>1, I proper subset J.  4: |I|>1, |I|<=|J|, I,J disjoint; equal
-         sizes need min(I) < min(J).
-      5: |I|>1.                     6: even finite n; no index sets.
+      1: any I.         2-4: |I|>1 and the pair conditions of _pair_refusal.
+      5: |I|>1.         6: even finite n; no index sets.
     """
     if k == 1:
         if I is None:
@@ -445,15 +470,11 @@ def relation(
         raise ValueError(f"relation {k} needs J")
     J.require_valid_at(n)
     sj = frozenset(J.doubled)
-    if len(si) > len(sj):
-        raise ValueError("the cardinality of I must not exceed that of J")
+    if refusal := _pair_refusal(k, si, sj):
+        raise ValueError(refusal)
     vij = _tor_term([I.doubled, J.doubled])
 
     if k == 2:
-        if not (si & sj):
-            raise ValueError("relation 2 needs intersecting I and J")
-        if si <= sj:
-            raise ValueError("relation 2 needs I not contained in J")
         return _torsion_sum([
             vij,
             _tor_term(_convention(si | sj, n) + _convention(si & sj, n)),
@@ -461,20 +482,12 @@ def relation(
         ])
 
     if k == 3:
-        if not (si < sj):
-            raise ValueError("relation 3 needs I a proper subset of J")
         return _torsion_sum([vij] + [
             _tor_term([(d,), *_convention((sj - si) | {d}, n)], si - {d})
             for d in I.doubled
         ])
 
     if k == 4:
-        if si & sj:
-            raise ValueError("relation 4 needs disjoint I and J")
-        if len(si) == len(sj) and min(si) >= min(sj):
-            raise ValueError(
-                "relation 4 with equal cardinalities needs min(I) < min(J)"
-            )
         return _torsion_sum([vij] + [
             _tor_term([(d,), *_convention((si | sj) - {d}, n)]) for d in I.doubled
         ])
@@ -528,25 +541,14 @@ def verify_relations(n: int, degree_cap: int) -> Report:
         # the J with deg I + deg J <= degree_cap, in order
         for j in range(bisect_right(degrees, degree_cap - deg_i)):
             J, sj = sets[j], frozen[j]
-            if len(si) > len(sj):
-                continue
-            params = {"n": n, "I": str(I), "J": str(J)}
-            # family 2: intersecting, incomparable (symmetric: dedup equal sizes)
-            if (
-                (si & sj)
-                and not (si <= sj)
-                and not (len(si) == len(sj) and I.doubled > J.doubled)
-            ):
-                check(f"rel2[n={n},I={I},J={J}]", {"relation": 2, **params},
-                      relation(2, I, J, n=n))
-            if si < sj:
-                check(f"rel3[n={n},I={I},J={J}]", {"relation": 3, **params},
-                      relation(3, I, J, n=n))
-            if not (si & sj) and (
-                len(si) < len(sj) or min(si) < min(sj)
-            ):
-                check(f"rel4[n={n},I={I},J={J}]", {"relation": 4, **params},
-                      relation(4, I, J, n=n))
+            for k in (2, 3, 4):
+                # family 2 is symmetric in I and J: dedup equal sizes
+                if _pair_refusal(k, si, sj) is None and not (
+                    k == 2 and len(si) == len(sj) and I.doubled > J.doubled
+                ):
+                    check(f"rel{k}[n={n},I={I},J={J}]",
+                          {"relation": k, "n": n, "I": str(I), "J": str(J)},
+                          relation(k, I, J, n=n))
         if deg_i + 1 <= degree_cap:
             check(f"rel5[n={n},I={I}]", {"relation": 5, "n": n, "I": str(I)},
                   relation(5, I, n=n))

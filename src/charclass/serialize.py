@@ -26,11 +26,7 @@ from .bundlecalc import FormalBundle
 from .errors import InvalidIndexSetError
 from .feshbach import IndexSet, IntClass, _freeze_free
 from .report import Report
-from .wring import EXT, ROOT, SW, TOR, MPoly2, ext_terms, mono_degree, tor_key, tor_terms
-
-
-def _sorted_keys(p: MPoly2):
-    return sorted(p.monomials, key=lambda k: (mono_degree(k, p.namespace), k))
+from .wring import EXT, ROOT, SW, TOR, MPoly2, ext_terms, graded_lex, tor_key, tor_terms
 
 
 def to_json_obj(x):
@@ -42,7 +38,7 @@ def to_json_obj(x):
                 for vs, w_key in ext_terms(x)
             ]}
         obj = {"type": "mod2", "monomials": [
-            [[i, e] for i, e in key] for key in _sorted_keys(x)
+            [[i, e] for i, e in key] for key in graded_lex(x)
         ]}
         if x.namespace == ROOT:
             obj["namespace"] = "root"

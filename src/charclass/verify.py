@@ -13,6 +13,7 @@ from .bundlecalc import (
     evaluate_class,
     fiber_bundle,
     roots_bundle,
+    sw as bundle_class,
     underlying_of_complexification,
     universal_bundle,
 )
@@ -42,9 +43,6 @@ from .wring import (
     require_degree_cap_at_least,
     square,
 )
-
-SUITES = ("theorem1", "lemma3", "relations", "identities", "all")
-
 
 # -- seeded samplers ---------------------------------------------------------
 
@@ -197,22 +195,12 @@ def suite_relations(max_rank: int = 8, degree: int = 24) -> Report:
     return report
 
 
-def suite_identities(degree: int = 24, seed: int = 0) -> Report:
-    """The remaining verified identities: doubled-bundle squares, Sq1 laws,
-    the Cartan kernel, the root oracle, and the integral theorems.
-
-    Refuses degree < 1: a square-free witness needs a variable, and at
-    degree 0 only the constant 1 can be drawn."""
-    require_degree_cap_at_least(RingContext(degree_cap=degree), 1, "identities suite")
-    rng = random.Random(seed)
-    report = Report(f"identities[degree<={degree},seed={seed}]")
-
-    # squared-class reduction on the universal bundle, rank 12 / degree 24
+def check_squares(report: Report) -> None:
+    """Squared-class reduction on the universal bundle (rank 12, degree 24):
+    its doubled bundle has w_{2n} = w_n^2 and w_{2n+1} = 0."""
     ctx = RingContext(degree_cap=24, rank_cap=12)
     u = universal_bundle(ctx)
     uu = underlying_of_complexification(u, ctx)
-    from .bundlecalc import sw as bundle_class
-
     for n in range(1, 13):
         even_ok = bundle_class(uu, 2 * n) == square(bundle_class(u, n), ctx)
         odd_ok = bundle_class(uu, 2 * n + 1).is_zero()
@@ -222,19 +210,12 @@ def suite_identities(degree: int = 24, seed: int = 0) -> Report:
             "" if even_ok and odd_ok else "doubled-bundle square identity failed",
         )
 
-    # fiber bundle complexifies trivially
-    fctx = RingContext(degree_cap=degree)
-    fiber_sq = underlying_of_complexification(fiber_bundle(fctx), fctx)
-    report.add(
-        "fiber-trivial", {"degree": degree},
-        PASS if fiber_sq.total == MPoly2.one(fiber_sq.total.namespace) else FAIL,
-    )
 
-    # Sq1 laws on seeded samples of degree <= 16
-    sq1_degree = 16
+def check_sq1_laws(report: Report, rng: random.Random) -> None:
+    """Sq1 laws on 200 seeded classes of degree <= 16."""
     prev = None
     for k in range(200):
-        x = random_mod2(rng, sq1_degree)
+        x = random_mod2(rng, 16)
         problems = []
         if not sq1(sq1(x)).is_zero():
             problems.append("sq1 twice is nonzero")
@@ -257,7 +238,10 @@ def suite_identities(degree: int = 24, seed: int = 0) -> Report:
             FAIL if problems else PASS, "; ".join(problems),
         )
 
-    # Cartan kernel: ideal members restrict to zero and decompose exactly
+
+def check_cartan(report: Report, rng: random.Random, degree: int) -> None:
+    """The Cartan kernel: ideal members restrict to zero and decompose
+    exactly; square-free classes are refused with a witness."""
     for k in range(100):
         c = random_ideal_member(rng, degree)
         ok = cartan_restrict(c).is_zero()
@@ -290,21 +274,10 @@ def suite_identities(degree: int = 24, seed: int = 0) -> Report:
             "" if ok else f"square-free class mishandled: {c}",
         )
 
-    # root oracle agreement: evaluation on the splitting bundle matches
-    # evaluation after rank truncation
-    for m in range(2, 7):
-        roots = roots_bundle(m)
-        for k in range(5):
-            c = random_mod2(rng, 8)
-            lhs = evaluate_class(c, roots)
-            rhs = evaluate_class(reduce_poly(c, RingContext(rank_cap=m)), roots)
-            report.add(
-                f"roots[m={m},{k}]", {"m": m, "index": k},
-                PASS if lhs == rhs else FAIL,
-            )
 
-    # integral theorems: closure of the complexifiable generators, and the
-    # Chern-expression round trip
+def check_integral(report: Report, rng: random.Random, degree: int) -> None:
+    """The integral theorems on 100 seeded classes: closure (theorem2[k])
+    and the Chern-expression round trip (theorem3[k])."""
     ictx = RingContext(degree_cap=degree)
     for k in range(100):
         cl = random_integral_complexifiable(rng, degree)
@@ -323,25 +296,68 @@ def suite_identities(degree: int = 24, seed: int = 0) -> Report:
             ok = expr.expand_torsion_rho(ictx) == rho(cl.torsion_part(), ictx)
             detail = "" if ok else "torsion rho-image round trip failed"
         report.add(f"theorem3[{k}]", params, PASS if ok else FAIL, detail)
+
+
+def suite_identities(degree: int = 24, seed: int = 0) -> Report:
+    """The remaining verified identities: doubled-bundle squares, Sq1 laws,
+    the Cartan kernel, the root oracle, and the integral theorems.
+
+    Refuses degree < 1: a square-free witness needs a variable, and at
+    degree 0 only the constant 1 can be drawn."""
+    require_degree_cap_at_least(RingContext(degree_cap=degree), 1, "identities suite")
+    rng = random.Random(seed)
+    report = Report(f"identities[degree<={degree},seed={seed}]")
+    check_squares(report)
+
+    # fiber bundle complexifies trivially
+    fctx = RingContext(degree_cap=degree)
+    fiber_sq = underlying_of_complexification(fiber_bundle(fctx), fctx)
+    report.add(
+        "fiber-trivial", {"degree": degree},
+        PASS if fiber_sq.total == MPoly2.one(fiber_sq.total.namespace) else FAIL,
+    )
+
+    check_sq1_laws(report, rng)
+    check_cartan(report, rng, degree)
+
+    # root oracle agreement: evaluation on the splitting bundle matches
+    # evaluation after rank truncation
+    for m in range(2, 7):
+        roots = roots_bundle(m)
+        for k in range(5):
+            c = random_mod2(rng, 8)
+            lhs = evaluate_class(c, roots)
+            rhs = evaluate_class(reduce_poly(c, RingContext(rank_cap=m)), roots)
+            report.add(
+                f"roots[m={m},{k}]", {"m": m, "index": k},
+                PASS if lhs == rhs else FAIL,
+            )
+
+    check_integral(report, rng, degree)
     return report
+
+
+# suite name -> its run(degree, rank, seed), in the order `all` runs them
+SUITES = {
+    "theorem1": lambda degree, rank, seed: suite_theorem1(degree=degree, seed=seed),
+    "lemma3": lambda degree, rank, seed: suite_lemma3(),
+    "relations": lambda degree, rank, seed: suite_relations(max_rank=rank, degree=degree),
+    "identities": lambda degree, rank, seed: suite_identities(degree=degree, seed=seed),
+}
 
 
 def run_suite(
     name: str, degree: int = 24, rank: int = 8, seed: int = 0
 ) -> Report:
-    if name == "theorem1":
-        return suite_theorem1(degree=degree, seed=seed)
-    if name == "lemma3":
-        return suite_lemma3()
-    if name == "relations":
-        return suite_relations(max_rank=rank, degree=degree)
-    if name == "identities":
-        return suite_identities(degree=degree, seed=seed)
-    if name == "all":
-        merged = Report(f"all[degree<={degree},rank<={rank},seed={seed}]")
-        merged.extend(suite_theorem1(degree=degree, seed=seed))
-        merged.extend(suite_lemma3())
-        merged.extend(suite_relations(max_rank=rank, degree=degree))
-        merged.extend(suite_identities(degree=degree, seed=seed))
-        return merged
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    """One suite of SUITES, or every suite in table order for "all".  A
+    negative degree or rank is refused, whichever suite reads it."""
+    names = [*SUITES, "all"]
+    if name not in names:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(names)}")
+    RingContext(degree, rank)
+    if name != "all":
+        return SUITES[name](degree, rank, seed)
+    merged = Report(f"all[degree<={degree},rank<={rank},seed={seed}]")
+    for run in SUITES.values():
+        merged.extend(run(degree, rank, seed))
+    return merged

@@ -302,6 +302,11 @@ class MPoly2:
         return f"MPoly2({self})"
 
 
+def graded_lex(a: MPoly2) -> list:
+    """The monomial keys of a in graded-lex order: by degree, then by key."""
+    return sorted(a.monomials, key=lambda k: (mono_degree(k, a.namespace), k))
+
+
 def poly_str(a: MPoly2, letter: str | None = None) -> str:
     """Canonical text: monomials in graded-lex order, `letter` overriding
     the namespace letter (used for the u / rc symbol families); ext and tor
@@ -315,8 +320,7 @@ def poly_str(a: MPoly2, letter: str | None = None) -> str:
         monos = [tor_factors(p_key, v_key) for p_key, v_key in tor_terms(a)]
     else:
         letter = letter or _LETTER[a.namespace]
-        keys = sorted(a.monomials, key=lambda k: (mono_degree(k, a.namespace), k))
-        monos = [mono_factors(k, letter) for k in keys]
+        monos = [mono_factors(k, letter) for k in graded_lex(a)]
     return " + ".join("*".join(m) or "1" for m in monos)
 
 

@@ -8,45 +8,22 @@ this is symbolic algebra) and asserts its stated time budget.
 import random
 import time
 
-from charclass.bundlecalc import (
-    sw,
-    underlying_of_complexification,
-    universal_bundle,
-)
 from charclass.cli import main as cli_main
-from charclass.complexifiability import (
-    cartan_restrict,
-    express_via_chern,
-    ideal_decomposition,
-    invariance_oracle,
-    is_complexifiable_integral,
-)
-from charclass.errors import NotInIdealError
 from charclass.expr import parse_integral, parse_mod2
-from charclass.feshbach import rho
-from charclass.report import EXPECTED_MISMATCH
+from charclass.report import EXPECTED_MISMATCH, Report
 from charclass.serialize import dumps, loads
-from charclass.steenrod import sq1
 from charclass.verify import (
-    random_ideal_member,
+    check_cartan,
+    check_integral,
+    check_sq1_laws,
+    check_squares,
     random_integral_complexifiable,
     random_mod2,
-    random_squarefree_containing,
     suite_lemma3,
     suite_relations,
     suite_theorem1,
 )
-from charclass.wring import (
-    SW,
-    MPoly2,
-    RingContext,
-    add,
-    grade_component,
-    mono_degree,
-    mul,
-    square,
-    w,
-)
+from charclass.wring import SW, MPoly2, mul
 
 SEED = 2024
 
@@ -56,72 +33,34 @@ def _report(number: int, name: str, elapsed: float, detail: str = "") -> None:
     print(f"ACCEPTANCE {number} {name}: PASS ({elapsed:.2f}s{extra})")
 
 
-def test_criterion_1_squared_class_reduction():
+def _section(check, *args) -> tuple:
+    """The report of one verify section run alone, and its time."""
+    report = Report(check.__name__)
     t0 = time.perf_counter()
-    ctx = RingContext(degree_cap=24, rank_cap=12)
-    u = universal_bundle(ctx)
-    uu = underlying_of_complexification(u, ctx)
-    for n in range(1, 13):
-        assert sw(uu, 2 * n) == square(sw(u, n), ctx), f"even identity fails at {n}"
-        assert sw(uu, 2 * n + 1).is_zero(), f"odd identity fails at {n}"
-    elapsed = time.perf_counter() - t0
+    check(report, *args)
+    return report, time.perf_counter() - t0
+
+
+def test_criterion_1_squared_class_reduction():
+    report, elapsed = _section(check_squares)
+    assert len(report.cases) == 12  # n = 1..12, even and odd identities
+    assert report.failures == 0, str(report)
     assert elapsed < 5.0
     _report(1, "squared-class reduction", elapsed, "n=1..12 exact")
 
 
 def test_criterion_2_sq1_laws():
-    t0 = time.perf_counter()
-    rng = random.Random(SEED)
-    failures = 0
-    prev = None
-    for _ in range(200):
-        x = random_mod2(rng, 16)
-        if not sq1(sq1(x)).is_zero():
-            failures += 1
-        if not sq1(square(x)).is_zero():
-            failures += 1
-        for d in {mono_degree(k, SW) for k in x.monomials}:
-            image = sq1(grade_component(x, d))
-            if image != grade_component(image, d + 1):
-                failures += 1
-        if prev is not None and sq1(mul(prev, x)) != add(
-            mul(sq1(prev), x), mul(prev, sq1(x))
-        ):
-            failures += 1
-        prev = x
-    elapsed = time.perf_counter() - t0
-    assert failures == 0
+    report, elapsed = _section(check_sq1_laws, random.Random(SEED))
+    assert len(report.cases) == 200
+    assert report.failures == 0, str(report)
     assert elapsed < 5.0
     _report(2, "Sq1 laws", elapsed, "200 samples, 0 failures")
 
 
 def test_criterion_3_cartan_kernel():
-    t0 = time.perf_counter()
-    rng = random.Random(SEED)
-    failures = 0
-    for _ in range(100):
-        c = random_ideal_member(rng, 20)
-        if not cartan_restrict(c).is_zero():
-            failures += 1
-            continue
-        rebuilt = MPoly2.zero()
-        for i, cofactor in ideal_decomposition(c):
-            rebuilt = add(rebuilt, mul(square(w(i)), cofactor))
-        if rebuilt != c:
-            failures += 1
-    for _ in range(100):
-        c = random_squarefree_containing(rng, 20)
-        if cartan_restrict(c).is_zero():
-            failures += 1
-            continue
-        try:
-            ideal_decomposition(c)
-            failures += 1
-        except NotInIdealError as err:
-            if not err.witness:
-                failures += 1
-    elapsed = time.perf_counter() - t0
-    assert failures == 0
+    report, elapsed = _section(check_cartan, random.Random(SEED), 20)
+    assert len(report.cases) == 200  # 100 ideal members, 100 square-free
+    assert report.failures == 0, str(report)
     assert elapsed < 5.0
     _report(3, "Cartan kernel", elapsed, "100+100 samples, 0 failures")
 
@@ -166,39 +105,26 @@ def test_criterion_6_feshbach_relations():
     _report(6, "Feshbach relations", elapsed, f"{total} cases, 0 failures")
 
 
-def _theorem2_classes():
-    rng = random.Random(SEED)
-    return [random_integral_complexifiable(rng, 24) for _ in range(100)]
+def _integral_report(prefix: str) -> tuple:
+    """The cases of one check_integral run whose id starts with prefix,
+    and the run's time."""
+    report, elapsed = _section(check_integral, random.Random(SEED), 24)
+    report.cases = [c for c in report.cases if c.id.startswith(prefix)]
+    return report, elapsed
 
 
 def test_criterion_7_theorem2_closure():
-    t0 = time.perf_counter()
-    ctx = RingContext(degree_cap=24)
-    failures = 0
-    for cl in _theorem2_classes():
-        if not is_complexifiable_integral(cl, ctx):
-            failures += 1
-            continue
-        if not invariance_oracle(rho(cl, ctx), ctx):
-            failures += 1
-    elapsed = time.perf_counter() - t0
-    assert failures == 0
+    report, elapsed = _integral_report("theorem2[")
+    assert len(report.cases) == 100
+    assert report.failures == 0, str(report)
     assert elapsed < 30.0
     _report(7, "Theorem 2 closure", elapsed, "100 samples, 0 failures")
 
 
 def test_criterion_8_theorem3_round_trip():
-    t0 = time.perf_counter()
-    ctx = RingContext(degree_cap=24)
-    failures = 0
-    for cl in _theorem2_classes():
-        expr = express_via_chern(cl, ctx)
-        if expr.expand_free() != cl.free_part():
-            failures += 1
-        if expr.expand_torsion_rho(ctx) != rho(cl.torsion_part(), ctx):
-            failures += 1
-    elapsed = time.perf_counter() - t0
-    assert failures == 0
+    report, elapsed = _integral_report("theorem3[")
+    assert len(report.cases) == 100
+    assert report.failures == 0, str(report)
     assert elapsed < 10.0
     _report(8, "Theorem 3 round trip", elapsed, "100 samples, 0 failures")
 

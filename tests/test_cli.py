@@ -129,6 +129,13 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "eval", "--expr", "w1", "--bundle", "moebius")
     assert code == 1
+    # a negative cap, also one the suite does not read, and an unknown suite
+    for argv in (["--suite", "relations", "--rank", "-3"],
+                 ["--suite", "lemma3", "--degree", "-7"],
+                 ["--suite", "theorem1", "--degree", "-1"],
+                 ["--suite", "bogus"]):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert (code, out) == (1, ""), argv
 
 
 def test_default_degree_env(capsys, monkeypatch):

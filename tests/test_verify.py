@@ -1,0 +1,22 @@
+"""The suite table behind `charclass verify`."""
+
+import pytest
+
+from charclass.verify import SUITES, run_suite
+
+
+def test_unknown_suite_names_every_choice():
+    with pytest.raises(ValueError) as err:
+        run_suite("bogus")
+    assert str(err.value) == (
+        "unknown suite 'bogus'; choose from theorem1, lemma3, relations, identities, all"
+    )
+
+
+def test_all_runs_every_suite_in_table_order():
+    assert list(SUITES) == ["theorem1", "lemma3", "relations", "identities"]
+    caps = {"degree": 12, "rank": 4, "seed": 7}
+    ids = [c.id for name in SUITES for c in run_suite(name, **caps).cases]
+    merged = run_suite("all", **caps)
+    assert merged.suite == "all[degree<=12,rank<=4,seed=7]"
+    assert [c.id for c in merged.cases] == ids
