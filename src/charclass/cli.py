@@ -121,8 +121,8 @@ def cmd_rho(args) -> int:
 
 
 def cmd_complexifiable(args) -> int:
+    ctx = RingContext(args.degree, args.rank)
     if args.integral:
-        ctx = RingContext(args.degree, args.rank)
         verdict = is_complexifiable_integral(parse_integral(args.expr), ctx)
     else:
         verdict = is_complexifiable_mod2(parse_mod2(args.expr))

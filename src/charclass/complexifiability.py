@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .bundlecalc import (
     FormalBundle,
-    cartan_restrict,  # noqa: F401  (re-exported: kernel test for the ideal)
     evaluate_class,
     fiber_bundle,
     to_ext,
@@ -198,14 +197,26 @@ def lemma3_rhs(
     return evaluate_class(formal, doubled, ctx)
 
 
+def _torsion_image(C: IntClass, ctx: RingContext) -> MPoly2:
+    """rho of the torsion part of C; refuses caps below deg C, under which
+    truncation could hide an odd exponent."""
+    d = C.degree()
+    require_degree_cap_at_least(ctx, d, "integral criterion")
+    require_rank_cap_at_least(ctx, d, "integral criterion")
+    return rho(C.torsion_part(), ctx)
+
+
 def is_complexifiable_integral(C: IntClass, ctx: RingContext) -> bool:
     """Integral criterion: the free Pontrjagin part is always fine, so the
     class is complexifiable iff rho of its torsion part lands in the squares
     sub-ring."""
-    d = C.degree()
-    require_degree_cap_at_least(ctx, d, "integral criterion")
-    require_rank_cap_at_least(ctx, d, "integral criterion")
-    return is_complexifiable_mod2(rho(C.torsion_part(), ctx))
+    return is_complexifiable_mod2(_torsion_image(C, ctx))
+
+
+def chern_sign(p_key) -> int:
+    """The sign of a Pontrjagin monomial in Chern classes of the
+    complexification, through p_i = (-1)^i c_{2i}."""
+    return -1 if sum(i * e for i, e in p_key) % 2 else 1
 
 
 class ChernExpr:
@@ -249,7 +260,7 @@ class ChernExpr:
 
     def __str__(self):
         terms = [
-            (-coeff if sum(i * e for i, e in p_key) % 2 else coeff,
+            (chern_sign(p_key) * coeff,
              mono_factors(tuple((2 * i, e) for i, e in p_key), "c"))
             for p_key, coeff in self.free.free
         ]
@@ -265,10 +276,12 @@ def express_via_chern(C: IntClass, ctx: RingContext) -> ChernExpr:
     """Rewrite a complexifiable integral class through Chern classes of the
     complexification: the free part via p_i = (-1)^i c_{2i}, the torsion via
     the halved exponents of its rho-image."""
-    if not is_complexifiable_integral(C, ctx):
+    image = _torsion_image(C, ctx)
+    try:
+        halved = subring_decomposition(image).poly_in_u
+    except NotComplexifiableError:
         raise NotComplexifiableError(
             "rho of the torsion part has an odd exponent; cannot express "
             "through Chern classes"
-        )
-    halved = subring_decomposition(rho(C.torsion_part(), ctx)).poly_in_u
+        ) from None
     return ChernExpr(C.free_part(), halved)

@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial, reduce
 
-from .complexifiability import ChernExpr
+from .complexifiability import ChernExpr, chern_sign
 from .errors import MixedExpressionError, ParseError
 from .feshbach import IndexSet, IntClass, int_add_all
 from .wring import SW, TOR, MPoly2, add_all, tor_key
@@ -73,42 +73,38 @@ MAX_NESTING = 100
 DIGITS = frozenset("0123456789")
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        self._run()
-
-    def _run(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in DIGITS:
-                j = i
-                while j < len(text) and text[j] in DIGITS:
-                    j += 1
-                self.tokens.append(("nat", int(text[i:j]), i))
-                i = j
-                continue
-            if ch in "wpcV":
-                self.tokens.append(("name", ch, i))
-                i += 1
-                continue
-            if ch in "+-*^(){},/":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", None, len(text)))
+def _tokens(text: str) -> list:
+    """The (kind, value, position) tokens of text, ending in an "end" token."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in DIGITS:
+            j = i
+            while j < len(text) and text[j] in DIGITS:
+                j += 1
+            tokens.append(("nat", int(text[i:j]), i))
+            i = j
+            continue
+        if ch in "wpcV":
+            tokens.append(("name", ch, i))
+            i += 1
+            continue
+        if ch in "+-*^(){},/":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _tokens(text)
         self.i = 0
         self.depth = 0
 
@@ -308,7 +304,7 @@ def _integral_term(factors, chern: bool = False) -> IntClass:
     """One free p monomial with the literals' product as coefficient, or,
     when a V factor remains, one tor monomial if that product is odd and 0
     if it is even (2*V_I = 0).  With chern, the atoms are even Chern
-    classes, c_{2i} read as (-1)^i p_i."""
+    classes, c_{2i} read as p_i with the sign chern_sign gives."""
     coeff, p_exps, v_exps = 1, {}, {}
     for atom, e in factors:
         if isinstance(atom, IntLit):
@@ -323,10 +319,7 @@ def _integral_term(factors, chern: bool = False) -> IntClass:
                     f"c{atom.index}: only even Chern classes arise from "
                     "complexifiable classes"
                 )
-            i = atom.index // 2
-            if i % 2 and e % 2:
-                coeff = -coeff
-            p_exps[i] = p_exps.get(i, 0) + e
+            p_exps[atom.index // 2] = p_exps.get(atom.index // 2, 0) + e
         elif isinstance(atom, VGen):
             ds = IndexSet(atom.doubled).doubled
             v_exps[ds] = v_exps.get(ds, 0) + e
@@ -335,6 +328,8 @@ def _integral_term(factors, chern: bool = False) -> IntClass:
         else:
             p_exps[atom.index] = p_exps.get(atom.index, 0) + e
     p_key = tuple(sorted((i, e) for i, e in p_exps.items() if e))
+    if chern:
+        coeff *= chern_sign(p_key)
     v_key = [(ds, e) for ds, e in v_exps.items() if e]
     if not v_key:
         return IntClass(((p_key, coeff),) if coeff else ())

@@ -38,6 +38,7 @@ from .wring import (
     MonomialKey,
     MPoly2,
     RingContext,
+    _mask_doubled,
     add_all,
     evaluate_monomials,
     index_str,
@@ -141,7 +142,7 @@ class IndexSet:
 #   V_I the bit mask of I: bit 0 for 1/2, bit k for k), each monomial with a
 #   V factor; wring.tor_key / tor_terms encode and decode it.  Tor values
 #   take no rank cap, which would read masks as indices; _validate_rank
-#   checks rank validity on the masks instead.
+#   checks the decoded index sets with IndexSet.valid_at instead.
 PKey = tuple
 
 
@@ -222,7 +223,7 @@ class IntClass:
         return max([self.torsion.degree()] + [_p_degree(k) for k, _ in self.free])
 
     def index_sets(self) -> set:
-        return {ds for _, v_key in tor_terms(self.torsion) for ds, _ in v_key}
+        return {_mask_doubled(i) for i in self.torsion.variables() if i > 0}
 
     def __eq__(self, other):
         return (
@@ -284,15 +285,9 @@ def int_add_all(classes: Iterable[IntClass]) -> IntClass:
 
 
 def _validate_rank(a: IntClass, n: int | None) -> None:
-    if n is None or not a.torsion:
-        return
-    # On the V masks: no integer bit above n/2, and not both bit 0 and n/2.
-    above = -1 << (n // 2 + 1)
-    both = 1 | 1 << (n // 2) if n > 1 and n % 2 == 0 else 0
-    for i in a.torsion.variables():
-        if i > 0 and (i & above or (both and i & both == both)):
-            for ds in sorted(a.index_sets()):
-                IndexSet(ds).require_valid_at(n)
+    if n is not None:
+        for ds in sorted(a.index_sets()):
+            IndexSet(ds).require_valid_at(n)
 
 
 def _with_odd_free(a: IntClass) -> MPoly2:
@@ -341,8 +336,7 @@ def _rho_image(i: int, ctx: RingContext) -> MPoly2:
     the w_d over the doubled indices d of I for V_I."""
     if i < 0:
         return square(w(-2 * i), ctx)
-    [(_, [(ds, _)])] = tor_terms(MPoly2.gen(i, TOR))
-    return sq1(doubled_w_monomial(ds), ctx)
+    return sq1(doubled_w_monomial(_mask_doubled(i)), ctx)
 
 
 def rho(

@@ -28,6 +28,7 @@ inputs first and prune during multiplication.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -160,6 +161,7 @@ def tor_factors(p_key: MonomialKey, v_key: Iterable) -> list:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class RingContext:
     """Optional degree cap and rank cap; None means unbounded.
 
@@ -168,14 +170,14 @@ class RingContext:
     namespace a monomial with a repeated v is dropped under any context.
     """
 
-    __slots__ = ("degree_cap", "rank_cap")
+    degree_cap: int | None = None
+    rank_cap: int | None = None
 
-    def __init__(self, degree_cap: int | None = None, rank_cap: int | None = None):
-        for name, cap in (("degree_cap", degree_cap), ("rank_cap", rank_cap)):
+    def __post_init__(self):
+        for name in ("degree_cap", "rank_cap"):
+            cap = getattr(self, name)
             if cap is not None and (not isinstance(cap, int) or cap < 0):
                 raise ValueError(f"{name} must be a nonnegative integer or None")
-        self.degree_cap = degree_cap
-        self.rank_cap = rank_cap
 
     def admits(self, key: MonomialKey, namespace: str) -> bool:
         if namespace == EXT and _repeats_v(key):
@@ -188,19 +190,6 @@ class RingContext:
 
     def is_unbounded(self) -> bool:
         return self.degree_cap is None and self.rank_cap is None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingContext)
-            and self.degree_cap == other.degree_cap
-            and self.rank_cap == other.rank_cap
-        )
-
-    def __hash__(self):
-        return hash((self.degree_cap, self.rank_cap))
-
-    def __repr__(self):
-        return f"RingContext(degree_cap={self.degree_cap}, rank_cap={self.rank_cap})"
 
 
 UNBOUNDED = RingContext()

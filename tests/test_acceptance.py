@@ -67,7 +67,7 @@ def test_criterion_3_cartan_kernel():
 
 def test_criterion_4_theorem1_biconditional():
     t0 = time.perf_counter()
-    report = suite_theorem1(degree=16, count=200, seed=SEED)
+    report = suite_theorem1(degree=16, seed=SEED)
     members = sum(c.params["member"] for c in report.cases)
     elapsed = time.perf_counter() - t0
     assert len(report.cases) == 200

@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, determinism, and report files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import charclass
-from charclass.cli import main
+from charclass.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -136,6 +137,26 @@ def test_usage_error_exit_1(capsys):
                  ["--suite", "bogus"]):
         code, out, _ = run(capsys, "verify", *argv)
         assert (code, out) == (1, ""), argv
+
+
+def test_negative_caps_exit_1_in_every_command(capsys):
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    checked = []
+    for name, sub in commands.choices.items():
+        required = []
+        for action in sub._actions:
+            if action.required:
+                required += [action.option_strings[0],
+                             action.choices[0] if action.choices else "1"]
+        options = {s for action in sub._actions for s in action.option_strings}
+        for cap in ("--degree", "--rank"):
+            if cap in options:
+                code, out, err = run(capsys, name, *required, cap, "-1")
+                assert (code, out) == (1, ""), (name, cap)
+                assert "must be a nonnegative integer" in err, (name, cap)
+                checked.append(name)
+    assert "complexifiable" in checked and "verify" in checked
 
 
 def test_default_degree_env(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from charclass import complexifiability
 from charclass.bundlecalc import (
     evaluate_class,
     fiber_bundle,
@@ -30,6 +31,7 @@ from charclass.errors import (
     NotComplexifiableError,
     NotInIdealError,
 )
+from charclass.expr import elaborate, parse
 from charclass.feshbach import IndexSet, IntClass, rho
 from charclass.verify import (
     random_ideal_member,
@@ -223,6 +225,51 @@ def test_express_via_chern_signs():
         (e3, IntClass.p(1) * IntClass.p(2)),
     ]:
         assert expr.expand_free() == cls
+
+
+def test_express_via_chern_reduces_once(monkeypatch):
+    calls = []
+
+    def counting_rho(*args):
+        calls.append(args)
+        return rho(*args)
+
+    monkeypatch.setattr(complexifiability, "rho", counting_rho)
+    ctx = RingContext(degree_cap=24)
+    vh2 = IntClass.V(["1/2"]) * IntClass.V(["1/2"])
+    for cl in (IntClass.p(1), vh2, IntClass.p(1) + vh2):
+        calls.clear()
+        express_via_chern(cl, ctx)
+        assert len(calls) == 1, cl
+    calls.clear()
+    with pytest.raises(NotComplexifiableError, match="cannot express through Chern"):
+        express_via_chern(IntClass.V([1]), ctx)
+    assert len(calls) == 1
+
+
+def random_pontrjagin(rng: random.Random, cap: int) -> IntClass:
+    """A sum of up to five integer multiples of p-monomials of degree <= cap."""
+    total = IntClass.zero()
+    for _ in range(rng.randint(1, 5)):
+        term = IntClass.integer(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]))
+        budget = cap
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(1, cap // 4)
+            if 4 * i > budget:
+                break
+            term = term * IntClass.p(i)
+            budget -= 4 * i
+        total = total + term
+    return total
+
+
+def test_chern_text_round_trip():
+    rng = random.Random(81)
+    ctx = RingContext(degree_cap=24)
+    for _ in range(300):
+        P = random_pontrjagin(rng, 24)
+        text = str(express_via_chern(P, ctx))
+        assert elaborate(parse(text), "chern").free == P, text
 
 
 def test_theorem_2_and_3_random():

@@ -107,6 +107,22 @@ def test_int_mul_validates_rank():
     assert int_mul(IntClass.V(["1/2", 2]), IntClass.p(1), n=5)
 
 
+def test_int_mul_refuses_exactly_the_index_sets_invalid_at_the_rank():
+    pool = (1, 2, 4, 6, 8, 10, 12)  # doubled 1/2, 1, ..., 6
+    for size in range(1, len(pool) + 1):
+        for ds in combinations(pool, size):
+            I = IndexSet(ds)
+            for r in range(13):
+                if I.valid_at(r):
+                    int_mul(IntClass.V(I), IntClass.p(1), n=r)
+                    continue
+                with pytest.raises(InvalidIndexSetError) as expected:
+                    I.require_valid_at(r)
+                with pytest.raises(InvalidIndexSetError) as refused:
+                    int_mul(IntClass.V(I), IntClass.p(1), n=r)
+                assert str(refused.value) == str(expected.value)
+
+
 def test_rho_on_generators():
     assert rho(IntClass.V(["1/2"])) == square(w(1))
     assert rho(IntClass.V([1])) == w(1) * w(2) + w(3)
