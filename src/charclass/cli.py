@@ -170,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rank_default=None):
+    def common(p):
         p.add_argument("--expr", required=True, help="class expression")
         p.add_argument("--degree", type=integer, default=_default_degree(),
                        help="degree cap (default %(default)s)")
-        p.add_argument("--rank", type=integer, default=rank_default,
+        p.add_argument("--rank", type=integer,
                        help="rank cap (default unbounded)")
 
     p = sub.add_parser("eval", help="evaluate a mod-2 class, optionally on a bundle")

@@ -140,9 +140,9 @@ class IndexSet:
 # free part: dict p_key -> nonzero int, frozen to a sorted tuple
 # torsion part: an MPoly2 in the wring namespace tor (p_i is variable -i,
 #   V_I the bit mask of I: bit 0 for 1/2, bit k for k), each monomial with a
-#   V factor; wring.tor_key / tor_terms encode and decode it.  Tor values
-#   take no rank cap, which would read masks as indices; _validate_rank
-#   checks the decoded index sets with IndexSet.valid_at instead.
+#   V factor; wring.tor_key / tor_terms encode and decode it.  A rank cap
+#   truncates only w_i, so tor values keep every mask; _validate_rank is the
+#   one gate that refuses index sets invalid at a rank.
 PKey = tuple
 
 
@@ -284,10 +284,22 @@ def int_add_all(classes: Iterable[IntClass]) -> IntClass:
     return IntClass(_freeze_free(free), add_all(torsions))
 
 
+@lru_cache(maxsize=4096)
+def _mask_valid_at(mask: int, n: int) -> bool:
+    return IndexSet(_mask_doubled(mask)).valid_at(n)
+
+
 def _validate_rank(a: IntClass, n: int | None) -> None:
-    if n is not None:
-        for ds in sorted(a.index_sets()):
-            IndexSet(ds).require_valid_at(n)
+    """Refuse a class with an index set invalid at rank n, naming the first
+    such set in doubled order."""
+    if n is None:
+        return
+    for key in a.torsion.monomials:
+        for i, _ in key:
+            if i > 0 and not _mask_valid_at(i, n):
+                first = min(_mask_doubled(m) for m in a.torsion.variables()
+                            if m > 0 and not _mask_valid_at(m, n))
+                IndexSet(first).require_valid_at(n)
 
 
 def _with_odd_free(a: IntClass) -> MPoly2:
@@ -297,14 +309,16 @@ def _with_odd_free(a: IntClass) -> MPoly2:
 
 
 def int_mul(
-    a: IntClass, b: IntClass, n: int | None = None, ctx: RingContext | None = None
+    a: IntClass, b: IntClass, n: int | None = None, ctx: RingContext = UNBOUNDED
 ) -> IntClass:
-    """Formal product.  V-index sets must be valid at rank n; products of
-    V symbols stay formal monomials (equality is decided through rho).
-    A finite ctx degree cap drops monomials above it (a graded quotient)."""
-    _validate_rank(a, n)
-    _validate_rank(b, n)
-    cap = ctx.degree_cap if ctx is not None else None
+    """Formal product.  V-index sets must be valid at rank n, or at the ctx
+    rank cap when n is None; products of V symbols stay formal monomials
+    (equality is decided through rho).  A finite ctx degree cap drops
+    monomials above it (a graded quotient)."""
+    rank = ctx.rank_cap if n is None else n
+    _validate_rank(a, rank)
+    _validate_rank(b, rank)
+    cap = ctx.degree_cap
 
     free: dict = {}
     for k1, c1 in a.free:
@@ -318,8 +332,7 @@ def int_mul(
     # free part; every other product keeps a V factor.
     if not (a.torsion or b.torsion):
         return IntClass(_freeze_free(free))
-    tctx = UNBOUNDED if cap is None else RingContext(cap)
-    prod = mul(_with_odd_free(a), _with_odd_free(b), tctx)
+    prod = mul(_with_odd_free(a), _with_odd_free(b), ctx)
     torsion = frozenset(k for k in prod.monomials if k and k[-1][0] > 0)
     return IntClass(_freeze_free(free), MPoly2(torsion, TOR))
 
@@ -343,8 +356,10 @@ def rho(
     a: IntClass, ctx: RingContext = UNBOUNDED, powers: dict | None = None
 ) -> MPoly2:
     """Mod-2 reduction: coefficients mod 2, p_i to w_{2i}^2, V_I to
-    Sq1 of the product of the w_{2i}, context-reduced.  Calls with the same
-    ctx may share one `powers` dict, the memo of evaluate_monomials."""
+    Sq1 of the product of the w_{2i}, context-reduced.  Index sets must be
+    valid at the ctx rank cap.  Calls with the same ctx may share one
+    `powers` dict, the memo of evaluate_monomials."""
+    _validate_rank(a, ctx.rank_cap)
     return evaluate_monomials(
         _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx, powers
     )
@@ -359,11 +374,8 @@ def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> boo
     """
     needed = max(a.degree(), b.degree())
     require_degree_cap_at_least(ctx, needed, "torsion_equal")
-    _validate_rank(a, ctx.rank_cap)
-    _validate_rank(b, ctx.rank_cap)
-    if a.free != b.free:
-        return False
-    return rho(a.torsion_part(), ctx) == rho(b.torsion_part(), ctx)
+    image_a, image_b = rho(a.torsion_part(), ctx), rho(b.torsion_part(), ctx)
+    return a.free == b.free and image_a == image_b
 
 
 # -- relation construction -------------------------------------------------

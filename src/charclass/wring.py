@@ -165,9 +165,10 @@ def tor_factors(p_key: MonomialKey, v_key: Iterable) -> list:
 class RingContext:
     """Optional degree cap and rank cap; None means unbounded.
 
-    The rank cap models working over BO_n: any monomial containing a
-    bundle-side variable of index above the cap is dropped.  In the ext
-    namespace a monomial with a repeated v is dropped under any context.
+    The rank cap models working over BO_n: any sw or ext monomial with a
+    w_i for i above the cap is dropped; v_i, roots and tor values take no
+    rank cap.  In the ext namespace a monomial with a repeated v is dropped
+    under any context.
     """
 
     degree_cap: int | None = None
@@ -182,7 +183,8 @@ class RingContext:
     def admits(self, key: MonomialKey, namespace: str) -> bool:
         if namespace == EXT and _repeats_v(key):
             return False
-        if self.rank_cap is not None and key and key[-1][0] > self.rank_cap:
+        if (self.rank_cap is not None and namespace in (SW, EXT) and key
+                and key[-1][0] > self.rank_cap):  # w's trail the v's in ext
             return False
         if self.degree_cap is not None and mono_degree(key, namespace) > self.degree_cap:
             return False

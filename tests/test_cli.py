@@ -1,6 +1,7 @@
 """CLI behavior: commands, exit codes, determinism, and report files."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -60,6 +61,16 @@ def test_eval_bundles(capsys):
     code, out, _ = run(capsys, "eval", "--expr", "w1", "--bundle", "roots:3",
                        "--degree", "8")
     assert (code, out) == (0, "r1 + r2 + r3\n")
+    # a rank cap truncates the w_i, not the bundle's roots: all of e3
+    e3 = " + ".join("*".join(f"r{i}" for i in c)
+                    for c in itertools.combinations(range(1, 6), 3)) + "\n"
+    for rank in ((), ("--rank", "3")):
+        code, out, _ = run(capsys, "eval", "--expr", "w3", "--bundle", "roots:5",
+                           "--degree", "24", *rank)
+        assert (code, out) == (0, e3), rank
+    code, out, _ = run(capsys, "eval", "--expr", "w4", "--bundle", "roots:5",
+                       "--degree", "24", "--rank", "3")
+    assert (code, out) == (0, "0\n")
     code, out, _ = run(capsys, "eval", "--expr", "w1^2 + w2", "--json",
                        "--degree", "8")
     assert code == 0
@@ -110,6 +121,11 @@ def test_domain_error_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "chern-express", "--expr", "V{1}")
     assert code == 2
+    # rho refuses an index set that is not a class of the rank-n ring
+    for expr, shown in (("V{3}", "{3}"), ("V{1/2,2}", "{1/2,2}")):
+        code, out, err = run(capsys, "rho", "--expr", expr, "--rank", "4")
+        assert (code, out) == (2, ""), expr
+        assert f"index set {shown} is not valid at rank 4" in err, expr
 
 
 def test_caps_too_small_exit_2(capsys):

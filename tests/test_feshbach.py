@@ -113,14 +113,28 @@ def test_int_mul_refuses_exactly_the_index_sets_invalid_at_the_rank():
         for ds in combinations(pool, size):
             I = IndexSet(ds)
             for r in range(13):
+                ctx = RingContext(None, r)
+                calls = (lambda: int_mul(IntClass.V(I), IntClass.p(1), n=r),
+                         lambda: rho(IntClass.V(I), ctx),
+                         lambda: int_mul(IntClass.V(I), IntClass.p(1), ctx=ctx))
                 if I.valid_at(r):
-                    int_mul(IntClass.V(I), IntClass.p(1), n=r)
+                    for call in calls:
+                        call()
                     continue
                 with pytest.raises(InvalidIndexSetError) as expected:
                     I.require_valid_at(r)
-                with pytest.raises(InvalidIndexSetError) as refused:
-                    int_mul(IntClass.V(I), IntClass.p(1), n=r)
-                assert str(refused.value) == str(expected.value)
+                for call in calls:
+                    with pytest.raises(InvalidIndexSetError) as refused:
+                        call()
+                    assert str(refused.value) == str(expected.value)
+    # two invalid sets: the refusal names the first in doubled order
+    two = int_mul(IntClass.V([4]), IntClass.V(["1/2", 3]))
+    for call in (lambda: int_mul(two, IntClass.p(1), n=6),
+                 lambda: rho(two, RingContext(None, 6)),
+                 lambda: int_mul(two, IntClass.p(1), ctx=RingContext(None, 6))):
+        with pytest.raises(InvalidIndexSetError) as refused:
+            call()
+        assert str(refused.value) == "index set {1/2,3} is not valid at rank 6"
 
 
 def test_rho_on_generators():

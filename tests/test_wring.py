@@ -10,6 +10,7 @@ from charclass.bundlecalc import evaluate_class, roots_bundle
 from charclass.errors import MissingImageError, NamespaceMismatchError
 from charclass.wring import (
     EXT,
+    ROOT,
     SW,
     TOR,
     MPoly2,
@@ -24,6 +25,7 @@ from charclass.wring import (
     reduce_poly,
     square,
     substitute,
+    tor_key,
     w,
 )
 from charclass.verify import random_mod2
@@ -141,6 +143,35 @@ def test_rank_cap_drops_high_variables():
     ctx = RingContext(rank_cap=2)
     assert reduce_poly(w(3) + w(2), ctx) == w(2)
     assert mul(w(2), w(3), ctx).is_zero()
+
+
+def test_rank_cap_truncates_w_only():
+    """Under a rank cap n, an sw or ext monomial goes exactly when it has a
+    w_i with i > n; v_i, roots, p_i and V masks are not w's and stay."""
+    rng = random.Random(13)
+
+    def key():  # up to three of the indices 1..8, as sw, root or ext w keys
+        return tuple((i, rng.randint(1, 3))
+                     for i in sorted(rng.sample(range(1, 9), rng.randint(0, 3))))
+
+    makers = {
+        SW: key,
+        ROOT: key,
+        EXT: lambda: tuple((-i, 1) for i, _ in reversed(key())) + key(),
+        TOR: lambda: tor_key(
+            [(i, 1) for i in sorted(rng.sample(range(1, 4), rng.randint(0, 2)))],
+            [(tuple(sorted(rng.sample((1, 2, 4, 6, 8), rng.randint(1, 3)))), 1)]),
+    }
+    for ns, make in makers.items():
+        a = MPoly2(frozenset(make() for _ in range(40)), ns)
+        for n in range(9):
+            kept = reduce_poly(a, RingContext(rank_cap=n))
+            if ns in (SW, EXT):
+                assert kept.monomials == {
+                    k for k in a.monomials if all(i <= n for i, _ in k)
+                }, (ns, n)
+            else:
+                assert kept == a, (ns, n)
 
 
 def test_degree_cap_zero_is_legal():
