@@ -23,7 +23,6 @@ when relation left-hand sides are constructed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -45,11 +44,13 @@ from .wring import (
     mono_factors,
     mono_mul,
     mul,
+    reduce_poly,
     require_degree_cap_at_least,
     square,
     tor_factors,
     tor_key,
     tor_terms,
+    v_mask,
     w,
 )
 
@@ -222,9 +223,6 @@ class IntClass:
     def degree(self) -> int:
         return max([self.torsion.degree()] + [_p_degree(k) for k, _ in self.free])
 
-    def index_sets(self) -> set:
-        return {_mask_doubled(i) for i in self.torsion.variables() if i > 0}
-
     def __eq__(self, other):
         return (
             isinstance(other, IntClass)
@@ -352,16 +350,19 @@ def _rho_image(i: int, ctx: RingContext) -> MPoly2:
     return sq1(doubled_w_monomial(_mask_doubled(i)), ctx)
 
 
-def rho(
-    a: IntClass, ctx: RingContext = UNBOUNDED, powers: dict | None = None
-) -> MPoly2:
+def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Mod-2 reduction: coefficients mod 2, p_i to w_{2i}^2, V_I to
     Sq1 of the product of the w_{2i}, context-reduced.  Index sets must be
-    valid at the ctx rank cap.  Calls with the same ctx may share one
-    `powers` dict, the memo of evaluate_monomials."""
+    valid at the ctx rank cap."""
     _validate_rank(a, ctx.rank_cap)
+    return _rho(a, ctx)
+
+
+def _rho(a: IntClass, ctx: RingContext, memo: dict | None = None) -> MPoly2:
+    """rho without the rank gate.  Calls with the same ctx may share one
+    `memo`, the prefix memo of evaluate_monomials."""
     return evaluate_monomials(
-        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx, powers
+        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx, memo
     )
 
 
@@ -379,32 +380,57 @@ def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> boo
 
 
 # -- relation construction -------------------------------------------------
+#
+# Left-hand sides are built on V masks, the tor variable indices of the V_I
+# (wring.tor_key): bit 0 for the half index, bit k for the integer k.  Set
+# algebra is |, & and & ~, and a set of one index is one bit.
 
 
-def _convention(ds, n: int | None) -> list:
-    """The doubled index sets of the V factors for a computed index set,
-    applying the rank-n convention: a set containing both the half index
-    and n/2 splits off V_{{n/2}}."""
-    if n is not None and n > 1 and 1 in ds and n in ds:
-        rest = ds - {1, n}
+def _midrank_bit(n: int | None) -> int:
+    """The bit of the index n/2, which the rank-n convention splits from the
+    half index, or 0 when no convention applies (n odd, below 2 or None)."""
+    return 1 << (n >> 1) if n is not None and n > 1 and n % 2 == 0 else 0
+
+
+def _bits(mask: int) -> list:
+    """The one-bit masks of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _convention(mask: int, n: int | None) -> list:
+    """The V masks of the factors for a computed index set, applying the
+    rank-n convention: a set holding both the half index and n/2 splits off
+    V_{{n/2}}.  Any other set must be valid at rank n."""
+    top = _midrank_bit(n)
+    if top and mask & (1 | top) == 1 | top:
+        rest = mask & ~(1 | top)
         if not rest:
             raise InvalidIndexSetError(
-                f"V{IndexSet(ds)} at rank {n} has no convention expansion"
+                f"V{IndexSet(_mask_doubled(mask))} at rank {n} has no convention expansion"
             )
-        return [(n,), *_convention(rest, n)]
-    iset = IndexSet(ds)
-    iset.require_valid_at(n)
-    return [iset.doubled]
+        return [top, *_convention(rest, n)]
+    if n is not None and mask >> (n // 2 + 1):  # an integer index above n/2
+        IndexSet(_mask_doubled(mask)).require_valid_at(n)
+    return [mask]
 
 
-def _tor_term(sets: list, ps: frozenset = frozenset()) -> MonomialKey:
-    """The tor monomial of V factors, given as doubled index sets, times p
-    for each doubled index in the set ps: p_{1/2} means V_{{1/2}} by
-    convention.  Repeated V factors merge into exponents."""
-    if 1 in ps:
-        sets = sets + [(1,)]
-    p_key = [(d // 2, 1) for d in sorted(ps) if d != 1]
-    return tor_key(p_key, Counter(sets).items())
+def _tor_term(masks: list, ps: int = 0) -> MonomialKey:
+    """The tor monomial, in the layout of wring.tor_key, of V factors given
+    as masks, times p_k for each integer index k of the mask ps: its half
+    index stands for V_{{1/2}}, by the convention p_{1/2} = V_{{1/2}}.
+    Repeated V factors merge into exponents."""
+    if ps & 1:
+        masks = [*masks, 1]
+    counts: dict = {}
+    for m in masks:
+        counts[m] = counts.get(m, 0) + 1
+    p_key = tuple((-(low.bit_length() - 1), 1) for low in reversed(_bits(ps & ~1)))
+    return p_key + tuple(sorted(counts.items()))
 
 
 def _torsion_sum(keys: Iterable[MonomialKey]) -> IntClass:
@@ -415,25 +441,51 @@ def _torsion_sum(keys: Iterable[MonomialKey]) -> IntClass:
     return IntClass((), MPoly2(frozenset(acc), TOR))
 
 
-def _pair_refusal(k: int, si: frozenset, sj: frozenset) -> str | None:
+def _pair_refusal(k: int, i: int, j: int) -> str | None:
     """The message refusing relation family k (2, 3 or 4) on index sets I
-    and J, given as sets of doubled indices, or None when it applies."""
-    if len(si) > len(sj):
+    and J, given as V masks, or None when it applies."""
+    if i.bit_count() > j.bit_count():
         return "the cardinality of I must not exceed that of J"
     if k == 2:
-        if not (si & sj):
+        if not i & j:
             return "relation 2 needs intersecting I and J"
-        if si <= sj:
+        if not i & ~j:
             return "relation 2 needs I not contained in J"
     elif k == 3:
-        if not (si < sj):
+        if i & ~j or i == j:
             return "relation 3 needs I a proper subset of J"
     elif k == 4:
-        if si & sj:
+        if i & j:
             return "relation 4 needs disjoint I and J"
-        if len(si) == len(sj) and min(si) >= min(sj):
+        if i.bit_count() == j.bit_count() and i & -i >= j & -j:
             return "relation 4 with equal cardinalities needs min(I) < min(J)"
     return None
+
+
+def _relation_lhs(k: int, i: int, j: int, n: int | None) -> IntClass:
+    """Left-hand side of relation family k (2..6) on the V masks i of I and
+    j of J at rank n, whose side conditions hold (relation checks them)."""
+    if k == 6:
+        top = _midrank_bit(n)
+        return _torsion_sum([_tor_term([1], top), _tor_term([top, top])])
+    if k == 5:
+        return _torsion_sum(_tor_term([d, *_convention(i & ~d, n)]) for d in _bits(i))
+    vij = _tor_term([i, j])
+    if k == 2:
+        return _torsion_sum([
+            vij,
+            _tor_term(_convention(i | j, n) + _convention(i & j, n)),
+            _tor_term(_convention(i & ~j, n) + _convention(j & ~i, n), i & j),
+        ])
+    if k == 3:
+        return _torsion_sum([vij] + [
+            _tor_term([d, *_convention((j & ~i) | d, n)], i & ~d) for d in _bits(i)
+        ])
+    if k == 4:
+        return _torsion_sum([vij] + [
+            _tor_term([d, *_convention((i | j) & ~d, n)]) for d in _bits(i)
+        ])
+    raise ValueError(f"unknown relation family {k}")
 
 
 def relation(
@@ -457,48 +509,24 @@ def relation(
     if k == 6:
         if n is None or n % 2 != 0 or n < 2:
             raise ValueError("relation 6 needs a finite even rank")
-        vn = IndexSet({n}).doubled
-        return _torsion_sum([_tor_term([(1,)], frozenset({n})), _tor_term([vn, vn])])
+        return _relation_lhs(6, 0, 0, n)
 
     if I is None:
         raise ValueError(f"relation {k} needs I")
     I.require_valid_at(n)
-    si = frozenset(I.doubled)
-    if len(si) <= 1:
+    if len(I.doubled) <= 1:
         raise ValueError("the cardinality of I must exceed one")
-
+    i = v_mask(I.doubled)
     if k == 5:
-        return _torsion_sum(
-            _tor_term([(d,), *_convention(si - {d}, n)]) for d in I.doubled
-        )
+        return _relation_lhs(5, i, 0, n)
 
     if J is None:
         raise ValueError(f"relation {k} needs J")
     J.require_valid_at(n)
-    sj = frozenset(J.doubled)
-    if refusal := _pair_refusal(k, si, sj):
+    j = v_mask(J.doubled)
+    if refusal := _pair_refusal(k, i, j):
         raise ValueError(refusal)
-    vij = _tor_term([I.doubled, J.doubled])
-
-    if k == 2:
-        return _torsion_sum([
-            vij,
-            _tor_term(_convention(si | sj, n) + _convention(si & sj, n)),
-            _tor_term(_convention(si - sj, n) + _convention(sj - si, n), si & sj),
-        ])
-
-    if k == 3:
-        return _torsion_sum([vij] + [
-            _tor_term([(d,), *_convention((sj - si) | {d}, n)], si - {d})
-            for d in I.doubled
-        ])
-
-    if k == 4:
-        return _torsion_sum([vij] + [
-            _tor_term([(d,), *_convention((si | sj) - {d}, n)]) for d in I.doubled
-        ])
-
-    raise ValueError(f"unknown relation family {k}")
+    return _relation_lhs(k, i, j, n)
 
 
 def _valid_index_sets(n: int, degree_cap: int) -> list:
@@ -522,42 +550,72 @@ def _valid_index_sets(n: int, degree_cap: int) -> list:
     return out
 
 
-def verify_relations(n: int, degree_cap: int) -> Report:
-    """Check rho(LHS) = 0 in the rank-n ring for every valid instantiation
-    of relation families 2..6 with degree <= degree_cap."""
-    ctx = RingContext(degree_cap, n)
-    report = Report(f"relations[n={n},degree<={degree_cap}]")
+def _relation_cases(n: int, degree_cap: int, shared: dict):
+    """The cases of the rank-n sweep in report order, as (case id, params,
+    key, left-hand side).  The enumeration meets every side condition, so
+    the left-hand sides come from _relation_lhs without relation's checks.
+    A case the rank-n convention cannot reach (I | J does not hold both the
+    half index and n/2; not family 6) has the same left-hand side at every
+    rank: its key is (family, I mask, J mask), and a key found in `shared`
+    gives back the left-hand side stored there.  Other keys are None."""
     sets = _valid_index_sets(n, degree_cap)
-    frozen = [frozenset(s.doubled) for s in sets]
-    degrees = [s.degree() for s in sets]  # ascending, as sets are ordered
-    powers: dict = {}  # rho's factor powers, shared by the cases of this call
+    rows = [(v_mask(s.doubled), len(s.doubled), s.degree(), s.doubled, str(s))
+            for s in sets]
+    degrees = [row[2] for row in rows]  # ascending, as sets are ordered
+    split = 1 | _midrank_bit(n)
 
-    def check(case_id: str, params: dict, lhs: IntClass):
-        image = rho(lhs, ctx, powers)
+    def lhs(k, i, j):
+        if split != 1 and (i | j) & split == split:
+            return None, _relation_lhs(k, i, j, n)
+        key = (k, i, j)
+        stored = shared.get(key)
+        return key, stored[0] if stored else _relation_lhs(k, i, j, None)
+
+    for i, size_i, deg_i, ds_i, text_i in rows:
+        if size_i <= 1:
+            continue
+        # the J with deg I + deg J <= degree_cap, in order
+        for j, size_j, _, ds_j, text_j in rows[:bisect_right(degrees, degree_cap - deg_i)]:
+            for k in (2, 3, 4):
+                # family 2 is symmetric in I and J: dedup equal sizes
+                if _pair_refusal(k, i, j) is None and not (
+                    k == 2 and size_i == size_j and ds_i > ds_j
+                ):
+                    yield (f"rel{k}[n={n},I={text_i},J={text_j}]",
+                           {"relation": k, "n": n, "I": text_i, "J": text_j},
+                           *lhs(k, i, j))
+        if deg_i + 1 <= degree_cap:
+            yield (f"rel5[n={n},I={text_i}]", {"relation": 5, "n": n, "I": text_i},
+                   *lhs(5, i, 0))
+    if n % 2 == 0 and 2 + 2 * n <= degree_cap:
+        yield f"rel6[n={n}]", {"relation": 6, "n": n}, None, _relation_lhs(6, 0, 0, n)
+
+
+def verify_relations(n: int, degree_cap: int, shared: dict | None = None) -> Report:
+    """Check rho(LHS) = 0 in the rank-n ring for every valid instantiation
+    of relation families 2..6 with degree <= degree_cap.
+
+    A rank cap drops the monomials with a w_i above it, a monomial ideal,
+    and rho is a ring homomorphism, so rho at rank n is reduce_poly of rho
+    at the degree cap alone; every case takes its rho there.  Calls at
+    several ranks with one degree_cap may pass one `shared` dict, which
+    keeps each rank-independent case's left-hand side and rho by its key
+    from _relation_cases."""
+    ctx, stable = RingContext(degree_cap, n), RingContext(degree_cap)
+    shared = {} if shared is None else shared
+    report = Report(f"relations[n={n},degree<={degree_cap}]")
+    memo: dict = {}  # rho's prefix products, shared by the cases of this call
+    for case_id, params, key, lhs in _relation_cases(n, degree_cap, shared):
+        stored = shared.get(key)
+        if stored is None:
+            stored = lhs, _rho(lhs, stable, memo)
+            if key is not None:
+                shared[key] = stored
+        image = reduce_poly(stored[1], ctx)
         if lhs.free:
             report.add(case_id, params, FAIL, "free part is nonzero")
         elif image.is_zero():
             report.add(case_id, params, PASS)
         else:
             report.add(case_id, params, FAIL, f"rho = {image}")
-
-    for I, si, deg_i in zip(sets, frozen, degrees):
-        if len(si) <= 1:
-            continue
-        # the J with deg I + deg J <= degree_cap, in order
-        for j in range(bisect_right(degrees, degree_cap - deg_i)):
-            J, sj = sets[j], frozen[j]
-            for k in (2, 3, 4):
-                # family 2 is symmetric in I and J: dedup equal sizes
-                if _pair_refusal(k, si, sj) is None and not (
-                    k == 2 and len(si) == len(sj) and I.doubled > J.doubled
-                ):
-                    check(f"rel{k}[n={n},I={I},J={J}]",
-                          {"relation": k, "n": n, "I": str(I), "J": str(J)},
-                          relation(k, I, J, n=n))
-        if deg_i + 1 <= degree_cap:
-            check(f"rel5[n={n},I={I}]", {"relation": 5, "n": n, "I": str(I)},
-                  relation(5, I, n=n))
-    if n % 2 == 0 and 2 + 2 * n <= degree_cap:
-        check(f"rel6[n={n}]", {"relation": 6, "n": n}, relation(6, n=n))
     return report

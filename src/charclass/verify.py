@@ -185,9 +185,12 @@ def suite_lemma3() -> Report:
 
 
 def suite_relations(max_rank: int = 8, degree: int = 24) -> Report:
+    """verify_relations at every rank 2..max_rank, sharing one dict of the
+    rank-independent cases across the ranks."""
     report = Report(f"relations[rank<={max_rank},degree<={degree}]")
+    shared: dict = {}
     for n in range(2, max_rank + 1):
-        report.extend(verify_relations(n, degree))
+        report.extend(verify_relations(n, degree, shared))
     return report
 
 

@@ -130,11 +130,17 @@ def ext_terms(a: MPoly2) -> list:
     return [(vs, w_key) for _, _, w_key, vs in rows]
 
 
+def v_mask(ds: Iterable[int]) -> int:
+    """The tor variable of V_I, I given by its doubled indices: the bit mask
+    of I, bit 0 for 1/2 and bit k for k."""
+    return sum(1 << (d >> 1) for d in ds)
+
+
 def tor_key(p_key: MonomialKey, v_key: Iterable) -> MonomialKey:
     """The tor monomial of a p part, ascending (i, e) pairs, times V
     factors given as (ascending doubled indices, exponent) pairs: p_i is
-    variable -i and V_I the bit mask of I (bit 0 for 1/2, bit k for k)."""
-    vs = sorted((sum(1 << (d >> 1) for d in ds), e) for ds, e in v_key)
+    variable -i and V_I the bit mask of I (v_mask)."""
+    vs = sorted((v_mask(ds), e) for ds, e in v_key)
     return tuple((-i, e) for i, e in reversed(p_key)) + tuple(vs)
 
 
@@ -374,7 +380,7 @@ _PACK_THRESHOLD = 4096
 # Words of packed pair sums held at once: a product's broadcast chunk, and the
 # pending rows of a sum, counted down to their odd rows when they pass it.
 _CHUNK_WORDS = 4_000_000
-_ONE = frozenset({()})  # the keys of the constant 1
+_ONE = [((), 0)]  # the constant 1 as a factor of _sum_products
 
 
 def mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
@@ -387,23 +393,34 @@ def _mul_reduced(a: MPoly2, b: MPoly2, ctx: RingContext) -> MPoly2:
     rank cap, so only the degree cap and a repeated v can drop a product."""
     ns = _check_namespaces(a, b)
     ka, kb = a.monomials, b.monomials
-    if not ka or kb == _ONE:
+    if not ka or () in kb and len(kb) == 1:
         return a
-    if not kb or ka == _ONE:
+    if not kb or () in ka and len(ka) == 1:
         return b
-    return MPoly2(_sum_products([(ka, kb)], ns, ctx.degree_cap), ns)
+    cap = ctx.degree_cap
+    pair = (_factor(ka, ns, cap), _factor(kb, ns, cap))
+    return MPoly2(_sum_products([pair], ns, cap), ns)
 
 
-def _sum_products(pairs, ns, cap):
-    """The odd monomials of the sum of left * right over the (left keys,
-    right keys) pairs, without products above the degree cap or, in ext,
-    with a repeated v.  The factors must be context-reduced: a constant side
-    adds the other side's keys as they are.  A factor that recurs should be
-    the same object, whose degrees and packed rows are then made once."""
+def _factor(keys, ns, cap) -> list:
+    """Distinct monomial keys as a factor of _sum_products: (key, degree)
+    pairs, the degree 0 when there is no degree cap to compare it with."""
+    if cap is None:
+        return [(k, 0) for k in keys]
+    return [(k, mono_degree(k, ns)) for k in keys]
+
+
+def _sum_products(pairs, ns, cap) -> frozenset:
+    """The odd monomials of the sum of left * right over the (left, right)
+    pairs of factors, without products above the degree cap or, in ext,
+    with a repeated v.  A factor lists context-reduced monomial keys with
+    their degrees, as _factor makes it.  A constant side adds the other
+    side's keys as they are.  A factor that recurs should be the same
+    object, whose packed rows are then made once."""
     const, rest, total = set(), [], 0
     for a, b in pairs:
         if a == _ONE or b == _ONE:
-            const.symmetric_difference_update(b if a == _ONE else a)
+            const.symmetric_difference_update(k for k, _ in (b if a == _ONE else a))
         else:
             rest.append((a, b))
             total += len(a) * len(b)
@@ -415,16 +432,11 @@ def _sum_products(pairs, ns, cap):
 
 
 def _mul_dict(pairs, ns, cap):
-    """The dict path of _sum_products: every product toggled into one dict.
-    Each distinct factor's degrees are computed once, and only under a cap."""
+    """The dict path of _sum_products: every product toggled into one dict."""
     out: dict = {}
-    factors = {id(f): f for pair in pairs for f in pair}
-    items = {i: [(k, 0 if cap is None else mono_degree(k, ns)) for k in f]
-             for i, f in factors.items()}
-    for ka, kb in pairs:
-        items_b = items[id(kb)]
-        for k1, d1 in items[id(ka)]:
-            for k2, d2 in items_b:
+    for a, b in pairs:
+        for k1, d1 in a:
+            for k2, d2 in b:
                 if cap is not None and d1 + d2 > cap:
                     continue
                 k = mono_mul(k1, k2)
@@ -453,7 +465,8 @@ def _mul_packed(pairs, ns, cap):
 
     pairs = [(a, b) for a, b in pairs if a and b]
     factors = {id(f): f for pair in pairs for f in pair}
-    stats = {i: _pack_stats(f) for i, f in factors.items()}
+    keys = {i: [k for k, _ in f] for i, f in factors.items()}
+    stats = {i: _pack_stats(ks) for i, ks in keys.items()}
     columns = sorted(set().union(*(ix for ix, _ in stats.values())))
     bits = max([stats[id(a)][1] + stats[id(b)][1] for a, b in pairs] or [0])
     bits = bits.bit_length()
@@ -463,11 +476,10 @@ def _mul_packed(pairs, ns, cap):
     words = -(-fields // per)
     field = {i: j for j, i in enumerate(columns)}  # field j holds columns[j]
     if cap is not None:  # factors by degree, so each left row keeps a prefix
-        items = {i: sorted(((mono_degree(k, ns), k) for k in f), key=itemgetter(0))
-                 for i, f in factors.items()}
-        factors = {i: [k for _, k in got] for i, got in items.items()}
-        degrees = {i: [d for d, _ in got] for i, got in items.items()}
-    packed = {i: _pack(f, field, bits, per, words) for i, f in factors.items()}
+        factors = {i: sorted(f, key=itemgetter(1)) for i, f in factors.items()}
+        keys = {i: [k for k, _ in f] for i, f in factors.items()}
+        degrees = {i: [d for _, d in f] for i, f in factors.items()}
+    packed = {i: _pack(ks, field, bits, per, words) for i, ks in keys.items()}
     # a row of one word sorts fastest as a plain uint64, wider rows as bytes
     row = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
     parts, pending, budget = [], 0, _CHUNK_WORDS
@@ -588,32 +600,47 @@ def evaluate_monomials(
     images: Callable[[int], MPoly2],
     namespace: str,
     ctx: RingContext = UNBOUNDED,
-    pow_cache: dict | None = None,
+    memo: dict | None = None,
 ) -> MPoly2:
     """Sum over monomials of the product of images, a ring homomorphism.
 
     `images(i)` must return the value substituted for variable i, in
-    `namespace`.  Powers of images are memoized across monomials in
-    `pow_cache`, keyed by (i, e): a fresh dict unless the caller passes one
-    to share between calls with the same images and ctx.  The powers come
-    out of power() reduced, so the products skip mul's reduce, and every
-    term's last factor is multiplied in by one _sum_products call.
+    `namespace`.  Products of leading factors are memoized in `memo`, a trie
+    keyed by monomial prefix: memo[(i, e)] is the node of the one-factor
+    prefix, and a node is (the product of its prefix, its children by next
+    factor).  A one-factor node's product is the power of image i, and a
+    longer prefix's product is made once from its parent's and its last
+    factor's, however many monomials share it.  The memo is a fresh dict
+    unless the caller passes one to share between calls with the same
+    images and ctx.  The products are factors of _sum_products, which keep
+    their keys' degrees, and every monomial's last factor is multiplied into
+    its head by one _sum_products call.
     """
-    pow_cache = {} if pow_cache is None else pow_cache
-    one, pairs = MPoly2.one(namespace), []
-    for key in monomials:  # the product of all factors but the last, and the last
-        head, last = one, None
-        for i, e in key:
-            cached = pow_cache.get((i, e))
-            if cached is None:
-                cached = power(images(i), e, ctx)
-                _check_namespaces(one, cached)
-                pow_cache[(i, e)] = cached
-            if last is not None:
-                head = last if head is one else _mul_reduced(head, last, ctx)
-            last = cached
-        pairs.append((head.monomials, _ONE if last is None else last.monomials))
-    return MPoly2(_sum_products(pairs, namespace, ctx.degree_cap), namespace)
+    memo = {} if memo is None else memo
+    cap, one = ctx.degree_cap, MPoly2.one(namespace)
+
+    def power_of(pair: tuple) -> tuple:
+        node = memo.get(pair)
+        if node is None:
+            image = power(images(pair[0]), pair[1], ctx)
+            _check_namespaces(one, image)
+            node = memo[pair] = (_factor(image.monomials, namespace, cap), {})
+        return node
+
+    pairs = []
+    for key in monomials:
+        head = _ONE
+        if len(key) > 1:  # walk the trie down the head, key[:-1]
+            node = power_of(key[0])
+            for pair in key[1:-1]:
+                child = node[1].get(pair)
+                if child is None:
+                    got = _sum_products([(node[0], power_of(pair)[0])], namespace, cap)
+                    child = node[1][pair] = (_factor(got, namespace, cap), {})
+                node = child
+            head = node[0]
+        pairs.append((head, power_of(key[-1])[0] if key else _ONE))
+    return MPoly2(_sum_products(pairs, namespace, cap), namespace)
 
 
 def substitute(

@@ -15,6 +15,7 @@ from charclass.feshbach import (
     IndexSet,
     IntClass,
     _convention,
+    _relation_cases,
     _tor_term,
     _torsion_sum,
     _valid_index_sets,
@@ -25,16 +26,19 @@ from charclass.feshbach import (
     torsion_equal,
     verify_relations,
 )
+from charclass.report import Report
 from charclass.serialize import dumps, loads
 from charclass.steenrod import sq1
-from charclass.verify import random_integral_complexifiable
+from charclass.verify import random_integral_complexifiable, suite_relations
 from charclass.wring import (
     MPoly2,
     RingContext,
+    _mask_doubled,
     mono_degree,
     mul,
     reduce_poly,
     square,
+    v_mask,
     w,
 )
 
@@ -317,13 +321,45 @@ def test_verify_relations_sweep():
         assert report.ok(), str(report)
 
 
+def test_sweep_cases_match_relation():
+    # every case of the sweep at ranks 2..16, odd ranks and convention
+    # splits included, against the public relation(); the shared dict that
+    # verify_relations fills at the lower ranks hands back its stored
+    # left-hand sides at the higher ones
+    shared: dict = {}
+    splits = reused = 0
+    for n in range(2, 17):
+        sets = {str(s): s for s in _valid_index_sets(n, 24)}
+        for case_id, params, key, lhs in _relation_cases(n, 24, shared):
+            k = params["relation"]
+            I, J = sets.get(params.get("I")), sets.get(params.get("J"))
+            assert lhs == relation(k, I, J, n), case_id
+            splits += key is None and k != 6
+            reused += key in shared
+        verify_relations(n, 24, shared)
+    assert splits and reused
+
+
+@pytest.mark.parametrize("cap", [16, 24])
+def test_suite_relations_matches_unshared_ranks(cap):
+    # the suite shares rank-independent cases across ranks; each rank alone
+    # builds and checks every case itself
+    got = suite_relations(20, cap)
+    want = Report(got.suite)
+    for n in range(2, 21):
+        want.extend(verify_relations(n, cap))
+    assert str(got) == str(want)
+    assert dumps(got) == dumps(want)
+
+
 def test_relation_convention_splits_half_with_midrank():
     # relation 4 at rank 6 produces the set {1/2, 2, 3}, which must split as
     # V_{{3}} * V_{{2}}
     lhs = relation(4, IndexSet.of("1/2", 1), IndexSet.of(2, 3), n=6)
     assert rho(lhs, RingContext(degree_cap=40, rank_cap=6)).is_zero()
-    for ds in lhs.index_sets():
-        assert IndexSet(ds).valid_at(6)
+    for mask in lhs.torsion.variables():
+        if mask > 0:
+            assert IndexSet(_mask_doubled(mask)).valid_at(6)
 
 
 def test_torsion_text_and_json_pinned():
@@ -645,11 +681,11 @@ def test_convention_matches_make_v():
         pool = [1] + list(range(2, (n or 8) + 3, 2))
         for size in range(1, 4):
             for ds in map(frozenset, combinations(pool, size)):
-                got = _outcome(lambda: _torsion_sum([_tor_term(_convention(ds, n))]))
+                got = _outcome(lambda: _torsion_sum([_tor_term(_convention(v_mask(ds), n))]))
                 assert got == _outcome(_make_V, ds, n), (ds, n)
         if n and n % 2 == 0:
             message = f"V{{1/2,{n // 2}}} at rank {n} has no convention expansion"
-            for build in (_convention, _make_V):
+            for build, ds in ((_convention, v_mask((1, n))), (_make_V, frozenset({1, n}))):
                 with pytest.raises(InvalidIndexSetError) as err:
-                    build(frozenset({1, n}), n)
+                    build(ds, n)
                 assert str(err.value) == message

@@ -13,10 +13,12 @@ from charclass.wring import (
     ROOT,
     SW,
     TOR,
+    UNBOUNDED,
     MPoly2,
     RingContext,
     add,
     constant_term,
+    evaluate_monomials,
     grade_component,
     mono_degree,
     mul,
@@ -188,6 +190,17 @@ def test_power_binary_exponentiation():
     assert power(x, 0) == MPoly2.one()
 
 
+def _factors(pairs, ns, cap):
+    """The pairs of key sets as pairs of kernel factors ((key, degree)
+    pairs), one factor object per distinct key set."""
+    from charclass.wring import _factor
+
+    made = {}
+    for keys in (f for pair in pairs for f in pair):
+        made.setdefault(id(keys), _factor(keys, ns, cap))
+    return [(made[id(a)], made[id(b)]) for a, b in pairs]
+
+
 def test_packed_kernels_agree_with_dict():
     from charclass.wring import _mul_dict, _mul_packed
 
@@ -196,7 +209,7 @@ def test_packed_kernels_agree_with_dict():
         a = random_mod2(rng, 14)
         b = random_mod2(rng, 14)
         for cap in (None, 9):
-            pair = [(a.monomials, b.monomials)]
+            pair = _factors([(a.monomials, b.monomials)], SW, cap)
             assert frozenset(_mul_dict(pair, SW, cap)) == frozenset(
                 _mul_packed(pair, SW, cap)
             )
@@ -331,11 +344,12 @@ def _kernel_cases():
         big = {((1, 1 << (bits - 2)),)}
         cases[f"sum_{bits}_bits"] = (_random_keys(rng, 70, 20, 3) | big,
                                      _random_keys(rng, 70, 20, 3) | big, None, 20 * bits)
-    # every pair occurs twice, so the product cancels to zero
+    # the kernels get these pairs twice, so every product occurs twice and
+    # the sum cancels to zero
     a, b = _random_keys(rng, 70, 9, 3), _random_keys(rng, 70, 9, 3)
-    cases["cancels"] = (list(a) * 2, list(b), None, None)
+    cases["cancels"] = (a, b, None, None)
     a, b = _random_keys(rng, 70, 30, 3), _random_keys(rng, 70, 30, 3)
-    cases["cancels_wide"] = (list(a) * 2, list(b), None, None)
+    cases["cancels_wide"] = (a, b, None, None)
     # 42 fields of 3 bits fill two words exactly; under the cap, kept
     # products still pair an index of the first word with one of the second
     span = {((1, 3), (42, 3)), ((21, 1), (22, 1))}
@@ -380,13 +394,14 @@ def test_packed_kernels_agree_above_the_switch():
         (ix_a, me_a), (ix_b, me_b) = _pack_stats(ka), _pack_stats(kb)
         fields, bits = len(ix_a | ix_b), (me_a + me_b).bit_length()
         assert packed_bits in (None, fields * bits), name
-        expected = frozenset(_mul_dict([(ka, kb)], SW, cap))
+        pair = _factors([(ka, kb)] * (1 + (name in ("cancels", "cancels_wide"))), SW, cap)
+        expected = frozenset(_mul_dict(pair, SW, cap))
         assert (not expected) == (name in empty), name
         assert (() in expected) == (name == "constant"), name
         # keys with an index in each word: 1..21 fill the first, 22..42 the second
         spans = any(k and k[0][0] <= 21 < k[-1][0] for k in expected)
         assert spans or name not in two_words, name
-        got = _mul_packed([(ka, kb)], SW, cap)
+        got = _mul_packed(pair, SW, cap)
         assert frozenset(got) == expected, name
         assert all(type(i) is int and type(e) is int for k in got for i, e in k)
 
@@ -493,6 +508,7 @@ def test_sum_of_products_is_the_xor_of_its_products():
         if name.startswith("one_pair"):
             assert packed_bits(pairs[:-1]) <= 64 < packed_bits(pairs), name
         ctx = RingContext(cap)
+        pairs = _factors(pairs, ns, cap)
         raw = set()
         for pair in pairs:
             raw ^= set(_mul_dict([pair], ns, cap))
@@ -502,6 +518,78 @@ def test_sum_of_products_is_the_xor_of_its_products():
         assert _sum_products(pairs, ns, cap) == expected, name
         if ns == SW:
             assert frozenset(_mul_packed(pairs, ns, cap)) == expected, name
+
+
+def _memo_images(rng, ns, cap):
+    """Images of the variables 1..7 in ns: ones of degree at most cap / 2
+    with a constant term, and for 6 one of degree above cap / 2 (at most
+    cap), whose square the cap zeroes."""
+    images = {i: MPoly2(_namespace_keys(rng, ns, 4, cap // 2) | {()}, ns)
+              for i in range(1, 8)}
+    high = set()
+    while len(high) < 4:
+        key = next(iter(_namespace_keys(rng, ns, 1, cap)))
+        if mono_degree(key, ns) > cap // 2:
+            high.add(key)
+    images[6] = MPoly2(frozenset(high), ns)
+    return images
+
+
+def test_prefix_memo_shared_across_calls_matches_fresh():
+    # the constant key, one-factor keys, keys that share prefixes, and heads
+    # that the cap zeroes through w6^2; each batch is one call.  A tor key
+    # has degree 6 or more, so tor takes a higher cap.
+    rng = random.Random(27)
+    batches = [
+        [(), ((1, 1),), ((2, 2),), ((6, 1),), ((6, 2),)],
+        [((1, 1), (2, 1)), ((1, 1), (2, 1), (3, 2)), ((1, 1), (2, 1), (4, 1)),
+         ((1, 1), (2, 1), (3, 2), (5, 1))],
+        [((6, 2), (7, 1)), ((1, 1), (6, 2), (7, 1)), ((1, 1), (6, 1), (7, 1)), ()],
+        sorted(_random_keys(rng, 20, 7, 2)),
+    ]
+    for ns, top in ((SW, 10), (EXT, 10), (TOR, 20)):
+        images = _memo_images(rng, ns, top)
+        for cap in (None, top):
+            ctx = RingContext(cap)
+
+            def naive(keys):  # the sum of products of powers, by mul and add
+                total = MPoly2.zero(ns)
+                for key in keys:
+                    term = MPoly2.one(ns)
+                    for i, e in key:
+                        term = mul(term, power(images[i], e, ctx), ctx)
+                    total = add(total, term, ctx)
+                return total
+
+            memo: dict = {}
+            for keys in batches:
+                got = evaluate_monomials(keys, images.__getitem__, ns, ctx, memo)
+                assert got == evaluate_monomials(keys, images.__getitem__, ns, ctx)
+                assert got == naive(keys), (ns, cap, keys)
+            # every memoized prefix holds its product, keys with degrees
+            nodes = [((pair,), node) for pair, node in memo.items()]
+            for prefix, (factor, children) in nodes:
+                want = naive([prefix]).monomials
+                assert {k for k, _ in factor} == want and len(factor) == len(want), prefix
+                assert all(d == (0 if cap is None else mono_degree(k, ns))
+                           for k, d in factor)
+                nodes += [(prefix + (pair,), child) for pair, child in children.items()]
+            # the cap zeroes these heads; in ext every key of w6's image has
+            # a v, whose square vanishes with no cap too
+            assert (memo[(6, 2)][0] == []) == (cap is not None or ns == EXT)
+            assert (memo[(1, 1)][1][(6, 2)][0] == []) == (cap is not None or ns == EXT)
+            assert len(nodes) > len(memo)  # longer prefixes were memoized
+
+
+def test_prefix_memo_refuses_an_image_in_another_namespace():
+    with pytest.raises(NamespaceMismatchError):
+        evaluate_monomials([((1, 1),)], lambda i: w(1), EXT)
+    memo: dict = {}
+    images = {1: w(1), 2: MPoly2.gen(2, EXT)}
+    got = evaluate_monomials([((1, 2),)], images.__getitem__, SW, UNBOUNDED, memo)
+    assert got == w(1) ** 2
+    with pytest.raises(NamespaceMismatchError):
+        evaluate_monomials([((1, 2), (2, 1))], images.__getitem__, SW, UNBOUNDED, memo)
 
 
 def test_truncation_coherence_above_the_switch():
