@@ -14,10 +14,13 @@ relation families of the presentation become a verification suite checked
 by rho instead of a rewrite system.
 
 Rank-n validity: every integer index k needs 0 < k < (n+1)/2, and for
-finite n > 1 a set may not contain both the half index and n/2.  The rank-n
-conventions (p_{1/2} means V_{{1/2}}; a produced V-set containing both the
-half index and n/2 splits as V_{{n/2}} times the remainder) are applied
-when relation left-hand sides are constructed.
+finite n > 1 a set may not contain both the half index and n/2.  So a set
+has a lowest rank, _min_rank, and is valid at exactly the ranks from there
+up: 0 for {1/2}, else 2k for its largest index k, plus one when it holds
+the half index.  The rank-n conventions (p_{1/2} means V_{{1/2}}; a
+produced V-set containing both the half index and n/2 splits as V_{{n/2}}
+times the remainder) are applied when relation left-hand sides are
+constructed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidIndexSetError
 from .report import FAIL, PASS, Report
@@ -62,6 +65,12 @@ HALF = Fraction(1, 2)
 # degree of V{2**15}, 1 + 2**16, lies far above the degree caps in use (tens
 # to a few thousand).
 MAX_V_INDEX = 1 << 15
+
+
+def _min_rank(mask: int) -> int:
+    """The lowest rank at which the index set with V mask `mask` is valid;
+    it stays valid at every higher rank."""
+    return 2 * (mask.bit_length() - 1) + (mask & 1) if mask > 1 else 0
 
 
 def _to_doubled(index) -> int:
@@ -113,13 +122,7 @@ class IndexSet:
         return 1 + sum(self.doubled)
 
     def valid_at(self, n: int | None) -> bool:
-        if n is None:
-            return True
-        if any(d != 1 and d > n for d in self.doubled):
-            return False
-        if n > 1 and 1 in self.doubled and n in self.doubled:
-            return False  # may not contain both 1/2 and n/2
-        return True
+        return n is None or n >= _min_rank(v_mask(self.doubled))
 
     def require_valid_at(self, n: int | None) -> None:
         if not self.valid_at(n):
@@ -282,11 +285,6 @@ def int_add_all(classes: Iterable[IntClass]) -> IntClass:
     return IntClass(_freeze_free(free), add_all(torsions))
 
 
-@lru_cache(maxsize=4096)
-def _mask_valid_at(mask: int, n: int) -> bool:
-    return IndexSet(_mask_doubled(mask)).valid_at(n)
-
-
 def _validate_rank(a: IntClass, n: int | None) -> None:
     """Refuse a class with an index set invalid at rank n, naming the first
     such set in doubled order."""
@@ -294,9 +292,9 @@ def _validate_rank(a: IntClass, n: int | None) -> None:
         return
     for key in a.torsion.monomials:
         for i, _ in key:
-            if i > 0 and not _mask_valid_at(i, n):
+            if i > 0 and n < _min_rank(i):
                 first = min(_mask_doubled(m) for m in a.torsion.variables()
-                            if m > 0 and not _mask_valid_at(m, n))
+                            if m > 0 and n < _min_rank(m))
                 IndexSet(first).require_valid_at(n)
 
 
@@ -414,7 +412,7 @@ def _convention(mask: int, n: int | None) -> list:
                 f"V{IndexSet(_mask_doubled(mask))} at rank {n} has no convention expansion"
             )
         return [top, *_convention(rest, n)]
-    if n is not None and mask >> (n // 2 + 1):  # an integer index above n/2
+    if n is not None and n < _min_rank(mask):
         IndexSet(_mask_doubled(mask)).require_valid_at(n)
     return [mask]
 
@@ -498,7 +496,7 @@ def relation(
 
     Side conditions (violations raise ValueError):
       1: any I.         2-4: |I|>1 and the pair conditions of _pair_refusal.
-      5: |I|>1.         6: even finite n; no index sets.
+      5: |I|>1.         6: even n >= 2; no index sets.
     """
     if k == 1:
         if I is None:
@@ -507,7 +505,7 @@ def relation(
         return int_add(IntClass.V(I), IntClass.V(I))  # 2*V_I = 0
 
     if k == 6:
-        if n is None or n % 2 != 0 or n < 2:
+        if not _midrank_bit(n):
             raise ValueError("relation 6 needs a finite even rank")
         return _relation_lhs(6, 0, 0, n)
 
@@ -532,90 +530,92 @@ def relation(
 def _valid_index_sets(n: int, degree_cap: int) -> list:
     """All rank-n valid index sets of degree <= degree_cap, canonically
     ordered by (degree, doubled tuple)."""
-    pool = [1] + [d for d in range(2, n + 1, 2)]
-    out = []
-
-    def extend(chosen: tuple, degree: int, start: int) -> None:
-        # the pool ascends, so the first index over the cap ends the branch
-        for j in range(start, len(pool)):
-            if degree + pool[j] > degree_cap:
-                break
-            iset = IndexSet(chosen + (pool[j],))
-            if iset.valid_at(n):
-                out.append(iset)
-            extend(iset.doubled, degree + pool[j], j + 1)
-
-    extend((), 1, 0)
+    chosen = [()]  # ascending doubled tuples of degree <= degree_cap
+    for d in [1, *range(2, min(n, degree_cap) + 1, 2)]:
+        chosen += [ds + (d,) for ds in chosen if 1 + sum(ds) + d <= degree_cap]
+    out = [s for s in map(IndexSet, chosen[1:]) if s.valid_at(n)]
     out.sort(key=lambda s: (s.degree(), s.doubled))
     return out
 
 
-def _relation_cases(n: int, degree_cap: int, shared: dict):
-    """The cases of the rank-n sweep in report order, as (case id, params,
-    key, left-hand side).  The enumeration meets every side condition, so
-    the left-hand sides come from _relation_lhs without relation's checks.
-    A case the rank-n convention cannot reach (I | J does not hold both the
-    half index and n/2; not family 6) has the same left-hand side at every
-    rank: its key is (family, I mask, J mask), and a key found in `shared`
-    gives back the left-hand side stored there.  Other keys are None."""
-    sets = _valid_index_sets(n, degree_cap)
+def _relation_cases(top: int, degree_cap: int) -> Iterator[tuple]:
+    """The cases of families 2..5 up to rank `top` in report order, as
+    (lowest rank, split rank, family, I mask, J mask, case id tail, params
+    tail).  A case belongs to every rank from its lowest one up, so the
+    cases of one rank, in order, make its report.  Its left-hand side is
+    the stable one (rank None) except at the split rank _min_rank(I | J) - 1,
+    the only rank where I | J can hold both the half index and n/2; it lies
+    below the lowest rank unless I | J holds the half index and neither I
+    nor J holds both.  The enumeration meets every side condition, so
+    _relation_lhs needs no checks of relation's."""
     rows = [(v_mask(s.doubled), len(s.doubled), s.degree(), s.doubled, str(s))
-            for s in sets]
+            for s in _valid_index_sets(top, degree_cap)]
     degrees = [row[2] for row in rows]  # ascending, as sets are ordered
-    split = 1 | _midrank_bit(n)
-
-    def lhs(k, i, j):
-        if split != 1 and (i | j) & split == split:
-            return None, _relation_lhs(k, i, j, n)
-        key = (k, i, j)
-        stored = shared.get(key)
-        return key, stored[0] if stored else _relation_lhs(k, i, j, None)
-
     for i, size_i, deg_i, ds_i, text_i in rows:
         if size_i <= 1:
             continue
         # the J with deg I + deg J <= degree_cap, in order
         for j, size_j, _, ds_j, text_j in rows[:bisect_right(degrees, degree_cap - deg_i)]:
+            low, split = max(_min_rank(i), _min_rank(j)), _min_rank(i | j) - 1
             for k in (2, 3, 4):
                 # family 2 is symmetric in I and J: dedup equal sizes
                 if _pair_refusal(k, i, j) is None and not (
                     k == 2 and size_i == size_j and ds_i > ds_j
                 ):
-                    yield (f"rel{k}[n={n},I={text_i},J={text_j}]",
-                           {"relation": k, "n": n, "I": text_i, "J": text_j},
-                           *lhs(k, i, j))
+                    yield (low, split, k, i, j, f",I={text_i},J={text_j}]",
+                           {"I": text_i, "J": text_j})
         if deg_i + 1 <= degree_cap:
-            yield (f"rel5[n={n},I={text_i}]", {"relation": 5, "n": n, "I": text_i},
-                   *lhs(5, i, 0))
-    if n % 2 == 0 and 2 + 2 * n <= degree_cap:
-        yield f"rel6[n={n}]", {"relation": 6, "n": n}, None, _relation_lhs(6, 0, 0, n)
+            yield _min_rank(i), _min_rank(i) - 1, 5, i, 0, f",I={text_i}]", {"I": text_i}
 
 
-def verify_relations(n: int, degree_cap: int, shared: dict | None = None) -> Report:
-    """Check rho(LHS) = 0 in the rank-n ring for every valid instantiation
-    of relation families 2..6 with degree <= degree_cap.
+def _add_case(report: Report, case_id: str, params: dict, lhs: IntClass,
+              image: MPoly2) -> None:
+    """Record a relation case: it passes when lhs has no free part and its
+    rho at the report's rank, `image`, vanishes."""
+    if lhs.free:
+        report.add(case_id, params, FAIL, "free part is nonzero")
+    elif image.is_zero():
+        report.add(case_id, params, PASS)
+    else:
+        report.add(case_id, params, FAIL, f"rho = {image}")
 
-    A rank cap drops the monomials with a w_i above it, a monomial ideal,
-    and rho is a ring homomorphism, so rho at rank n is reduce_poly of rho
-    at the degree cap alone; every case takes its rho there.  Calls at
-    several ranks with one degree_cap may pass one `shared` dict, which
-    keeps each rank-independent case's left-hand side and rho by its key
-    from _relation_cases."""
-    ctx, stable = RingContext(degree_cap, n), RingContext(degree_cap)
-    shared = {} if shared is None else shared
-    report = Report(f"relations[n={n},degree<={degree_cap}]")
-    memo: dict = {}  # rho's prefix products, shared by the cases of this call
-    for case_id, params, key, lhs in _relation_cases(n, degree_cap, shared):
-        stored = shared.get(key)
-        if stored is None:
-            stored = lhs, _rho(lhs, stable, memo)
-            if key is not None:
-                shared[key] = stored
-        image = reduce_poly(stored[1], ctx)
-        if lhs.free:
-            report.add(case_id, params, FAIL, "free part is nonzero")
-        elif image.is_zero():
-            report.add(case_id, params, PASS)
-        else:
-            report.add(case_id, params, FAIL, f"rho = {image}")
-    return report
+
+def relation_reports(ranks: Iterable[int], degree_cap: int) -> Iterator[Report]:
+    """The report of each rank n of `ranks`, in order: rho(LHS) = 0 in the
+    rank-n ring for every valid instantiation of relation families 2..6
+    with degree <= degree_cap.
+
+    Cases are enumerated once, at the top rank.  Each stable left-hand side
+    and its rho at the degree cap are made once, and one prefix memo serves
+    every rho; a rank cap drops the monomials with a w_i above it, a
+    monomial ideal, and rho is a ring homomorphism, so rho at rank n is
+    reduce_poly of rho at the degree cap alone."""
+    ranks = list(ranks)
+    stable = RingContext(degree_cap)
+    memo: dict = {}  # rho's prefix products
+    images: dict = {}  # case position -> its stable left-hand side and rho
+    cases = list(_relation_cases(max(ranks, default=0), degree_cap))
+    for n in ranks:
+        ctx = RingContext(degree_cap, n)
+        report = Report(f"relations[n={n},degree<={degree_cap}]")
+        fits6 = _midrank_bit(n) and 2 + 2 * n <= degree_cap
+        rel6 = [(n, n, 6, 0, 0, "]", {})] if fits6 else []  # built at rank n
+        for c, (low, split, k, i, j, id_tail, params) in enumerate(cases + rel6):
+            if low > n:
+                continue
+            if n == split:
+                lhs = _relation_lhs(k, i, j, n)
+                image = _rho(lhs, stable, memo)
+            else:
+                if c not in images:
+                    lhs = _relation_lhs(k, i, j, None)
+                    images[c] = lhs, _rho(lhs, stable, memo)
+                lhs, image = images[c]
+            _add_case(report, f"rel{k}[n={n}{id_tail}",
+                      {"relation": k, "n": n, **params}, lhs, reduce_poly(image, ctx))
+        yield report
+
+
+def verify_relations(n: int, degree_cap: int) -> Report:
+    """The relation sweep at the one rank n (relation_reports)."""
+    return next(relation_reports([n], degree_cap))

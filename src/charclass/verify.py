@@ -28,7 +28,7 @@ from .complexifiability import (
     lemma3_rhs,
 )
 from .errors import NotInIdealError
-from .feshbach import IndexSet, IntClass, rho, verify_relations
+from .feshbach import IndexSet, IntClass, relation_reports, rho
 from .report import EXPECTED_MISMATCH, FAIL, PASS, Report
 from .steenrod import sq1
 from .wring import (
@@ -185,12 +185,10 @@ def suite_lemma3() -> Report:
 
 
 def suite_relations(max_rank: int = 8, degree: int = 24) -> Report:
-    """verify_relations at every rank 2..max_rank, sharing one dict of the
-    rank-independent cases across the ranks."""
+    """The relation sweep at every rank 2..max_rank (relation_reports)."""
     report = Report(f"relations[rank<={max_rank},degree<={degree}]")
-    shared: dict = {}
-    for n in range(2, max_rank + 1):
-        report.extend(verify_relations(n, degree, shared))
+    for part in relation_reports(range(2, max_rank + 1), degree):
+        report.extend(part)
     return report
 
 

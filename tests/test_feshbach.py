@@ -8,6 +8,7 @@ from typing import Iterable
 
 import pytest
 
+from charclass import feshbach
 from charclass.errors import CapsTooSmallError, InvalidIndexSetError
 from charclass.expr import parse_integral
 from charclass.feshbach import (
@@ -15,6 +16,7 @@ from charclass.feshbach import (
     IndexSet,
     IntClass,
     _convention,
+    _min_rank,
     _relation_cases,
     _tor_term,
     _torsion_sum,
@@ -22,6 +24,7 @@ from charclass.feshbach import (
     int_add,
     int_mul,
     relation,
+    relation_reports,
     rho,
     torsion_equal,
     verify_relations,
@@ -84,6 +87,38 @@ def test_validity_at_rank():
     assert IndexSet.of("1/2", 2).valid_at(5)
     assert IndexSet.of("1/2", 2).valid_at(None)
     assert IndexSet.of("1/2").valid_at(1)
+
+
+def _literally_valid(ds, n: int) -> bool:
+    """Rank-n validity of the doubled indices ds as the feshbach module
+    docstring states it: every integer index k has 0 < k < (n+1)/2, and
+    for n > 1 the set does not hold both 1/2 and n/2 (doubled n)."""
+    if not all(0 < d // 2 < (n + 1) / 2 for d in ds if d != 1):
+        return False
+    return not (n > 1 and 1 in ds and n in ds)
+
+
+def test_min_rank_matches_the_literal_rule():
+    # every subset of {1/2, 1, ..., 20} of size <= 4 at ranks 0..44: a set
+    # is valid at exactly the ranks from its lowest one up
+    pool = [1] + list(range(2, 41, 2))
+    for size in range(1, 5):
+        for ds in combinations(pool, size):
+            low = _min_rank(v_mask(ds))
+            for n in range(45):
+                assert (n >= low) == _literally_valid(ds, n), (ds, n)
+
+
+def test_every_set_is_invalid_at_a_negative_rank():
+    half = IndexSet.of("1/2")
+    for I in (half, IndexSet.of(1), IndexSet.of("1/2", 1)):
+        assert not I.valid_at(-1)
+    with pytest.raises(InvalidIndexSetError):
+        relation(1, half, n=-1)
+    with pytest.raises(InvalidIndexSetError):
+        int_mul(IntClass.V(half), IntClass.V(half), n=-3)
+    with pytest.raises(ValueError, match="rank_cap must be a nonnegative integer"):
+        verify_relations(-1, 24)
 
 
 def test_two_torsion_built_in():
@@ -321,29 +356,70 @@ def test_verify_relations_sweep():
         assert report.ok(), str(report)
 
 
-def test_sweep_cases_match_relation():
-    # every case of the sweep at ranks 2..16, odd ranks and convention
-    # splits included, against the public relation(); the shared dict that
-    # verify_relations fills at the lower ranks hands back its stored
-    # left-hand sides at the higher ones
-    shared: dict = {}
-    splits = reused = 0
-    for n in range(2, 17):
-        sets = {str(s): s for s in _valid_index_sets(n, 24)}
-        for case_id, params, key, lhs in _relation_cases(n, 24, shared):
-            k = params["relation"]
-            I, J = sets.get(params.get("I")), sets.get(params.get("J"))
-            assert lhs == relation(k, I, J, n), case_id
-            splits += key is None and k != 6
-            reused += key in shared
-        verify_relations(n, 24, shared)
-    assert splits and reused
+def test_sweep_cases_match_relation(monkeypatch):
+    # every left-hand side the sweep checks at ranks 2..16, odd ranks and
+    # convention splits included, against the public relation(): the sweep
+    # builds it at the case's split rank and reads the stable one elsewhere
+    checked, add_case = [], feshbach._add_case
+
+    def record(report, case_id, params, lhs, image):
+        checked.append((params, lhs))
+        add_case(report, case_id, params, lhs, image)
+
+    monkeypatch.setattr(feshbach, "_add_case", record)
+    reports = list(relation_reports(range(2, 17), 24))
+    assert len(checked) == sum(len(r.cases) for r in reports)
+    sets = {str(s): s for s in _valid_index_sets(16, 24)}
+    for params, lhs in checked:
+        I, J = sets.get(params.get("I")), sets.get(params.get("J"))
+        assert lhs == relation(params["relation"], I, J, params["n"]), params
+    # both kinds occur: cases whose split rank is swept, and stable cases
+    cases = list(_relation_cases(16, 24))
+    assert any(low <= split for low, split, *_ in cases)
+    assert any(split < low for low, split, *_ in cases)
+
+
+def test_relation6_case_exactly_where_relation_accepts():
+    for n in range(13):
+        accepts = not isinstance(_outcome(relation, 6, None, None, n), tuple)
+        ids = [case.id for case in verify_relations(n, 24).cases]
+        assert (f"rel6[n={n}]" in ids) == (accepts and 2 + 2 * n <= 24), n
+        assert sum(i.startswith("rel6") for i in ids) <= 1
+
+
+@pytest.mark.parametrize("cap", [12, 16])
+def test_sweep_case_ids_match_brute_force(cap):
+    # the complete case list of each rank, in report order, from the literal
+    # validity rule and the reference route's side conditions
+    for n in range(2, 13):
+        pool = [1] + list(range(2, n + 3, 2))  # one index past the valid ones
+        sets = [IndexSet(c) for size in range(1, len(pool) + 1)
+                for c in combinations(pool, size)
+                if _literally_valid(c, n) and IndexSet(c).degree() <= cap]
+        sets.sort(key=lambda s: (s.degree(), s.doubled))
+        want = []
+        for I in sets:
+            if len(I.doubled) <= 1:
+                continue
+            for J in sets:
+                if I.degree() + J.degree() > cap:
+                    continue
+                for k in (2, 3, 4):
+                    if k == 2 and len(I.doubled) == len(J.doubled) and I.doubled > J.doubled:
+                        continue  # family 2 is symmetric: one of I, J and J, I
+                    if not isinstance(_outcome(_reference_relation, k, I, J, n), tuple):
+                        want.append(f"rel{k}[n={n},I={I},J={J}]")
+            if I.degree() + 1 <= cap:
+                want.append(f"rel5[n={n},I={I}]")
+        if not isinstance(_outcome(relation, 6, None, None, n), tuple) and 2 + 2 * n <= cap:
+            want.append(f"rel6[n={n}]")
+        assert [case.id for case in verify_relations(n, cap).cases] == want, n
 
 
 @pytest.mark.parametrize("cap", [16, 24])
 def test_suite_relations_matches_unshared_ranks(cap):
-    # the suite shares rank-independent cases across ranks; each rank alone
-    # builds and checks every case itself
+    # the suite sweeps every rank in one pass over cases enumerated once;
+    # each rank alone enumerates and checks its cases itself
     got = suite_relations(20, cap)
     want = Report(got.suite)
     for n in range(2, 21):
