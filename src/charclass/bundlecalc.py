@@ -26,7 +26,7 @@ from .wring import (
     add,
     constant_term,
     evaluate_monomials,
-    mono_degree,
+    graded_parts,
     mul,
     reduce_poly,
     square,
@@ -167,12 +167,8 @@ def sw(a: FormalBundle, k: int):
     if a.rank_bound is not None and k > a.rank_bound:
         return MPoly2.zero(ns)
     if a._grades is None:
-        buckets: dict = {}
-        for key in a.total.monomials:
-            buckets.setdefault(mono_degree(key, ns), []).append(key)
-        a._grades = {d: MPoly2(frozenset(keys), ns) for d, keys in buckets.items()}
-    got = a._grades.get(k)
-    return MPoly2.zero(ns) if got is None else got
+        a._grades = graded_parts(a.total)
+    return a._grades.get(k) or MPoly2.zero(ns)
 
 
 def chern_mod2(a: FormalBundle, k: int, ctx: RingContext = UNBOUNDED):

@@ -321,8 +321,8 @@ def _integral_term(factors, chern: bool = False) -> IntClass:
                 )
             p_exps[atom.index // 2] = p_exps.get(atom.index // 2, 0) + e
         elif isinstance(atom, VGen):
-            ds = IndexSet(atom.doubled).doubled
-            v_exps[ds] = v_exps.get(ds, 0) + e
+            mask = IndexSet(atom.doubled).mask
+            v_exps[mask] = v_exps.get(mask, 0) + e
         elif atom.kind != "p":
             raise MixedExpressionError(f"{atom.kind}{atom.index} is not an integral atom")
         else:
@@ -330,7 +330,7 @@ def _integral_term(factors, chern: bool = False) -> IntClass:
     p_key = tuple(sorted((i, e) for i, e in p_exps.items() if e))
     if chern:
         coeff *= chern_sign(p_key)
-    v_key = [(ds, e) for ds, e in v_exps.items() if e]
+    v_key = [(mask, e) for mask, e in v_exps.items() if e]
     if not v_key:
         return IntClass(((p_key, coeff),) if coeff else ())
     if coeff % 2 == 0:

@@ -94,9 +94,10 @@ def _to_doubled(index) -> int:
 
 
 class IndexSet:
-    """Finite nonempty set of V-indices, stored as ascending doubled ints."""
+    """Finite nonempty set of V-indices, stored as ascending doubled ints
+    and as its V mask, the tor variable of V_I (wring.v_mask)."""
 
-    __slots__ = ("doubled",)
+    __slots__ = ("doubled", "mask")
 
     def __init__(self, doubled: Iterable[int]):
         ds = tuple(sorted(set(doubled)))
@@ -112,6 +113,7 @@ class IndexSet:
                     f"V index {d // 2} is above the limit {MAX_V_INDEX}"
                 )
         self.doubled = ds
+        self.mask = v_mask(ds)
 
     @classmethod
     def of(cls, *indices) -> "IndexSet":
@@ -122,7 +124,7 @@ class IndexSet:
         return 1 + sum(self.doubled)
 
     def valid_at(self, n: int | None) -> bool:
-        return n is None or n >= _min_rank(v_mask(self.doubled))
+        return n is None or n >= _min_rank(self.mask)
 
     def require_valid_at(self, n: int | None) -> None:
         if not self.valid_at(n):
@@ -207,7 +209,7 @@ class IntClass:
     @classmethod
     def V(cls, indices) -> "IntClass":
         iset = indices if isinstance(indices, IndexSet) else IndexSet.of(*indices)
-        return cls((), MPoly2(frozenset({tor_key((), ((iset.doubled, 1),))}), TOR))
+        return cls((), MPoly2(frozenset({tor_key((), ((iset.mask, 1),))}), TOR))
 
     # -- queries -----------------------------------------------------------
 
@@ -373,8 +375,12 @@ def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> boo
     """
     needed = max(a.degree(), b.degree())
     require_degree_cap_at_least(ctx, needed, "torsion_equal")
-    image_a, image_b = rho(a.torsion_part(), ctx), rho(b.torsion_part(), ctx)
-    return a.free == b.free and image_a == image_b
+    _validate_rank(a, ctx.rank_cap)
+    _validate_rank(b, ctx.rank_cap)
+    # rho and truncation are linear: the torsion parts are rho-equal exactly
+    # when their sum has rho 0
+    difference = IntClass((), a.torsion + b.torsion)
+    return a.free == b.free and _rho(difference, ctx).is_zero()
 
 
 # -- relation construction -------------------------------------------------
@@ -506,7 +512,7 @@ def relation(
 
     if k == 6:
         if not _midrank_bit(n):
-            raise ValueError("relation 6 needs a finite even rank")
+            raise ValueError("relation 6 needs an even rank of at least 2")
         return _relation_lhs(6, 0, 0, n)
 
     if I is None:
@@ -514,14 +520,14 @@ def relation(
     I.require_valid_at(n)
     if len(I.doubled) <= 1:
         raise ValueError("the cardinality of I must exceed one")
-    i = v_mask(I.doubled)
+    i = I.mask
     if k == 5:
         return _relation_lhs(5, i, 0, n)
 
     if J is None:
         raise ValueError(f"relation {k} needs J")
     J.require_valid_at(n)
-    j = v_mask(J.doubled)
+    j = J.mask
     if refusal := _pair_refusal(k, i, j):
         raise ValueError(refusal)
     return _relation_lhs(k, i, j, n)
@@ -548,7 +554,7 @@ def _relation_cases(top: int, degree_cap: int) -> Iterator[tuple]:
     below the lowest rank unless I | J holds the half index and neither I
     nor J holds both.  The enumeration meets every side condition, so
     _relation_lhs needs no checks of relation's."""
-    rows = [(v_mask(s.doubled), len(s.doubled), s.degree(), s.doubled, str(s))
+    rows = [(s.mask, len(s.doubled), s.degree(), s.doubled, str(s))
             for s in _valid_index_sets(top, degree_cap)]
     degrees = [row[2] for row in rows]  # ascending, as sets are ordered
     for i, size_i, deg_i, ds_i, text_i in rows:

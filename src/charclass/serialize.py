@@ -85,14 +85,15 @@ def _index(i):
 
 
 def _index_set(ds):
-    """The doubled tuple of a valid, ascending index set, else None."""
+    """(doubled tuple, V mask) of a valid, ascending index set, else None;
+    the pairs order like their doubled tuples."""
     if not (isinstance(ds, list) and all(type(d) is int for d in ds)):
         return None
     try:
-        doubled = IndexSet(ds).doubled
+        iset = IndexSet(ds)
     except InvalidIndexSetError:
         return None
-    return doubled if list(doubled) == ds else None
+    return (iset.doubled, iset.mask) if list(iset.doubled) == ds else None
 
 
 def _pairs(raw, what: str, read_first=_index) -> tuple:
@@ -125,7 +126,8 @@ def _decode(obj):
             v_key = _pairs(t["V"], "V", _index_set)
             if not v_key:
                 raise ValueError("a torsion term needs a V factor")
-            torsion.add(tor_key(_pairs(t["p"], "p-monomial"), v_key))
+            masks = [(mask, e) for (_, mask), e in v_key]
+            torsion.add(tor_key(_pairs(t["p"], "p-monomial"), masks))
         return IntClass(_freeze_free(free), MPoly2(frozenset(torsion), TOR))
     raise ValueError(f"cannot deserialize type {kind!r}")
 

@@ -138,10 +138,9 @@ def v_mask(ds: Iterable[int]) -> int:
 
 def tor_key(p_key: MonomialKey, v_key: Iterable) -> MonomialKey:
     """The tor monomial of a p part, ascending (i, e) pairs, times V
-    factors given as (ascending doubled indices, exponent) pairs: p_i is
+    factors given as (V mask, exponent) pairs with distinct masks: p_i is
     variable -i and V_I the bit mask of I (v_mask)."""
-    vs = sorted((v_mask(ds), e) for ds, e in v_key)
-    return tuple((-i, e) for i, e in reversed(p_key)) + tuple(vs)
+    return tuple((-i, e) for i, e in reversed(p_key)) + tuple(sorted(v_key))
 
 
 def tor_terms(a: MPoly2) -> list:
@@ -233,23 +232,6 @@ class MPoly2:
         if index < 1:
             raise ValueError("generator index must be positive")
         return cls(frozenset({((index, 1),)}), namespace)
-
-    @classmethod
-    def from_keys(cls, keys: Iterable, namespace: str = SW) -> "MPoly2":
-        """Build from raw (index, exponent) iterables; canonicalizes and
-        cancels duplicate monomials mod 2."""
-        acc: set = set()
-        for raw in keys:
-            merged: dict = {}
-            for i, e in raw:
-                if i < 1:
-                    raise ValueError("variable index must be positive")
-                merged[i] = merged.get(i, 0) + e
-            key = tuple(sorted((i, e) for i, e in merged.items() if e))
-            if any(e < 0 for _, e in key):
-                raise ValueError("negative exponent")
-            acc.symmetric_difference_update({key})
-        return cls(frozenset(acc), namespace)
 
     # -- queries -----------------------------------------------------------
 
@@ -582,12 +564,18 @@ def power(a: MPoly2, e: int, ctx: RingContext = UNBOUNDED) -> MPoly2:
     return result
 
 
+def graded_parts(a: MPoly2) -> dict:
+    """The homogeneous pieces of a in one pass: degree -> nonzero piece,
+    with no entry for a degree that has no monomial."""
+    ns, buckets = a.namespace, {}
+    for key in a.monomials:
+        buckets.setdefault(mono_degree(key, ns), []).append(key)
+    return {d: MPoly2(frozenset(keys), ns) for d, keys in buckets.items()}
+
+
 def grade_component(a: MPoly2, k: int) -> MPoly2:
     """The homogeneous piece of degree exactly k."""
-    kept = frozenset(
-        key for key in a.monomials if mono_degree(key, a.namespace) == k
-    )
-    return MPoly2(kept, a.namespace)
+    return graded_parts(a).get(k) or MPoly2.zero(a.namespace)
 
 
 def constant_term(a: MPoly2) -> int:

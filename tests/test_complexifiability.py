@@ -16,7 +16,7 @@ from charclass.bundlecalc import (
     whitney_sum,
 )
 from charclass.complexifiability import (
-    _test_pair,
+    _test_bundle,
     express_via_chern,
     ideal_decomposition,
     invariance_oracle,
@@ -147,9 +147,8 @@ def test_memoized_test_pair_matches_fresh_route():
         assert [invariance_oracle(c, ctx) for c in classes] == expected
     for d in {c.degree() for c in classes}:
         work = RingContext(degree_cap=d)
-        fg, g = _test_pair(d)
-        assert fg.total == whitney_sum(fiber_bundle(work), universal_bundle(work), work).total
-        assert g.total == universal_bundle(work).total
+        fg = whitney_sum(fiber_bundle(work), universal_bundle(work), work)
+        assert _test_bundle(d) == fg
 
 
 def test_lemma3_spot_cases():

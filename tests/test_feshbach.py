@@ -268,6 +268,41 @@ def test_torsion_equal_validates_rank():
         )
 
 
+def test_torsion_equal_runs_rho_once(monkeypatch):
+    """One rho of the sum of the torsion parts decides a comparison."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = feshbach._rho
+    monkeypatch.setattr(feshbach, "_rho", counted)
+    ctx = RingContext(degree_cap=40, rank_cap=8)
+    rng = random.Random(44)
+    outcomes = set()
+    for _ in range(10):
+        x = _random_intclass(rng)
+        other = int_add(x.free_part(), _random_intclass(rng).torsion_part())
+        for y in (x, other, int_add(x, relation(6, n=8))):
+            expected = rho(x, ctx) == rho(y, ctx)  # free parts agree
+            before = len(calls)
+            assert torsion_equal(x, y, ctx) == expected
+            assert len(calls) == before + 1
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_torsion_equal_refusal_names_first_invalid_set():
+    """Both classes pass the rank gate, the left one first, before rho."""
+    ctx = RingContext(degree_cap=20, rank_cap=2)
+    v1, v2, v3 = IntClass.V([1]), IntClass.V([2]), IntClass.V([3])
+    for a, b, named in ((v3, v2, "{3}"), (v2, v3, "{2}"), (v1, v3, "{3}")):
+        with pytest.raises(InvalidIndexSetError) as err:
+            torsion_equal(a, b, ctx)
+        assert str(err.value) == f"index set {named} is not valid at rank 2"
+
+
 def test_torsion_equal_is_an_equivalence():
     rng = random.Random(43)
     ctx = RingContext(degree_cap=40, rank_cap=8)
@@ -524,6 +559,15 @@ def _ref_mul(a, b, cap):
     return {k: c for k, c in free.items() if c}, torsion
 
 
+def _ref_poly(keys):
+    """The mod-2 sum of monomials given as lists of (index, exponent) pairs,
+    each canonicalized here: repeated indices merged, indices ascending."""
+    acc = set()
+    for raw in keys:
+        acc ^= {_ref_merge((), raw)}
+    return MPoly2(frozenset(acc))
+
+
 def _ref_sq1_of_product(ds):
     """Sq1(w_d1 * ... * w_dm) for distinct d's by the Leibniz rule, with
     Sq1(w_d) = w1*w_d + w_(d+1) for even d and w1*w_d for odd d."""
@@ -533,14 +577,14 @@ def _ref_sq1_of_product(ds):
         keys.append(rest + [(1, 1), (d, 1)])
         if d % 2 == 0:
             keys.append(rest + [(d + 1, 1)])
-    return MPoly2.from_keys(keys)
+    return _ref_poly(keys)
 
 
 def _ref_rho(a, ctx):
     total = MPoly2.zero()
     terms = a[1] | {(k, ()) for k, c in a[0].items() if c % 2}
     for p_key, v_key in terms:
-        term = MPoly2.from_keys([[(2 * i, 2 * e) for i, e in p_key]])
+        term = _ref_poly([[(2 * i, 2 * e) for i, e in p_key]])
         for ds, e in v_key:
             term = term * _ref_sq1_of_product(ds) ** e
         total = total + term
@@ -652,7 +696,7 @@ def _reference_relation(
 ) -> IntClass:
     if k == 6:
         if n is None or n % 2 != 0 or n < 2:
-            raise ValueError("relation 6 needs a finite even rank")
+            raise ValueError("relation 6 needs an even rank of at least 2")
         half = IntClass.V(IndexSet({1}))
         vn = IntClass.V(IndexSet({n}))
         return int_add(int_mul(half, IntClass.p(n // 2), n), int_mul(vn, vn, n))

@@ -20,6 +20,7 @@ from charclass.wring import (
     constant_term,
     evaluate_monomials,
     grade_component,
+    graded_parts,
     mono_degree,
     mul,
     power,
@@ -28,6 +29,8 @@ from charclass.wring import (
     square,
     substitute,
     tor_key,
+    tor_terms,
+    v_mask,
     w,
 )
 from charclass.verify import random_mod2
@@ -72,6 +75,54 @@ def test_grade_component_examples():
         assert all(mono_degree(m, SW) == k for m in part.monomials)
         total = total + part
     assert total == x
+
+
+def _random_keys_in(rng, ns, count):
+    """`count` draws of monomial keys in namespace ns, duplicates merged.
+    A w key holds up to three of the indices 1..8 (as sw, root or ext w's);
+    a tor key up to two p_i and one to three distinct V masks of subsets of
+    {1/2, 1, 2, 3, 4}; exponents run up to 3."""
+    def w_key():
+        return tuple((i, rng.randint(1, 3))
+                     for i in sorted(rng.sample(range(1, 9), rng.randint(0, 3))))
+
+    def tor():
+        p_key = [(i, rng.randint(1, 3)) for i in sorted(rng.sample(range(1, 5), rng.randint(0, 2)))]
+        masks = rng.sample(range(1, 32), rng.randint(1, 3))
+        return tor_key(p_key, [(m, rng.randint(1, 3)) for m in masks])
+
+    make = {
+        SW: w_key,
+        ROOT: w_key,
+        EXT: lambda: tuple((-i, 1) for i, _ in reversed(w_key())) + w_key(),
+        TOR: tor,
+    }[ns]
+    return frozenset(make() for _ in range(count))
+
+
+def test_graded_parts_match_a_degree_filter():
+    rng = random.Random(61)
+    for ns in (SW, ROOT, EXT, TOR):
+        for count in (0, 1, 5, 20):
+            a = MPoly2(_random_keys_in(rng, ns, count), ns)
+            parts = graded_parts(a)
+            for d in range(a.degree() + 2):
+                kept = frozenset(k for k in a.monomials if mono_degree(k, ns) == d)
+                assert parts.get(d, MPoly2.zero(ns)) == MPoly2(kept, ns)
+                assert (d in parts) == bool(kept)
+            assert set(parts) <= set(range(a.degree() + 1))
+
+
+def test_tor_key_round_trips_with_tor_terms():
+    """tor_terms decodes V masks to doubled tuples; v_mask encodes them back
+    into the (mask, exponent) form tor_key takes."""
+    rng = random.Random(62)
+    a = MPoly2(_random_keys_in(rng, TOR, 60), TOR)
+    rebuilt = {tor_key(p_key, [(v_mask(ds), e) for ds, e in v_key])
+               for p_key, v_key in tor_terms(a)}
+    assert rebuilt == a.monomials
+    assert tor_terms(MPoly2(frozenset({tor_key(((1, 2),), [(0b101, 3), (0b10, 1)])}), TOR)) == [
+        (((1, 2),), (((1, 4), 3), ((2,), 1)))]
 
 
 def test_constant_term():
@@ -151,21 +202,8 @@ def test_rank_cap_truncates_w_only():
     """Under a rank cap n, an sw or ext monomial goes exactly when it has a
     w_i with i > n; v_i, roots, p_i and V masks are not w's and stay."""
     rng = random.Random(13)
-
-    def key():  # up to three of the indices 1..8, as sw, root or ext w keys
-        return tuple((i, rng.randint(1, 3))
-                     for i in sorted(rng.sample(range(1, 9), rng.randint(0, 3))))
-
-    makers = {
-        SW: key,
-        ROOT: key,
-        EXT: lambda: tuple((-i, 1) for i, _ in reversed(key())) + key(),
-        TOR: lambda: tor_key(
-            [(i, 1) for i in sorted(rng.sample(range(1, 4), rng.randint(0, 2)))],
-            [(tuple(sorted(rng.sample((1, 2, 4, 6, 8), rng.randint(1, 3)))), 1)]),
-    }
-    for ns, make in makers.items():
-        a = MPoly2(frozenset(make() for _ in range(40)), ns)
+    for ns in (SW, ROOT, EXT, TOR):
+        a = MPoly2(_random_keys_in(rng, ns, 40), ns)
         for n in range(9):
             kept = reduce_poly(a, RingContext(rank_cap=n))
             if ns in (SW, EXT):
@@ -229,13 +267,6 @@ def test_canonical_printing_graded_lex():
     assert str(x) == "1 + w1 + w1^2 + w2"
     assert str(MPoly2.zero()) == "0"
     assert str(MPoly2.one()) == "1"
-
-
-def test_from_keys_canonicalizes():
-    p = MPoly2.from_keys([[(2, 1), (1, 2)], [(1, 2), (2, 1)]])
-    assert p.is_zero()  # the same monomial twice cancels
-    q = MPoly2.from_keys([[(3, 1), (3, 1)]])
-    assert q == square(w(3))
 
 
 # -- packed kernels above the dict/packed switch ------------------------------
