@@ -15,6 +15,8 @@ complexification is trivial) against the universal bundle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import CapsTooSmallError, NamespaceMismatchError
 from .wring import (
     EXT,
@@ -54,39 +56,28 @@ def ext_mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
 ext_reduce = reduce_poly
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class FormalBundle:
     """A bundle given by its total class (constant term 1) and a rank bound.
 
     rank_bound None means unbounded (a stable bundle).  Do not mutate: the
-    first sw() call files the total's monomials by degree, once, and every
-    later call reads those buckets.  They take no part in equality, hashing,
-    repr or serialization.
+    first sw() call files the total's monomials by degree, once, in
+    `_grades`, and every later call reads those buckets.
     """
 
-    __slots__ = ("total", "rank_bound", "_grades")
+    total: MPoly2
+    rank_bound: int | None = None
+    _grades: dict | None = field(default=None, init=False, compare=False)
 
-    def __init__(self, total, rank_bound: int | None = None):
-        if not isinstance(total, MPoly2):
+    def __post_init__(self):
+        if not isinstance(self.total, MPoly2):
             raise TypeError("total class must be an MPoly2")
-        if constant_term(total) != 1:
+        if constant_term(self.total) != 1:
             raise ValueError("a total class must have constant term 1")
-        if rank_bound is not None and (
-            not isinstance(rank_bound, int) or rank_bound < 0
+        if self.rank_bound is not None and (
+            not isinstance(self.rank_bound, int) or self.rank_bound < 0
         ):
             raise ValueError("rank bound must be a nonnegative integer or None")
-        self.total = total
-        self.rank_bound = rank_bound
-        self._grades = None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalBundle)
-            and self.total == other.total
-            and self.rank_bound == other.rank_bound
-        )
-
-    def __hash__(self):
-        return hash((self.total, self.rank_bound))
 
     def __repr__(self):
         return f"FormalBundle({self.total}, rank_bound={self.rank_bound})"

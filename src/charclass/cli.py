@@ -156,9 +156,14 @@ def cmd_verify(args) -> int:
     for line in report.format_lines():
         print(line)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(serialize.dumps(report))
-            fh.write("\n")
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(serialize.dumps(report))
+                fh.write("\n")
+        except OSError as e:
+            print(f"charclass: error: cannot write report {args.report!r}: {e.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK if report.ok() else EXIT_VERIFY
 
 

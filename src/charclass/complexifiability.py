@@ -11,6 +11,7 @@ Chern symbols of the complexification.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .bundlecalc import (
@@ -45,23 +46,15 @@ from .wring import (
 )
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SquaresPoly:
     """A class rewritten in the auxiliary symbols u_i = w_i^2."""
 
-    __slots__ = ("poly_in_u",)
-
-    def __init__(self, poly_in_u: MPoly2):
-        self.poly_in_u = poly_in_u
+    poly_in_u: MPoly2
 
     def expand(self, ctx: RingContext = UNBOUNDED) -> MPoly2:
         """Substitute u_i = w_i^2 back (doubles every exponent)."""
         return square(self.poly_in_u, ctx)
-
-    def __eq__(self, other):
-        return isinstance(other, SquaresPoly) and self.poly_in_u == other.poly_in_u
-
-    def __hash__(self):
-        return hash(self.poly_in_u)
 
     def __str__(self):
         return poly_str(self.poly_in_u, "u")
@@ -217,6 +210,7 @@ def chern_sign(p_key) -> int:
     return -1 if sum(i * e for i, e in p_key) % 2 else 1
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ChernExpr:
     """A complexifiable integral class written in terms of Chern classes of
     the complexification.
@@ -227,11 +221,8 @@ class ChernExpr:
     preimage of that mod-2 class when it is nonzero (`lift_marker`).
     """
 
-    __slots__ = ("free", "torsion")
-
-    def __init__(self, free: IntClass, torsion: MPoly2):
-        self.free = free
-        self.torsion = torsion
+    free: IntClass
+    torsion: MPoly2
 
     @property
     def lift_marker(self) -> bool:
@@ -245,16 +236,6 @@ class ChernExpr:
     def expand_torsion_rho(self, ctx: RingContext = UNBOUNDED) -> MPoly2:
         """Substitute rc_j = w_j^2 back: the rho-image the torsion denotes."""
         return square(self.torsion, ctx)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChernExpr)
-            and self.free == other.free
-            and self.torsion == other.torsion
-        )
-
-    def __hash__(self):
-        return hash((self.free, self.torsion))
 
     def __str__(self):
         terms = [

@@ -26,6 +26,7 @@ constructed.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -74,10 +75,13 @@ def _min_rank(mask: int) -> int:
 
 
 def _to_doubled(index) -> int:
+    # A string is "1/2" or ASCII digits, as the expression lexer reads
+    # them; int() alone would also take padding and other scripts' digits.
     if isinstance(index, str):
-        if index.strip() == "1/2":
+        if index == "1/2":
             return 1
-        index = int(index)
+        if index.isascii() and index.isdigit():
+            index = int(index)
     if isinstance(index, Fraction):
         d = 2 * index
         if d.denominator != 1 or d < 1:
@@ -86,18 +90,20 @@ def _to_doubled(index) -> int:
         if d != 1 and d % 2 == 1:
             raise InvalidIndexSetError(f"index {index} is not 1/2 or a positive integer")
         return d
-    if isinstance(index, int):
+    if isinstance(index, int) and not isinstance(index, bool):
         if index < 1:
             raise InvalidIndexSetError("integer indices must be positive")
         return 2 * index
     raise InvalidIndexSetError(f"cannot read index {index!r}")
 
 
+@dataclass(init=False, slots=True, unsafe_hash=True, repr=False)
 class IndexSet:
     """Finite nonempty set of V-indices, stored as ascending doubled ints
     and as its V mask, the tor variable of V_I (wring.v_mask)."""
 
-    __slots__ = ("doubled", "mask")
+    doubled: tuple
+    mask: int = field(compare=False)
 
     def __init__(self, doubled: Iterable[int]):
         ds = tuple(sorted(set(doubled)))
@@ -129,12 +135,6 @@ class IndexSet:
     def require_valid_at(self, n: int | None) -> None:
         if not self.valid_at(n):
             raise InvalidIndexSetError(f"index set {self} is not valid at rank {n}")
-
-    def __eq__(self, other):
-        return isinstance(other, IndexSet) and self.doubled == other.doubled
-
-    def __hash__(self):
-        return hash(self.doubled)
 
     def __str__(self):
         return "{" + ",".join(index_str(d) for d in self.doubled) + "}"
@@ -179,16 +179,14 @@ def signed_sum_str(terms: Iterable) -> str:
     return text or "0"
 
 
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class IntClass:
     """Element of the integral class ring: an integer polynomial in the p_i
     plus a formal 2-torsion polynomial in p_i and V_I over the field with
     two elements (2*V_I = 0 is built into the representation)."""
 
-    __slots__ = ("free", "torsion")
-
-    def __init__(self, free: tuple = (), torsion: MPoly2 = MPoly2.zero(TOR)):
-        self.free = free
-        self.torsion = torsion
+    free: tuple = ()
+    torsion: MPoly2 = MPoly2.zero(TOR)
 
     # -- constructors ------------------------------------------------------
 
@@ -227,16 +225,6 @@ class IntClass:
 
     def degree(self) -> int:
         return max([self.torsion.degree()] + [_p_degree(k) for k, _ in self.free])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntClass)
-            and self.free == other.free
-            and self.torsion == other.torsion
-        )
-
-    def __hash__(self):
-        return hash((self.free, self.torsion))
 
     def __add__(self, other):
         return int_add(self, other)
@@ -597,6 +585,10 @@ def relation_reports(ranks: Iterable[int], degree_cap: int) -> Iterator[Report]:
     monomial ideal, and rho is a ring homomorphism, so rho at rank n is
     reduce_poly of rho at the degree cap alone."""
     ranks = list(ranks)
+    if degree_cap is None:
+        raise ValueError("the relation sweep needs a degree cap, not None")
+    if None in ranks:
+        raise ValueError("the relation sweep needs a rank cap, not None")
     stable = RingContext(degree_cap)
     memo: dict = {}  # rho's prefix products
     images: dict = {}  # case position -> its stable left-hand side and rho

@@ -37,6 +37,8 @@ def to_json_obj(x):
                 {"nu": vs, "w": [[i, e] for i, e in w_key]}
                 for vs, w_key in ext_terms(x)
             ]}
+        if x.namespace == TOR:
+            raise TypeError("cannot serialize a tor MPoly2; serialize the IntClass it belongs to")
         obj = {"type": "mod2", "monomials": [
             [[i, e] for i, e in key] for key in graded_lex(x)
         ]}

@@ -202,6 +202,7 @@ class RingContext:
 UNBOUNDED = RingContext()
 
 
+@dataclass(init=False, slots=True, unsafe_hash=True, repr=False)
 class MPoly2:
     """Polynomial over the two-element field in graded generators.
 
@@ -209,7 +210,8 @@ class MPoly2:
     hashing are structural (namespace + monomial set).
     """
 
-    __slots__ = ("namespace", "monomials")
+    namespace: str
+    monomials: frozenset
 
     def __init__(self, monomials: frozenset = frozenset(), namespace: str = SW):
         if namespace not in _LETTER:
@@ -249,16 +251,6 @@ class MPoly2:
 
     def __bool__(self):
         return bool(self.monomials)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MPoly2)
-            and self.namespace == other.namespace
-            and self.monomials == other.monomials
-        )
-
-    def __hash__(self):
-        return hash((self.namespace, self.monomials))
 
     # -- operator sugar (unbounded context) --------------------------------
 

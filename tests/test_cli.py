@@ -204,6 +204,16 @@ def test_verify_deterministic_and_report(capsys, tmp_path):
     assert all(c["status"] == "pass" for c in blob["cases"])
 
 
+def test_verify_report_to_unwritable_path_exit_1(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "verify", "--suite", "lemma3", "--degree", "12",
+                             "--rank", "4", "--report", str(path))
+        assert code == 1
+        assert "suite lemma3" in out
+        assert err.startswith("charclass: error: cannot write report")
+        assert err.count("\n") == 1
+
+
 def test_verify_all_smoke(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--degree", "12",
                        "--rank", "4", "--seed", "7")

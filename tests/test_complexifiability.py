@@ -3,11 +3,13 @@ oracle, both decompositions, the squared-torsion expansion, and the Chern
 expression round trip."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from charclass import complexifiability
 from charclass.bundlecalc import (
+    FormalBundle,
     evaluate_class,
     fiber_bundle,
     to_ext,
@@ -16,6 +18,8 @@ from charclass.bundlecalc import (
     whitney_sum,
 )
 from charclass.complexifiability import (
+    ChernExpr,
+    SquaresPoly,
     _test_bundle,
     express_via_chern,
     ideal_decomposition,
@@ -31,7 +35,7 @@ from charclass.errors import (
     NotComplexifiableError,
     NotInIdealError,
 )
-from charclass.expr import elaborate, parse
+from charclass.expr import elaborate, parse, parse_integral, parse_mod2
 from charclass.feshbach import IndexSet, IntClass, rho
 from charclass.verify import (
     random_ideal_member,
@@ -281,3 +285,33 @@ def test_theorem_2_and_3_random():
         expr = express_via_chern(cl, ctx)
         assert expr.expand_free() == cl.free_part()
         assert expr.expand_torsion_rho(ctx) == rho(cl.torsion_part(), ctx)
+
+
+def test_chern_and_squares_forms_are_frozen():
+    sq = subring_decomposition(square(w(1)))
+    chern = express_via_chern(IntClass.p(1), RingContext(24))
+    with pytest.raises(FrozenInstanceError):
+        sq.poly_in_u = w(2)
+    with pytest.raises(FrozenInstanceError):
+        chern.torsion = w(2)
+    assert str(sq) == "u1" and str(chern) == "-c2"
+
+
+def test_value_types_compare_by_their_fields():
+    ctx = RingContext(24)
+    pairs = [
+        (w(1) * w(2), MPoly2(frozenset({((1, 1), (2, 1))}))),
+        (IndexSet.of("1/2", 2), IndexSet([4, 1, 4])),
+        (IntClass.V(["1/2"]) * IntClass.p(1), parse_integral("p1*V{1/2}")),
+        (FormalBundle(MPoly2.one() + w(1), 1), FormalBundle(parse_mod2("w1 + 1"), 1)),
+        (subring_decomposition(square(w(1) * w(3))), SquaresPoly(w(1) * w(3))),
+        (express_via_chern(IntClass.p(1), ctx), ChernExpr(IntClass.p(1), MPoly2.zero())),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b), a
+    for i, (a, _) in enumerate(pairs):
+        for c, _ in pairs[i + 1:]:
+            assert a != c and c != a
+    x = w(1) * w(3)
+    assert SquaresPoly(x) != x and MPoly2(x.monomials, "root") != x
+    assert ChernExpr(IntClass.p(1), x) != IntClass(IntClass.p(1).free, x)

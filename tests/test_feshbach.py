@@ -57,6 +57,10 @@ def test_doubled_encoding():
         IndexSet([3])  # doubled 3 encodes 3/2, not a legal index
     with pytest.raises(InvalidIndexSetError):
         IndexSet.of(0)
+    assert IndexSet.of("12").doubled == (24,)
+    for index in ("\u0663", " 2 ", " 1/2", True):  # Arabic-Indic 3, padding, bool
+        with pytest.raises(InvalidIndexSetError, match="cannot read index"):
+            IndexSet.of(index)
 
 
 def test_v_index_limit():
@@ -119,6 +123,13 @@ def test_every_set_is_invalid_at_a_negative_rank():
         int_mul(IntClass.V(half), IntClass.V(half), n=-3)
     with pytest.raises(ValueError, match="rank_cap must be a nonnegative integer"):
         verify_relations(-1, 24)
+
+
+def test_relation_sweep_refuses_a_missing_cap():
+    with pytest.raises(ValueError, match="needs a rank cap"):
+        verify_relations(None, 24)
+    with pytest.raises(ValueError, match="needs a degree cap"):
+        verify_relations(4, None)
 
 
 def test_two_torsion_built_in():
@@ -504,6 +515,12 @@ def test_raw_torsion_polynomial_prints_decoded():
         "V{1,2} + p1^2*V{1}^2 + V{1/2,3}*V{1,2} + p2*V{1/2,3}"
     )
     assert str(y) == str(y.torsion)
+
+
+def test_raw_torsion_polynomial_refuses_json():
+    x = IntClass.V(["1/2", 3]) * IntClass.p(2)
+    with pytest.raises(TypeError, match="serialize the IntClass"):
+        dumps(x.torsion)
 
 
 def test_int_pow_matches_repeated_product():
