@@ -4,16 +4,14 @@ Exit codes: 0 success; 1 parse/usage error; 2 domain error (e.g. not
 complexifiable where required); 3 verification suite failure (cases marked
 expected-mismatch do not fail a suite).
 
-The default degree cap is 24, overridable with CHARCLASS_DEFAULT_DEGREE,
-which every call to `main` reads afresh.  The argument parser is built once
-per process and per default degree, so an in-process caller pays for it
-once; it holds no answers.
+The default degree cap is 24 in every command.  The argument parser is
+built on the first call to `main` and reused by every later one, so an
+in-process caller pays for it once; it holds no answers.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import lru_cache
 
@@ -45,6 +43,8 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 
+DEFAULT_DEGREE = 24
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -64,18 +64,6 @@ def integer(raw: str) -> int:
     return int(raw)
 
 
-def _default_degree() -> int:
-    raw = os.environ.get("CHARCLASS_DEFAULT_DEGREE")
-    if raw is None:
-        return 24
-    try:
-        return integer(raw)
-    except ValueError:
-        raise CharclassError(
-            f"CHARCLASS_DEFAULT_DEGREE must be an integer, got {raw!r}"
-        ) from None
-
-
 def _make_bundle(name: str, ctx: RingContext):
     if name == "universal":
         return universal_bundle(ctx)
@@ -85,9 +73,13 @@ def _make_bundle(name: str, ctx: RingContext):
         return fiber_bundle(ctx)
     if name.startswith("roots:"):
         raw = name.split(":", 1)[1]
-        if not raw or not set(raw) <= DIGITS or int(raw) < 1:
+        try:
+            m = integer(raw)
+        except ValueError:
+            m = 0
+        if m < 1:
             raise ParseError(f"roots:<m> needs a positive integer, got {raw!r}", 0)
-        return roots_bundle(int(raw), ctx)
+        return roots_bundle(m, ctx)
     raise ParseError(
         f"unknown bundle {name!r}; use universal, trivial, fiber, or roots:<m>", 0
     )
@@ -177,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--expr", required=True, help="class expression")
-        p.add_argument("--degree", type=integer, default=_default_degree(),
+        p.add_argument("--degree", type=integer, default=DEFAULT_DEGREE,
                        help="degree cap (default %(default)s)")
         p.add_argument("--rank", type=integer,
                        help="rank cap (default unbounded)")
@@ -219,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
-    p.add_argument("--degree", type=integer, default=_default_degree(),
+    p.add_argument("--degree", type=integer, default=DEFAULT_DEGREE,
                    help="degree cap (default %(default)s)")
     p.add_argument("--rank", type=integer, default=8)
     p.add_argument("--seed", type=integer, default=0)
@@ -230,20 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=1)
-def _parser(default_degree: int) -> argparse.ArgumentParser:
-    """build_parser(), built again only when the default degree it reads
-    changes."""
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser(_default_degree()).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
-    except CharclassError as e:
-        print(f"charclass: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (ParseError, MixedExpressionError) as e:

@@ -49,4 +49,4 @@ class ParseError(CharclassError):
 
 
 class MixedExpressionError(CharclassError):
-    """An expression mixes atoms from different coefficient regimes."""
+    """An expression holds an atom foreign to the regime it is read in."""

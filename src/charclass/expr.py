@@ -12,11 +12,12 @@ tighter than `*`):
 
 The optional leading minus admits canonical integral output, which can
 start with a negative term.  `1/2` is only legal inside V-braces.
-Elaboration targets one coefficient regime: mod-2 (w atoms), integral
-(p and V atoms), or Chern (even c atoms); integer literals are fine in
-any regime, and mixing regimes is an error.  A product of powers of atoms,
-with bare literals as coefficients, becomes one monomial in one step; only
-parenthesized groups and literal powers use the value ring's * and **.
+Elaboration targets the coefficient regime its caller names: mod-2 (w
+atoms), integral (p and V atoms), or Chern (even c atoms); integer
+literals are fine in any regime, and an atom of another regime is an
+error.  A product of powers of atoms, with bare literals as coefficients,
+becomes one monomial in one step; only parenthesized groups and literal
+powers use the value ring's * and **.
 """
 
 from __future__ import annotations
@@ -86,7 +87,11 @@ def _tokens(text: str) -> list:
             j = i
             while j < len(text) and text[j] in DIGITS:
                 j += 1
-            tokens.append(("nat", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError(f"number of {j - i} digits is too long", i) from None
+            tokens.append(("nat", value, i))
             i = j
             continue
         if ch in "wpcV":
@@ -210,40 +215,6 @@ def parse(text: str) -> ClassExpr:
     return _Parser(text).parse()
 
 
-def detect_domain(node: ClassExpr) -> str | None:
-    """Infer the coefficient regime from the atoms present (None if only
-    integer literals occur)."""
-    kinds = set()
-
-    def walk(nd):
-        if isinstance(nd, Gen):
-            kinds.add(nd.kind)
-        elif isinstance(nd, VGen):
-            kinds.add("V")
-        elif isinstance(nd, Pow):
-            walk(nd.base)
-        elif isinstance(nd, Prod):
-            for f in nd.factors:
-                walk(f)
-        elif isinstance(nd, Sum):
-            for _, t in nd.terms:
-                walk(t)
-
-    walk(node)
-    domains = set()
-    if "w" in kinds:
-        domains.add("mod2")
-    if kinds & {"p", "V"}:
-        domains.add("integral")
-    if "c" in kinds:
-        domains.add("chern")
-    if len(domains) > 1:
-        raise MixedExpressionError(
-            "expression mixes atoms from different coefficient regimes"
-        )
-    return domains.pop() if domains else None
-
-
 def _term_factors(node):
     """The (atom or literal, exponent) factors, left to right, of a product
     of powers of atoms with bare integer literals as coefficients: an atom,
@@ -346,15 +317,13 @@ _REGIMES = {
 }
 
 
-def elaborate(node: ClassExpr, domain: str | None = None):
-    """Turn an AST into an algebra element.
+def elaborate(node: ClassExpr, domain: str):
+    """Turn an AST into an algebra element of the named regime.
 
     domain: "mod2" -> MPoly2, "integral" -> IntClass, "chern" -> ChernExpr
-    (free part only).  When None the regime is inferred from the atoms;
-    a literal-only expression defaults to integral.
+    (free part only).  The regime's term builder refuses each atom foreign
+    to it.
     """
-    if domain is None:
-        domain = detect_domain(node) or "integral"
     if domain not in _REGIMES:
         raise ValueError(f"unknown domain {domain!r}")
     value = _elab(node, *_REGIMES[domain])

@@ -81,7 +81,12 @@ def _to_doubled(index) -> int:
         if index == "1/2":
             return 1
         if index.isascii() and index.isdigit():
-            index = int(index)
+            try:
+                index = int(index)
+            except ValueError:  # beyond the interpreter's digit limit
+                raise InvalidIndexSetError(
+                    f"index of {len(index)} digits is too long"
+                ) from None
     if isinstance(index, Fraction):
         d = 2 * index
         if d.denominator != 1 or d < 1:
@@ -412,7 +417,7 @@ def _convention(mask: int, n: int | None) -> list:
 
 
 def _tor_term(masks: list, ps: int = 0) -> MonomialKey:
-    """The tor monomial, in the layout of wring.tor_key, of V factors given
+    """The tor monomial, built by wring.tor_key, of V factors given
     as masks, times p_k for each integer index k of the mask ps: its half
     index stands for V_{{1/2}}, by the convention p_{1/2} = V_{{1/2}}.
     Repeated V factors merge into exponents."""
@@ -421,8 +426,7 @@ def _tor_term(masks: list, ps: int = 0) -> MonomialKey:
     counts: dict = {}
     for m in masks:
         counts[m] = counts.get(m, 0) + 1
-    p_key = tuple((-(low.bit_length() - 1), 1) for low in reversed(_bits(ps & ~1)))
-    return p_key + tuple(sorted(counts.items()))
+    return tor_key([(low.bit_length() - 1, 1) for low in _bits(ps & ~1)], counts.items())
 
 
 def _torsion_sum(keys: Iterable[MonomialKey]) -> IntClass:

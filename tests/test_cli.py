@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import charclass
+from charclass import cli
 from charclass.cli import build_parser, main
 
 
@@ -108,6 +109,21 @@ def test_roots_bundle_needs_ascii_digits(capsys):
         assert "roots:<m> needs a positive integer" in err, raw
 
 
+def test_over_long_digit_strings_exit_1(capsys):
+    # int() refuses strings of more than 4,300 digits by default
+    nines = "9" * 5000
+    for argv, message in [
+        (["eval", "--expr", f"w{nines}"], "number of 5000 digits is too long"),
+        (["rho", "--expr", f"V{{{nines}}}"], "number of 5000 digits is too long"),
+        (["rho", "--expr", f"{nines}*p1"], "number of 5000 digits is too long"),
+        (["eval", "--expr", "w1", "--bundle", f"roots:{nines}"],
+         "roots:<m> needs a positive integer"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert message in err and "int_max_str_digits" not in err, argv[:2]
+
+
 def test_mixed_expression_exit_1(capsys):
     code, _, err = run(capsys, "eval", "--expr", "w1 + p1")
     assert code == 1
@@ -176,13 +192,11 @@ def test_negative_caps_exit_1_in_every_command(capsys):
 
 
 def test_default_degree_env(capsys, monkeypatch):
-    monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", "4")
-    code, out, _ = run(capsys, "eval", "--expr", "w1^3*w2")
-    assert (code, out) == (0, "0\n")
-    monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", "not-a-number")
-    code, _, err = run(capsys, "eval", "--expr", "w1")
-    assert code == 1
-    assert "CHARCLASS_DEFAULT_DEGREE" in err
+    # the default degree cap is 24 whatever the environment holds
+    for env in ("4", "not-a-number"):
+        monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", env)
+        assert run(capsys, "eval", "--expr", "w1^3*w2") == (0, "w1^3*w2\n", ""), env
+        assert run(capsys, "eval", "--expr", "w24 + w25") == (0, "w24\n", ""), env
 
 
 def test_verify_deterministic_and_report(capsys, tmp_path):
@@ -255,14 +269,6 @@ def test_integer_options_read_ascii_digits_only(capsys):
     assert run(capsys, "eval", "--expr", "w1^3*w2", "--degree", "04")[:2] == (0, "0\n")
 
 
-def test_default_degree_env_reads_ascii_digits_only(capsys, monkeypatch):
-    for raw in ("٢", " 4", "1_0"):
-        monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", raw)
-        code, out, err = run(capsys, "eval", "--expr", "w1")
-        assert (code, out) == (1, ""), raw
-        assert "CHARCLASS_DEFAULT_DEGREE must be an integer" in err
-
-
 def test_v_index_limit(capsys):
     from charclass.feshbach import MAX_V_INDEX
 
@@ -281,11 +287,24 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert code == 0 and out and proc.stdout == out
 
 
-def test_parser_reuse_rereads_the_default_degree(capsys, monkeypatch):
-    monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", "4")
-    assert run(capsys, "eval", "--expr", "w1^3*w2")[:2] == (0, "0\n")
-    monkeypatch.delenv("CHARCLASS_DEFAULT_DEGREE")
-    assert run(capsys, "eval", "--expr", "w1^3*w2")[:2] == (0, "w1^3*w2\n")
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "eval", "--expr", "w2 + w1", "--degree", "8")
+        assert first == (0, "w1 + w2\n", "")
+        assert run(capsys, "eval", "--degree", "8")[0] == 1  # missing --expr
+        assert run(capsys, "--help")[0] == 0
+        assert run(capsys, "eval", "--expr", "w2 + w1", "--degree", "8") == first
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_parser_reuse_after_usage_error_and_help(capsys):
@@ -295,14 +314,6 @@ def test_parser_reuse_after_usage_error_and_help(capsys):
     code, out, _ = run(capsys, "eval", "--help")
     assert code == 0 and "--bundle" in out
     assert run(capsys, "eval", "--expr", "w2 + w1", "--degree", "8") == (0, "w1 + w2\n", "")
-
-
-def test_bad_default_degree_env_refused_with_an_explicit_degree(capsys, monkeypatch):
-    assert run(capsys, "eval", "--expr", "w1", "--degree", "8")[:2] == (0, "w1\n")
-    monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", "not-a-number")
-    code, out, err = run(capsys, "eval", "--expr", "w1", "--degree", "8")
-    assert (code, out) == (1, "")
-    assert "CHARCLASS_DEFAULT_DEGREE must be an integer, got 'not-a-number'" in err
 
 
 def test_numpy_loads_only_for_packed_products():
@@ -335,14 +346,7 @@ def test_huge_atom_powers_answer_at_once(command, atom, degree):
         assert f"needs degree_cap >= {degree}, got 24" in proc.stderr
 
 
-def test_degree_help_shows_the_default_in_use(capsys, monkeypatch):
-    # the cached parser is keyed by the default degree, so each call below
-    # reads its own parser's help
-    for env, default in [("4", "4"), (None, "24")]:
-        if env is None:
-            monkeypatch.delenv("CHARCLASS_DEFAULT_DEGREE", raising=False)
-        else:
-            monkeypatch.setenv("CHARCLASS_DEFAULT_DEGREE", env)
-        for command in ("eval", "verify"):
-            code, out, _ = run(capsys, command, "--help")
-            assert code == 0 and f"degree cap (default {default})" in out, command
+def test_degree_help_shows_the_default_in_use(capsys):
+    for command in ("eval", "verify"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "degree cap (default 24)" in out, command

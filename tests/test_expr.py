@@ -16,7 +16,6 @@ from charclass.expr import (
     Prod,
     Sum,
     VGen,
-    detect_domain,
     elaborate,
     parse,
     parse_integral,
@@ -82,7 +81,7 @@ def test_elaborate_examples():
     assert parse_mod2("w1+w1").is_zero()
     assert parse_integral("2*V{1}").is_zero()
     with pytest.raises(MixedExpressionError):
-        elaborate(parse("w1 + p1"))
+        elaborate(parse("w1 + p1"), "mod2")
     with pytest.raises(MixedExpressionError):
         elaborate(parse("w1"), "integral")
     with pytest.raises(MixedExpressionError):
@@ -100,9 +99,9 @@ def test_elaboration_refusal_messages():
         ("p1", "chern", "p1 is not a Chern atom"),
         ("c3", "chern", "c3: only even Chern classes arise from complexifiable classes"),
         ("V{1}", "chern", "V-classes cannot appear in a Chern expression"),
-        ("w1 + p1", None, "expression mixes atoms from different coefficient regimes"),
-        ("c2*V{1/2}", None, "expression mixes atoms from different coefficient regimes"),
-        ("w2^2 - c4", None, "expression mixes atoms from different coefficient regimes"),
+        ("w1 + p1", "mod2", "p1 is not a mod-2 atom"),
+        ("c2*V{1/2}", "chern", "V-classes cannot appear in a Chern expression"),
+        ("w2^2 - c4", "mod2", "c4 is not a mod-2 atom"),
         # a product's first bad atom, left to right, also under ^0
         ("w1*p1^0*V{1}", "mod2", "p1 is not a mod-2 atom"),
         ("0*V{1}^0*w2", "mod2", "V-classes are integral, not mod-2"),
@@ -138,11 +137,14 @@ def test_lexer_reads_only_ascii_digits():
         assert excinfo.value.position == position
 
 
-def test_detect_domain():
-    assert detect_domain(parse("w1*w2")) == "mod2"
-    assert detect_domain(parse("p1 + V{1}")) == "integral"
-    assert detect_domain(parse("c2")) == "chern"
-    assert detect_domain(parse("7")) is None
+def test_lexer_refuses_numbers_beyond_the_digit_limit():
+    # int() refuses strings of more than 4,300 digits by default
+    nines = "9" * 5000
+    for text, position in [(f"w{nines}", 1), (f"V{{1,{nines}}}", 4),
+                           (f"{nines}*p1", 0), (f"w1^{nines}", 3)]:
+        with pytest.raises(ParseError, match="number of 5000 digits is too long") as excinfo:
+            parse(text)
+        assert excinfo.value.position == position
 
 
 def test_chern_domain_elaboration():

@@ -77,6 +77,12 @@ def test_v_index_limit():
             loads(blob % doubled)
 
 
+def test_index_string_beyond_the_digit_limit():
+    # int() refuses strings of more than 4,300 digits by default
+    with pytest.raises(InvalidIndexSetError, match="index of 5000 digits is too long"):
+        IndexSet.of("9" * 5000)
+
+
 def test_index_set_degree():
     assert IndexSet.of("1/2").degree() == 2
     assert IndexSet.of(2).degree() == 5
