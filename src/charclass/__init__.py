@@ -45,7 +45,7 @@ from .errors import (
     NotInIdealError,
     ParseError,
 )
-from .expr import elaborate, parse, parse_integral, parse_mod2
+from .expr import parse, parse_integral, parse_mod2
 from .feshbach import (
     HALF,
     IndexSet,

@@ -31,7 +31,7 @@ from .complexifiability import (
     subring_decomposition,
 )
 from .errors import CharclassError, MixedExpressionError, ParseError
-from .expr import DIGITS, parse_integral, parse_mod2
+from .expr import parse_integral, parse_mod2
 from .feshbach import rho
 from .report import Report
 from .steenrod import sq1
@@ -59,7 +59,7 @@ def integer(raw: str) -> int:
     as in the expression lexer (int() also reads other scripts' digits, '_'
     separators and surrounding spaces)."""
     digits = raw[1:] if raw.startswith("-") else raw
-    if not digits or not set(digits) <= DIGITS:
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {raw!r}")
     return int(raw)
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: parse/elaboration problems exit 1,
-algebra domain errors exit 2.
+The CLI maps these onto exit codes: parse problems, foreign atoms included,
+exit 1, algebra domain errors exit 2.
 """
 
 

@@ -201,11 +201,13 @@ class IntClass:
 
     @classmethod
     def integer(cls, n: int) -> "IntClass":
+        if type(n) is not int:
+            raise ValueError(f"not an integer: {n!r}")
         return cls(((() , n),) if n else ())
 
     @classmethod
     def p(cls, i: int) -> "IntClass":
-        if i < 1:
+        if type(i) is not int or i < 1:
             raise ValueError("Pontrjagin index must be positive")
         return cls(((((i, 1),), 1),))
 

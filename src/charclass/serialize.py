@@ -121,8 +121,10 @@ def _decode(obj):
     if kind == "integral":
         free: dict = {}
         for t in obj["free"]:
-            key = _pairs(t["p"], "p-monomial")
-            free[key] = free.get(key, 0) + int(t["coeff"])
+            key, c = _pairs(t["p"], "p-monomial"), t["coeff"]
+            if type(c) is not int:
+                raise ValueError(f"malformed coefficient: {c!r}")
+            free[key] = free.get(key, 0) + c
         torsion = set()
         for t in obj["torsion"]:
             v_key = _pairs(t["V"], "V", _index_set)

@@ -182,7 +182,7 @@ class RingContext:
     def __post_init__(self):
         for name in ("degree_cap", "rank_cap"):
             cap = getattr(self, name)
-            if cap is not None and (not isinstance(cap, int) or cap < 0):
+            if cap is not None and (type(cap) is not int or cap < 0):
                 raise ValueError(f"{name} must be a nonnegative integer or None")
 
     def admits(self, key: MonomialKey, namespace: str) -> bool:
@@ -231,7 +231,7 @@ class MPoly2:
 
     @classmethod
     def gen(cls, index: int, namespace: str = SW) -> "MPoly2":
-        if index < 1:
+        if type(index) is not int or index < 1:
             raise ValueError("generator index must be positive")
         return cls(frozenset({((index, 1),)}), namespace)
 
@@ -307,7 +307,7 @@ def r(index: int) -> MPoly2:
 
 def v(index: int) -> MPoly2:
     """The exterior generator v_index of the oracle ring (degree = index)."""
-    if index < 1:
+    if type(index) is not int or index < 1:
         raise ValueError("exterior generator index must be positive")
     return MPoly2(frozenset({((-index, 1),)}), EXT)
 

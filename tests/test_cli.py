@@ -21,9 +21,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args, timeout=60):
-    """A fresh interpreter with the package on its path."""
-    env = dict(os.environ)
+def run_python(*args, timeout=60, **environ):
+    """A fresh interpreter with the package on its path, and `environ` set."""
+    env = dict(os.environ, **environ)
     src = str(Path(charclass.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env,
@@ -127,6 +127,15 @@ def test_over_long_digit_strings_exit_1(capsys):
 def test_mixed_expression_exit_1(capsys):
     code, _, err = run(capsys, "eval", "--expr", "w1 + p1")
     assert code == 1
+    # the first problem in text order is reported: a term is built, and its
+    # atoms refused, before the syntax after it is read
+    code, out, err = run(capsys, "complexifiable", "--expr", "p1+(")
+    assert (code, out) == (1, "")
+    assert "p1 is not a mod-2 atom" in err
+    # but the whole text is tokenized first, so a lexical error wins anywhere
+    code, out, err = run(capsys, "complexifiable", "--expr", "p1+@")
+    assert (code, out) == (1, "")
+    assert "unexpected character '@'" in err
 
 
 def test_domain_error_exit_2(capsys):
@@ -218,6 +227,21 @@ def test_verify_deterministic_and_report(capsys, tmp_path):
     assert all(c["status"] == "pass" for c in blob["cases"])
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    report = tmp_path / "report.json"
+    commands = [
+        ["verify", "--suite", "all", "--degree", "24", "--rank", "8", "--report", str(report)],
+        ["eval", "--expr", "w2*w3 + w1^3*w4 + w5*w6 + w7", "--bundle", "fiber", "--degree", "16"],
+        ["rho", "--expr", "V{1/2,2}^2 + p1*V{3} + V{1,2,3} + p2"],
+    ]
+    outputs = []
+    for seed in ("0", "12345"):
+        procs = [run_python("-m", "charclass", *argv, PYTHONHASHSEED=seed) for argv in commands]
+        assert [p.returncode for p in procs] == [0, 0, 0], [p.stderr for p in procs]
+        outputs.append(([p.stdout for p in procs], report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_report_to_unwritable_path_exit_1(capsys, tmp_path):
     for path in (tmp_path / "missing" / "x.json", tmp_path):
         code, out, err = run(capsys, "verify", "--suite", "lemma3", "--degree", "12",
@@ -274,9 +298,10 @@ def test_v_index_limit(capsys):
 
     code, out, _ = run(capsys, "rho", "--expr", f"V{{{MAX_V_INDEX}}}")
     assert (code, out) == (0, "0\n")  # degree 1 + 2 * MAX_V_INDEX is above the cap
-    code, out, err = run(capsys, "rho", "--expr", f"V{{1,{MAX_V_INDEX + 1}}}")
-    assert (code, out) == (2, "")
-    assert f"V index {MAX_V_INDEX + 1} is above the limit {MAX_V_INDEX}" in err
+    for expr in (f"V{{1,{MAX_V_INDEX + 1}}}", f"V{{{MAX_V_INDEX + 1}}}+("):
+        code, out, err = run(capsys, "rho", "--expr", expr)
+        assert (code, out) == (2, ""), expr
+        assert f"V index {MAX_V_INDEX + 1} is above the limit {MAX_V_INDEX}" in err, expr
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -1,4 +1,4 @@
-"""Parser, elaboration, canonical printing, and the JSON forms."""
+"""Parser, canonical printing, and the JSON forms."""
 
 import json
 import operator
@@ -9,18 +9,7 @@ import pytest
 
 from charclass import feshbach, wring
 from charclass.errors import InvalidIndexSetError, MixedExpressionError, ParseError
-from charclass.expr import (
-    Gen,
-    IntLit,
-    Pow,
-    Prod,
-    Sum,
-    VGen,
-    elaborate,
-    parse,
-    parse_integral,
-    parse_mod2,
-)
+from charclass.expr import parse, parse_integral, parse_mod2
 from charclass.feshbach import MAX_V_INDEX, IndexSet, IntClass
 from charclass.serialize import dumps, loads
 from charclass.verify import random_integral_complexifiable, random_mod2
@@ -28,43 +17,38 @@ from charclass.wring import SW, MPoly2, square, w
 
 
 def test_parse_structure():
-    ast = parse("w2^2*w1^4 + w3^2")
-    assert isinstance(ast, Sum)
-    assert len(ast.terms) == 2
-    first = ast.terms[0][1]
-    assert isinstance(first, Prod)
-    assert first.factors == (Pow(Gen("w", 2), 2), Pow(Gen("w", 1), 4))
+    value = parse_mod2("w2^2*w1^4 + w3^2")
+    assert value == w(2) ** 2 * w(1) ** 4 + w(3) ** 2
+    assert str(value) == "w3^2 + w1^4*w2^2"
 
 
 def test_parse_integral_structure():
-    ast = parse("V{1/2,3}^2 + p2")
-    assert isinstance(ast, Sum)
-    vpow = ast.terms[0][1]
-    assert vpow == Pow(VGen((1, 6)), 2)
-    assert ast.terms[1][1] == Gen("p", 2)
+    value = parse_integral("V{1/2,3}^2 + p2")
+    assert value == IntClass.V(["1/2", 3]) ** 2 + IntClass.p(2)
+    assert str(value) == "p2 + V{1/2,3}^2"
 
 
 def test_parse_rejects_zero_index():
     with pytest.raises(ParseError) as err:
-        parse("w0")
+        parse("w0", "mod2")
     assert "positive" in str(err.value)
     assert err.value.position == 1
 
 
 def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
-        parse("w1 + @")
+        parse("w1 + @", "mod2")
     assert err.value.position == 5
     with pytest.raises(ParseError):
-        parse("w1 +")
+        parse("w1 +", "mod2")
     with pytest.raises(ParseError):
-        parse("V{}")
+        parse("V{}", "integral")
     with pytest.raises(ParseError):
-        parse("V{1,1}")
+        parse("V{1,1}", "integral")
     with pytest.raises(ParseError):
-        parse("1/2")  # fraction only inside V-braces
+        parse("1/2", "integral")  # fraction only inside V-braces
     with pytest.raises(ParseError):
-        parse("V{3/4}")
+        parse("V{3/4}", "integral")
 
 
 def test_parse_parentheses_and_power_zero():
@@ -81,11 +65,11 @@ def test_elaborate_examples():
     assert parse_mod2("w1+w1").is_zero()
     assert parse_integral("2*V{1}").is_zero()
     with pytest.raises(MixedExpressionError):
-        elaborate(parse("w1 + p1"), "mod2")
+        parse("w1 + p1", "mod2")
     with pytest.raises(MixedExpressionError):
-        elaborate(parse("w1"), "integral")
+        parse("w1", "integral")
     with pytest.raises(MixedExpressionError):
-        elaborate(parse("V{1}"), "mod2")
+        parse("V{1}", "mod2")
 
 
 def test_elaboration_refusal_messages():
@@ -110,10 +94,10 @@ def test_elaboration_refusal_messages():
     ]
     for text, domain, message in refusals:
         with pytest.raises(MixedExpressionError) as excinfo:
-            elaborate(parse(text), domain)
+            parse(text, domain)
         assert str(excinfo.value) == message, (text, domain)
-    with pytest.raises(TypeError, match="not a class expression node"):
-        elaborate(Pow(object(), 2), "mod2")
+    with pytest.raises(ValueError, match="unknown domain 'ext'"):
+        parse("w1", "ext")
 
 
 def test_refusal_under_power_zero():
@@ -121,11 +105,11 @@ def test_refusal_under_power_zero():
     for text, domain in [("c2 + V{1}^0", "chern"), ("w1 + p1^0", "mod2"),
                          ("p1 + w1^0", "integral"), ("c2 + c3^0", "chern")]:
         with pytest.raises(MixedExpressionError):
-            elaborate(parse(text), domain)
-    assert str(elaborate(parse("c2 + c4^0"), "chern")) == "1 + c2"
+            parse(text, domain)
+    assert str(parse("c2 + c4^0", "chern")) == "1 + c2"
     # every V set is validated, before any later atom is read
     with pytest.raises(InvalidIndexSetError, match="above the limit"):
-        elaborate(parse(f"0*V{{{MAX_V_INDEX + 1}}}^0*w1"), "integral")
+        parse(f"0*V{{{MAX_V_INDEX + 1}}}^0*w1", "integral")
 
 
 def test_lexer_reads_only_ascii_digits():
@@ -133,7 +117,7 @@ def test_lexer_reads_only_ascii_digits():
     for text, position in [("w\u00b2", 1), ("w\u0663", 1), ("p\u0661", 1),
                            ("V{\uff11}", 2)]:
         with pytest.raises(ParseError) as excinfo:
-            parse(text)
+            parse(text, "integral")
         assert excinfo.value.position == position
 
 
@@ -143,15 +127,15 @@ def test_lexer_refuses_numbers_beyond_the_digit_limit():
     for text, position in [(f"w{nines}", 1), (f"V{{1,{nines}}}", 4),
                            (f"{nines}*p1", 0), (f"w1^{nines}", 3)]:
         with pytest.raises(ParseError, match="number of 5000 digits is too long") as excinfo:
-            parse(text)
+            parse(text, "integral")
         assert excinfo.value.position == position
 
 
 def test_chern_domain_elaboration():
-    e = elaborate(parse("-c2 + c4^2"), "chern")
+    e = parse("-c2 + c4^2", "chern")
     assert str(e) == "-c2 + c4^2"
     with pytest.raises(MixedExpressionError):
-        elaborate(parse("c3"), "chern")  # odd Chern index
+        parse("c3", "chern")  # odd Chern index
 
 
 def test_print_parse_round_trip_mod2():
@@ -227,77 +211,13 @@ def test_json_rejects_garbage():
     '{"type":"integral","free":[],"torsion":[{"p":[],"V":[]}]}',
     '{"type":"mod2","monomials":[[[0,1]]]}',
     '{"type":"mod2","monomials":[[[2,1],[1,1]]]}',
+    # coefficients that int() and == read as integers
+    '{"type":"integral","free":[{"coeff":3.0,"p":[[1,1]]}],"torsion":[]}',
+    '{"type":"integral","free":[{"coeff":true,"p":[[1,1]]}],"torsion":[]}',
 ])
 def test_json_rejects_malformed_and_noncanonical(blob):
     with pytest.raises(ValueError):
         loads(blob)
-
-
-def _pairwise(node, domain):
-    """Elaboration with every sum folded pairwise by reduce(operator.add)."""
-    if isinstance(node, Sum):
-        return reduce(operator.add, [
-            -_pairwise(t, domain) if sign < 0 else _pairwise(t, domain)
-            for sign, t in node.terms
-        ])
-    if isinstance(node, Prod):
-        return reduce(operator.mul, [_pairwise(f, domain) for f in node.factors])
-    if isinstance(node, Pow):
-        return _pairwise(node.base, domain) ** node.exp
-    assert isinstance(node, (IntLit, Gen, VGen))
-    value = elaborate(node, domain)
-    return value.free if domain == "chern" else value
-
-
-_ATOMS = {
-    "mod2": lambda rng: f"w{rng.randint(1, 9)}",
-    "integral": lambda rng: rng.choice((
-        f"p{rng.randint(1, 4)}",
-        "V{" + ",".join(sorted({rng.choice(("1/2", "1", "2", "3")) for _ in range(3)},
-                               key=lambda i: "0" if i == "1/2" else i)) + "}",
-    )),
-    "chern": lambda rng: f"c{2 * rng.randint(1, 4)}",
-}
-
-
-def _random_sum(rng, domain: str, n_terms: int, depth: int = 0) -> str:
-    """A seeded sum of signed products: integer literals as coefficients,
-    parenthesized sums up to two levels deep, and cancelling pairs."""
-    terms = []
-    while len(terms) < n_terms:
-        factors = []
-        if rng.random() < 0.3:
-            factors.append(str(rng.randint(0, 5)))
-        for _ in range(rng.randint(1, 3)):
-            if depth < 2 and rng.random() < 0.05:
-                inner = _random_sum(rng, domain, rng.randint(1, 4), depth + 1)
-                factors.append(f"({inner})" + ("^2" if rng.random() < 0.3 else ""))
-            else:
-                atom = _ATOMS[domain](rng)
-                factors.append(atom + (f"^{rng.randint(2, 3)}" if rng.random() < 0.2 else ""))
-        sign = rng.choice((1, -1))
-        terms.append((sign, "*".join(factors)))
-        if rng.random() < 0.2:  # a pair that cancels
-            terms.append((-sign, terms[-1][1]))
-    rng.shuffle(terms)
-    text = ("-" if terms[0][0] < 0 else "") + terms[0][1]
-    for sign, t in terms[1:]:
-        text += (" - " if sign < 0 else " + ") + t
-    return text
-
-
-@pytest.mark.parametrize("domain", ["mod2", "integral", "chern"])
-def test_one_pass_sum_matches_the_pairwise_fold(domain):
-    rng = random.Random(11)
-    for n_terms in (1, 2, 3, 7, 40, 150, 500):
-        ast = parse(_random_sum(rng, domain, n_terms))
-        got, want = elaborate(ast, domain), _pairwise(ast, domain)
-        if domain == "chern":
-            assert not got.lift_marker
-            got = got.free
-        assert got == want
-        assert str(got) == str(want)
-        assert dumps(got) == dumps(want)
 
 
 def _reference_atom(domain, rng):
@@ -345,6 +265,53 @@ def _random_term(rng, domain, literal_powers=True):
     return "*".join(texts), reduce(operator.mul, values)
 
 
+def _random_sum(rng, domain: str, n_terms: int, depth: int = 0):
+    """A seeded sum of signed products, as (text, its value with every sum
+    folded pairwise by the ring's own + * and **): integer literals as
+    coefficients, parenthesized sums up to two levels deep, and cancelling
+    pairs."""
+    terms = []
+    while len(terms) < n_terms:
+        texts, values = [], []
+        if rng.random() < 0.3:
+            n = rng.randint(0, 5)
+            texts.append(str(n))
+            values.append(_reference_literal(domain, n))
+        for _ in range(rng.randint(1, 3)):
+            if depth < 2 and rng.random() < 0.05:
+                text, value = _random_sum(rng, domain, rng.randint(1, 4), depth + 1)
+                text = f"({text})"
+                e = 2 if rng.random() < 0.3 else 1
+            else:
+                text, value = _reference_atom(domain, rng)
+                e = rng.randint(2, 3) if rng.random() < 0.2 else 1
+            texts.append(text if e == 1 else f"{text}^{e}")
+            values.append(value ** e)
+        sign = rng.choice((1, -1))
+        terms.append((sign, "*".join(texts), reduce(operator.mul, values)))
+        if rng.random() < 0.2:  # a pair that cancels
+            terms.append((-sign, *terms[-1][1:]))
+    rng.shuffle(terms)
+    text = ("-" if terms[0][0] < 0 else "") + terms[0][1]
+    for sign, t, _ in terms[1:]:
+        text += (" - " if sign < 0 else " + ") + t
+    return text, reduce(operator.add, [-v if sign < 0 else v for sign, _, v in terms])
+
+
+@pytest.mark.parametrize("domain", ["mod2", "integral", "chern"])
+def test_one_pass_sum_matches_the_pairwise_fold(domain):
+    rng = random.Random(11)
+    for n_terms in (1, 2, 3, 7, 40, 150, 500):
+        text, want = _random_sum(rng, domain, n_terms)
+        got = parse(text, domain)
+        if domain == "chern":
+            assert not got.lift_marker
+            got = got.free
+        assert got == want
+        assert str(got) == str(want)
+        assert dumps(got) == dumps(want)
+
+
 _FIXED_TERMS = {
     "mod2": [("w3*w1*w3", w(3) * w(1) * w(3)), ("0^0*w1", w(1)),
              ("w2^0", MPoly2.one(SW)), ("4*w1", MPoly2.zero(SW))],
@@ -366,7 +333,7 @@ def test_terms_match_the_ring_products_of_their_atoms(domain):
     rng = random.Random(12)
     cases = _FIXED_TERMS[domain] + [_random_term(rng, domain) for _ in range(300)]
     for text, want in cases:
-        got = elaborate(parse(text), domain)
+        got = parse(text, domain)
         if domain == "chern":
             got = got.free
         assert got == want, text
@@ -385,8 +352,8 @@ def test_monomial_terms_take_no_ring_product(domain, monkeypatch):
             calls.append(args)
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    elaborate(parse(text), domain)
+    parse(text, domain)
     assert calls == []
     # a parenthesized group still multiplies in the ring, and is counted
-    elaborate(parse(f"({text})*{text.split(' + ')[0]}"), domain)
+    parse(f"({text})*{text.split(' + ')[0]}", domain)
     assert calls

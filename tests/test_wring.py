@@ -214,6 +214,27 @@ def test_rank_cap_truncates_w_only():
                 assert kept == a, (ns, n)
 
 
+def test_public_constructors_refuse_non_integers():
+    from charclass.feshbach import IntClass
+    from charclass.wring import v
+
+    # floats and bools compare like integers, so only a type check refuses them
+    for bad in (2.0, 1.5, True):
+        for make, message in [
+            (MPoly2.gen, "generator index must be positive"),
+            (w, "generator index must be positive"),
+            (r, "generator index must be positive"),
+            (v, "exterior generator index must be positive"),
+            (IntClass.p, "Pontrjagin index must be positive"),
+            (IntClass.integer, f"not an integer: {bad!r}"),
+            (RingContext, "degree_cap must be a nonnegative integer or None"),
+            (lambda x: RingContext(rank_cap=x), "rank_cap must be a nonnegative integer"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                make(bad)
+            assert str(excinfo.value).startswith(message), (make, bad)
+
+
 def test_degree_cap_zero_is_legal():
     ctx = RingContext(degree_cap=0)
     assert reduce_poly(MPoly2.one() + w(1), ctx) == MPoly2.one()
