@@ -75,7 +75,7 @@ class FormalBundle:
         if constant_term(self.total) != 1:
             raise ValueError("a total class must have constant term 1")
         if self.rank_bound is not None and (
-            not isinstance(self.rank_bound, int) or self.rank_bound < 0
+            type(self.rank_bound) is not int or self.rank_bound < 0
         ):
             raise ValueError("rank bound must be a nonnegative integer or None")
 
@@ -111,8 +111,8 @@ def fiber_bundle(ctx: RingContext) -> FormalBundle:
 
 def roots_bundle(m: int, ctx: RingContext = UNBOUNDED) -> FormalBundle:
     """Splitting-principle bundle with total class prod_{i<=m} (1 + r_i)."""
-    if m < 1:
-        raise ValueError("roots bundle needs at least one root")
+    if type(m) is not int or m < 1:
+        raise ValueError("roots bundle needs a positive integer number of roots")
     total = MPoly2.one(ROOT)
     for i in range(1, m + 1):
         factor = add(MPoly2.one(ROOT), MPoly2.gen(i, ROOT))
@@ -152,8 +152,8 @@ def underlying_of_complexification(
 
 def sw(a: FormalBundle, k: int):
     """The degree-k class of the bundle; zero above the rank bound."""
-    if k < 0:
-        raise ValueError("class index must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise ValueError("class index must be a nonnegative integer")
     ns = a.total.namespace
     if a.rank_bound is not None and k > a.rank_bound:
         return MPoly2.zero(ns)

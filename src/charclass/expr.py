@@ -65,6 +65,12 @@ def _tokens(text: str) -> list:
     return tokens
 
 
+def _found(value) -> str:
+    """A token's value as an error message names it; only the end token
+    has the value None."""
+    return "end of input" if value is None else repr(value)
+
+
 class _Parser:
     """Reads text into a value of one regime: `term_of` builds a run of
     (kind, value, exponent) factors, kind "nat" for a bare literal, "V"
@@ -85,7 +91,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.i]
         if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_found(tok[1])}", tok[2])
         self.i += 1
         return tok
 
@@ -127,7 +133,7 @@ class _Parser:
                 atom = self.v_set() if value == "V" else self.index()
                 run.append((value, atom, self.exponent()))
             else:
-                raise ParseError(f"expected an atom, found {value!r}", pos)
+                raise ParseError(f"expected an atom, found {_found(value)}", pos)
             if self.peek()[0] != "*":
                 break
             self.take()
@@ -181,7 +187,7 @@ class _Parser:
             if nxt[0] == "}":
                 break
             if nxt[0] != ",":
-                raise ParseError(f"expected ',' or '}}', found {nxt[1]!r}", nxt[2])
+                raise ParseError(f"expected ',' or '}}', found {_found(nxt[1])}", nxt[2])
         return tuple(sorted(doubled))
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import InvalidIndexSetError
-from .report import FAIL, PASS, Report
+from .report import Report
 from .steenrod import sq1
 from .wring import (
     SW,
@@ -75,30 +75,14 @@ def _min_rank(mask: int) -> int:
 
 
 def _to_doubled(index) -> int:
-    # A string is "1/2" or ASCII digits, as the expression lexer reads
-    # them; int() alone would also take padding and other scripts' digits.
-    if isinstance(index, str):
-        if index == "1/2":
-            return 1
-        if index.isascii() and index.isdigit():
-            try:
-                index = int(index)
-            except ValueError:  # beyond the interpreter's digit limit
-                raise InvalidIndexSetError(
-                    f"index of {len(index)} digits is too long"
-                ) from None
-    if isinstance(index, Fraction):
-        d = 2 * index
-        if d.denominator != 1 or d < 1:
-            raise InvalidIndexSetError(f"index {index} is not 1/2 or a positive integer")
-        d = int(d)
-        if d != 1 and d % 2 == 1:
-            raise InvalidIndexSetError(f"index {index} is not 1/2 or a positive integer")
-        return d
-    if isinstance(index, int) and not isinstance(index, bool):
+    """The doubled index of a positive int, or of the half index given as
+    "1/2" or HALF."""
+    if type(index) is int:
         if index < 1:
             raise InvalidIndexSetError("integer indices must be positive")
         return 2 * index
+    if index == "1/2" or (type(index) is Fraction and index == HALF):
+        return 1
     raise InvalidIndexSetError(f"cannot read index {index!r}")
 
 
@@ -111,13 +95,15 @@ class IndexSet:
     mask: int = field(compare=False)
 
     def __init__(self, doubled: Iterable[int]):
-        ds = tuple(sorted(set(doubled)))
+        ds = tuple(doubled)
+        # sorted only when all are ints: the loop below refuses any other
+        ds = tuple(sorted(set(ds))) if all(type(d) is int for d in ds) else ds
         if not ds:
             raise InvalidIndexSetError("index sets must be nonempty")
         for d in ds:
-            if d < 1 or (d != 1 and d % 2 == 1):
+            if type(d) is not int or d < 1 or (d != 1 and d % 2 == 1):
                 raise InvalidIndexSetError(
-                    f"doubled index {d} does not encode 1/2 or a positive integer"
+                    f"doubled index {d!r} does not encode 1/2 or a positive integer"
                 )
             if d > 2 * MAX_V_INDEX:
                 raise InvalidIndexSetError(
@@ -244,8 +230,8 @@ class IntClass:
 
     def __pow__(self, e: int):
         """self**e as the e-fold product."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
+        if type(e) is not int or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
         out = IntClass.integer(1)
         for _ in range(e):
             out = out * self
@@ -479,11 +465,9 @@ def _relation_lhs(k: int, i: int, j: int, n: int | None) -> IntClass:
         return _torsion_sum([vij] + [
             _tor_term([d, *_convention((j & ~i) | d, n)], i & ~d) for d in _bits(i)
         ])
-    if k == 4:
-        return _torsion_sum([vij] + [
-            _tor_term([d, *_convention((i | j) & ~d, n)]) for d in _bits(i)
-        ])
-    raise ValueError(f"unknown relation family {k}")
+    return _torsion_sum([vij] + [  # k == 4
+        _tor_term([d, *_convention((i | j) & ~d, n)]) for d in _bits(i)
+    ])
 
 
 def relation(
@@ -494,10 +478,13 @@ def relation(
 ) -> IntClass:
     """Left-hand side of relation family k (1..6) of the presentation.
 
-    Side conditions (violations raise ValueError):
+    Side conditions (violations raise ValueError, as does any k other
+    than the ints 1..6, before any other check):
       1: any I.         2-4: |I|>1 and the pair conditions of _pair_refusal.
       5: |I|>1.         6: even n >= 2; no index sets.
     """
+    if type(k) is not int or not 1 <= k <= 6:
+        raise ValueError(f"unknown relation family {k!r}")
     if k == 1:
         if I is None:
             raise ValueError("relation 1 needs I")
@@ -568,40 +555,23 @@ def _relation_cases(top: int, degree_cap: int) -> Iterator[tuple]:
             yield _min_rank(i), _min_rank(i) - 1, 5, i, 0, f",I={text_i}]", {"I": text_i}
 
 
-def _add_case(report: Report, case_id: str, params: dict, lhs: IntClass,
-              image: MPoly2) -> None:
-    """Record a relation case: it passes when lhs has no free part and its
-    rho at the report's rank, `image`, vanishes."""
-    if lhs.free:
-        report.add(case_id, params, FAIL, "free part is nonzero")
-    elif image.is_zero():
-        report.add(case_id, params, PASS)
-    else:
-        report.add(case_id, params, FAIL, f"rho = {image}")
-
-
-def relation_reports(ranks: Iterable[int], degree_cap: int) -> Iterator[Report]:
-    """The report of each rank n of `ranks`, in order: rho(LHS) = 0 in the
-    rank-n ring for every valid instantiation of relation families 2..6
-    with degree <= degree_cap.
+def _sweep(ranks: list, degree_cap: int) -> Iterator[tuple]:
+    """Every case of the relation sweep, rank by rank in report order: each
+    valid instantiation of families 2..6 at a rank n of `ranks` with degree
+    <= degree_cap, as (position of n in `ranks`, case id, params, left-hand
+    side, its rho in the rank-n ring).
 
     Cases are enumerated once, at the top rank.  Each stable left-hand side
     and its rho at the degree cap are made once, and one prefix memo serves
     every rho; a rank cap drops the monomials with a w_i above it, a
     monomial ideal, and rho is a ring homomorphism, so rho at rank n is
     reduce_poly of rho at the degree cap alone."""
-    ranks = list(ranks)
-    if degree_cap is None:
-        raise ValueError("the relation sweep needs a degree cap, not None")
-    if None in ranks:
-        raise ValueError("the relation sweep needs a rank cap, not None")
     stable = RingContext(degree_cap)
     memo: dict = {}  # rho's prefix products
     images: dict = {}  # case position -> its stable left-hand side and rho
     cases = list(_relation_cases(max(ranks, default=0), degree_cap))
-    for n in ranks:
+    for r, n in enumerate(ranks):
         ctx = RingContext(degree_cap, n)
-        report = Report(f"relations[n={n},degree<={degree_cap}]")
         fits6 = _midrank_bit(n) and 2 + 2 * n <= degree_cap
         rel6 = [(n, n, 6, 0, 0, "]", {})] if fits6 else []  # built at rank n
         for c, (low, split, k, i, j, id_tail, params) in enumerate(cases + rel6):
@@ -615,11 +585,25 @@ def relation_reports(ranks: Iterable[int], degree_cap: int) -> Iterator[Report]:
                     lhs = _relation_lhs(k, i, j, None)
                     images[c] = lhs, _rho(lhs, stable, memo)
                 lhs, image = images[c]
-            _add_case(report, f"rel{k}[n={n}{id_tail}",
-                      {"relation": k, "n": n, **params}, lhs, reduce_poly(image, ctx))
-        yield report
+            yield (r, f"rel{k}[n={n}{id_tail}", {"relation": k, "n": n, **params},
+                   lhs, reduce_poly(image, ctx))
+
+
+def relation_reports(ranks: Iterable[int], degree_cap: int) -> list:
+    """The report of each rank n of `ranks`, in order: a case of _sweep
+    passes when its left-hand side has no free part and rho 0 at rank n."""
+    ranks = list(ranks)
+    if degree_cap is None:
+        raise ValueError("the relation sweep needs a degree cap, not None")
+    if None in ranks:
+        raise ValueError("the relation sweep needs a rank cap, not None")
+    reports = [Report(f"relations[n={n},degree<={degree_cap}]") for n in ranks]
+    for r, case_id, params, lhs, image in _sweep(ranks, degree_cap):
+        reports[r].check(case_id, params, not lhs.free and image.is_zero(),
+                         "free part is nonzero" if lhs.free else f"rho = {image}")
+    return reports
 
 
 def verify_relations(n: int, degree_cap: int) -> Report:
     """The relation sweep at the one rank n (relation_reports)."""
-    return next(relation_reports([n], degree_cap))
+    return relation_reports([n], degree_cap)[0]

@@ -31,6 +31,12 @@ class Report:
     def add(self, id: str, params: dict, status: str, detail: str = "") -> None:
         self.cases.append(CaseRecord(id, params, status, detail))
 
+    def check(self, id: str, params: dict, ok: bool, detail: str = "") -> None:
+        """Record a case that passes, with no detail, when ok and that fails
+        with `detail` otherwise."""
+        status, detail = (PASS, "") if ok else (FAIL, detail)
+        self.add(id, params, status, detail)
+
     def extend(self, other: "Report") -> None:
         self.cases.extend(other.cases)
 

@@ -543,8 +543,8 @@ def square(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
 
 def power(a: MPoly2, e: int, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """a**e by binary exponentiation (squaring is cheap here)."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
+    if type(e) is not int or e < 0:
+        raise ValueError("exponent must be a nonnegative integer")
     result = MPoly2.one(a.namespace)
     base = reduce_poly(a, ctx)
     while e:

@@ -99,6 +99,16 @@ def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "eval", "--expr", "w0")
     assert code == 1
     assert "positive" in err
+    # the end of the text is named as such, at its position
+    for argv, message in [
+        (["eval", "--expr", "w1 +"], "expected an atom, found end of input (at position 4)"),
+        (["eval", "--expr", ""], "expected an atom, found end of input (at position 0)"),
+        (["eval", "--expr", "(w1"], "expected ')', found end of input (at position 3)"),
+        (["rho", "--expr", "V{1/2"], "expected ',' or '}', found end of input (at position 5)"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert message in err, argv
 
 
 def test_roots_bundle_needs_ascii_digits(capsys):

@@ -214,6 +214,16 @@ def test_json_rejects_garbage():
     # coefficients that int() and == read as integers
     '{"type":"integral","free":[{"coeff":3.0,"p":[[1,1]]}],"torsion":[]}',
     '{"type":"integral","free":[{"coeff":true,"p":[[1,1]]}],"torsion":[]}',
+    # well formed, but not what serialization writes back
+    '{"type":"mod2","monomials":[[[2,1]],[[1,1]]]}',  # out of graded-lex order
+    '{"type":"integral","free":[{"coeff":0,"p":[]}],"torsion":[]}',
+    '{"type":"integral","free":[{"coeff":1,"p":[[1,1]]},{"coeff":1,"p":[[1,1]]}],'
+    '"torsion":[]}',  # a repeated free key
+    '{"type":"mod2","monomials":[],"namespace":"sw"}',
+    '{"type":"mod2","monomials":[],"extra":1}',
+    # missing or mistyped fields
+    '{"type":"mod2"}',
+    '{"type":"mod2","monomials":5}',
 ])
 def test_json_rejects_malformed_and_noncanonical(blob):
     with pytest.raises(ValueError):

@@ -57,8 +57,8 @@ def test_doubled_encoding():
         IndexSet([3])  # doubled 3 encodes 3/2, not a legal index
     with pytest.raises(InvalidIndexSetError):
         IndexSet.of(0)
-    assert IndexSet.of("12").doubled == (24,)
-    for index in ("\u0663", " 2 ", " 1/2", True):  # Arabic-Indic 3, padding, bool
+    # digit strings, other fractions, floats and bools are refused
+    for index in ("12", "\u0663", " 2 ", " 1/2", True, 2.0, 0.5, HALF * 4):
         with pytest.raises(InvalidIndexSetError, match="cannot read index"):
             IndexSet.of(index)
 
@@ -75,12 +75,6 @@ def test_v_index_limit():
     for doubled in (2 * MAX_V_INDEX + 2, 40000000):
         with pytest.raises(ValueError):
             loads(blob % doubled)
-
-
-def test_index_string_beyond_the_digit_limit():
-    # int() refuses strings of more than 4,300 digits by default
-    with pytest.raises(InvalidIndexSetError, match="index of 5000 digits is too long"):
-        IndexSet.of("9" * 5000)
 
 
 def test_index_set_degree():
@@ -408,21 +402,18 @@ def test_verify_relations_sweep():
         assert report.ok(), str(report)
 
 
-def test_sweep_cases_match_relation(monkeypatch):
+def test_sweep_cases_match_relation():
     # every left-hand side the sweep checks at ranks 2..16, odd ranks and
     # convention splits included, against the public relation(): the sweep
     # builds it at the case's split rank and reads the stable one elsewhere
-    checked, add_case = [], feshbach._add_case
-
-    def record(report, case_id, params, lhs, image):
-        checked.append((params, lhs))
-        add_case(report, case_id, params, lhs, image)
-
-    monkeypatch.setattr(feshbach, "_add_case", record)
-    reports = list(relation_reports(range(2, 17), 24))
-    assert len(checked) == sum(len(r.cases) for r in reports)
+    ranks = list(range(2, 17))
+    checked = list(feshbach._sweep(ranks, 24))
+    reports = relation_reports(ranks, 24)
+    assert [(ranks[r], case_id) for r, case_id, *_ in checked] == [
+        (n, case.id) for n, report in zip(ranks, reports) for case in report.cases
+    ]
     sets = {str(s): s for s in _valid_index_sets(16, 24)}
-    for params, lhs in checked:
+    for _, _, params, lhs, _ in checked:
         I, J = sets.get(params.get("I")), sets.get(params.get("J"))
         assert lhs == relation(params["relation"], I, J, params["n"]), params
     # both kinds occur: cases whose split rank is swept, and stable cases
@@ -717,6 +708,8 @@ def _reference_relation(
     J: IndexSet | None = None,
     n: int | None = None,
 ) -> IntClass:
+    if k not in (2, 3, 4, 5, 6):  # the sweep's families; relation 1 is not compared
+        raise ValueError(f"unknown relation family {k!r}")
     if k == 6:
         if n is None or n % 2 != 0 or n < 2:
             raise ValueError("relation 6 needs an even rank of at least 2")
@@ -768,20 +761,18 @@ def _reference_relation(
             lhs = int_add(lhs, term)
         return lhs
 
-    if k == 4:
-        if si & sj:
-            raise ValueError("relation 4 needs disjoint I and J")
-        if len(si) == len(sj) and min(si) >= min(sj):
-            raise ValueError(
-                "relation 4 with equal cardinalities needs min(I) < min(J)"
-            )
-        lhs = int_mul(vi, vj, n)
-        for d in I.doubled:
-            term = int_mul(IntClass.V(IndexSet({d})), _make_V((si | sj) - {d}, n), n)
-            lhs = int_add(lhs, term)
-        return lhs
-
-    raise ValueError(f"unknown relation family {k}")
+    # k == 4
+    if si & sj:
+        raise ValueError("relation 4 needs disjoint I and J")
+    if len(si) == len(sj) and min(si) >= min(sj):
+        raise ValueError(
+            "relation 4 with equal cardinalities needs min(I) < min(J)"
+        )
+    lhs = int_mul(vi, vj, n)
+    for d in I.doubled:
+        term = int_mul(IntClass.V(IndexSet({d})), _make_V((si | sj) - {d}, n), n)
+        lhs = int_add(lhs, term)
+    return lhs
 
 
 def _outcome(build, *args):

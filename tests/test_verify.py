@@ -2,7 +2,23 @@
 
 import pytest
 
+from charclass.report import EXPECTED_MISMATCH, FAIL, PASS, Report
 from charclass.verify import SUITES, run_suite
+
+
+def test_report_check_carries_a_detail_only_on_failure():
+    report = Report("s")
+    report.check("a", {"k": 1}, True, "not shown")
+    report.check("b", {"k": 2}, False, "shown")
+    report.check("c", {}, 0)
+    report.add("d", {}, EXPECTED_MISMATCH, "kept")
+    assert [(c.id, c.params, c.status, c.detail) for c in report.cases] == [
+        ("a", {"k": 1}, PASS, ""),
+        ("b", {"k": 2}, FAIL, "shown"),
+        ("c", {}, FAIL, ""),
+        ("d", {}, EXPECTED_MISMATCH, "kept"),
+    ]
+    assert report.failures == 2
 
 
 def test_unknown_suite_names_every_choice():

@@ -6,8 +6,26 @@ import tracemalloc
 
 import pytest
 
-from charclass.bundlecalc import evaluate_class, roots_bundle
-from charclass.errors import MissingImageError, NamespaceMismatchError
+from charclass.bundlecalc import (
+    FormalBundle,
+    cartan_restrict,
+    chern_mod2,
+    evaluate_class,
+    pontrjagin_mod2,
+    roots_bundle,
+    sw,
+)
+from charclass.complexifiability import (
+    ideal_decomposition,
+    invariance_oracle,
+    is_complexifiable_mod2,
+)
+from charclass.errors import (
+    InvalidIndexSetError,
+    MissingImageError,
+    NamespaceMismatchError,
+)
+from charclass.feshbach import IndexSet, IntClass, relation
 from charclass.wring import (
     EXT,
     ROOT,
@@ -30,6 +48,7 @@ from charclass.wring import (
     substitute,
     tor_key,
     tor_terms,
+    v,
     v_mask,
     w,
 )
@@ -215,9 +234,6 @@ def test_rank_cap_truncates_w_only():
 
 
 def test_public_constructors_refuse_non_integers():
-    from charclass.feshbach import IntClass
-    from charclass.wring import v
-
     # floats and bools compare like integers, so only a type check refuses them
     for bad in (2.0, 1.5, True):
         for make, message in [
@@ -233,6 +249,55 @@ def test_public_constructors_refuse_non_integers():
             with pytest.raises(ValueError) as excinfo:
                 make(bad)
             assert str(excinfo.value).startswith(message), (make, bad)
+
+
+_ROOTS = "roots bundle needs a positive integer number of roots"
+_CLASS_INDEX = "class index must be a nonnegative integer"
+_EXPONENT = "exponent must be a nonnegative integer"
+_DOUBLED = "does not encode 1/2 or a positive integer"
+B2, I12, I13 = roots_bundle(2), IndexSet([2, 4]), IndexSet([2, 6])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: roots_bundle(0), ValueError, _ROOTS),
+    (lambda: roots_bundle(True), ValueError, _ROOTS),
+    (lambda: sw(B2, -1), ValueError, _CLASS_INDEX),
+    (lambda: sw(B2, 2.0), ValueError, _CLASS_INDEX),
+    (lambda: chern_mod2(B2, 0), ValueError, "Chern index must be positive"),
+    (lambda: pontrjagin_mod2(B2, 0), ValueError, "Pontrjagin index must be positive"),
+    (lambda: FormalBundle(B2.total, True), ValueError,
+     "rank bound must be a nonnegative integer or None"),
+    (lambda: cartan_restrict(v(1)), NamespaceMismatchError,
+     "cartan_restrict expects an sw polynomial"),
+    (lambda: is_complexifiable_mod2(v(1)), NamespaceMismatchError,
+     "complexifiability is a question about sw classes"),
+    (lambda: ideal_decomposition(v(1)), NamespaceMismatchError,
+     "ideal decomposition expects an sw class"),
+    (lambda: invariance_oracle(v(1), RingContext(8, 8)), NamespaceMismatchError,
+     "the oracle expects an sw class"),
+    (lambda: MPoly2(frozenset(), "bogus"), ValueError, "unknown namespace 'bogus'"),
+    (lambda: power(w(1), -1), ValueError, _EXPONENT),
+    (lambda: power(w(1), True), ValueError, _EXPONENT),
+    (lambda: power(w(1), 2.0), ValueError, _EXPONENT),
+    (lambda: w(1) ** True, ValueError, _EXPONENT),
+    (lambda: IntClass.p(1) ** True, ValueError, _EXPONENT),
+    (lambda: IntClass.p(1) ** 2.0, ValueError, _EXPONENT),
+    (lambda: substitute(w(1) * w(2), {1: w(1), 2: r(1)}), NamespaceMismatchError,
+     "substitution images mix namespaces"),
+    (lambda: IndexSet([True]), InvalidIndexSetError, f"doubled index True {_DOUBLED}"),
+    (lambda: IndexSet([2.0]), InvalidIndexSetError, f"doubled index 2.0 {_DOUBLED}"),
+    (lambda: IndexSet(["2"]), InvalidIndexSetError, f"doubled index '2' {_DOUBLED}"),
+    (lambda: IndexSet([4, "2"]), InvalidIndexSetError, f"doubled index '2' {_DOUBLED}"),
+    # an unknown relation family is named before any missing index set
+    (lambda: relation(7, I12), ValueError, "unknown relation family 7"),
+    (lambda: relation(0), ValueError, "unknown relation family 0"),
+    (lambda: relation("2", I12, I13), ValueError, "unknown relation family '2'"),
+    (lambda: relation(True, I12), ValueError, "unknown relation family True"),
+])
+def test_entry_points_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 def test_degree_cap_zero_is_legal():
