@@ -16,6 +16,7 @@ complexification is trivial) against the universal bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import CapsTooSmallError, NamespaceMismatchError
 from .wring import (
@@ -25,7 +26,6 @@ from .wring import (
     UNBOUNDED,
     MPoly2,
     RingContext,
-    add,
     constant_term,
     evaluate_monomials,
     graded_parts,
@@ -56,18 +56,17 @@ def ext_mul(a: MPoly2, b: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
 ext_reduce = reduce_poly
 
 
-@dataclass(slots=True, unsafe_hash=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class FormalBundle:
     """A bundle given by its total class (constant term 1) and a rank bound.
 
-    rank_bound None means unbounded (a stable bundle).  Do not mutate: the
-    first sw() call files the total's monomials by degree, once, in
-    `_grades`, and every later call reads those buckets.
+    rank_bound None means unbounded (a stable bundle).  Construction files
+    the total's monomials by degree, once, in `_grades`, which sw() reads.
     """
 
     total: MPoly2
     rank_bound: int | None = None
-    _grades: dict | None = field(default=None, init=False, compare=False)
+    _grades: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.total, MPoly2):
@@ -78,6 +77,7 @@ class FormalBundle:
             type(self.rank_bound) is not int or self.rank_bound < 0
         ):
             raise ValueError("rank bound must be a nonnegative integer or None")
+        object.__setattr__(self, "_grades", graded_parts(self.total))
 
     def __repr__(self):
         return f"FormalBundle({self.total}, rank_bound={self.rank_bound})"
@@ -110,14 +110,14 @@ def fiber_bundle(ctx: RingContext) -> FormalBundle:
 
 
 def roots_bundle(m: int, ctx: RingContext = UNBOUNDED) -> FormalBundle:
-    """Splitting-principle bundle with total class prod_{i<=m} (1 + r_i)."""
+    """Splitting-principle bundle with total class prod_{i<=m} (1 + r_i): the
+    square-free monomials in r_1..r_m, of degree at most the ctx degree cap."""
     if type(m) is not int or m < 1:
         raise ValueError("roots bundle needs a positive integer number of roots")
-    total = MPoly2.one(ROOT)
-    for i in range(1, m + 1):
-        factor = add(MPoly2.one(ROOT), MPoly2.gen(i, ROOT))
-        total = mul(total, factor, ctx)
-    return FormalBundle(total, m)
+    top = m if ctx.degree_cap is None else min(m, ctx.degree_cap)
+    keys = (tuple((i, 1) for i in roots)
+            for d in range(top + 1) for roots in combinations(range(1, m + 1), d))
+    return FormalBundle(MPoly2(frozenset(keys), ROOT), m)
 
 
 def whitney_sum(
@@ -157,8 +157,6 @@ def sw(a: FormalBundle, k: int):
     ns = a.total.namespace
     if a.rank_bound is not None and k > a.rank_bound:
         return MPoly2.zero(ns)
-    if a._grades is None:
-        a._grades = graded_parts(a.total)
     return a._grades.get(k) or MPoly2.zero(ns)
 
 

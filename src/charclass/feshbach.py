@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidIndexSetError
 from .report import Report
@@ -273,12 +273,10 @@ def _validate_rank(a: IntClass, n: int | None) -> None:
     such set in doubled order."""
     if n is None:
         return
-    for key in a.torsion.monomials:
-        for i, _ in key:
-            if i > 0 and n < _min_rank(i):
-                first = min(_mask_doubled(m) for m in a.torsion.variables()
-                            if m > 0 and n < _min_rank(m))
-                IndexSet(first).require_valid_at(n)
+    invalid = [i for key in a.torsion.monomials for i, _ in key
+               if i > 0 and n < _min_rank(i)]
+    if invalid:
+        IndexSet(min(map(_mask_doubled, invalid))).require_valid_at(n)
 
 
 def _with_odd_free(a: IntClass) -> MPoly2:
@@ -555,11 +553,10 @@ def _relation_cases(top: int, degree_cap: int) -> Iterator[tuple]:
             yield _min_rank(i), _min_rank(i) - 1, 5, i, 0, f",I={text_i}]", {"I": text_i}
 
 
-def _sweep(ranks: list, degree_cap: int) -> Iterator[tuple]:
+def _sweep(ranks: Sequence[int], degree_cap: int) -> Iterator[tuple]:
     """Every case of the relation sweep, rank by rank in report order: each
     valid instantiation of families 2..6 at a rank n of `ranks` with degree
-    <= degree_cap, as (position of n in `ranks`, case id, params, left-hand
-    side, its rho in the rank-n ring).
+    <= degree_cap, as (case id, params, left-hand side, its rho at rank n).
 
     Cases are enumerated once, at the top rank.  Each stable left-hand side
     and its rho at the degree cap are made once, and one prefix memo serves
@@ -570,7 +567,7 @@ def _sweep(ranks: list, degree_cap: int) -> Iterator[tuple]:
     memo: dict = {}  # rho's prefix products
     images: dict = {}  # case position -> its stable left-hand side and rho
     cases = list(_relation_cases(max(ranks, default=0), degree_cap))
-    for r, n in enumerate(ranks):
+    for n in ranks:
         ctx = RingContext(degree_cap, n)
         fits6 = _midrank_bit(n) and 2 + 2 * n <= degree_cap
         rel6 = [(n, n, 6, 0, 0, "]", {})] if fits6 else []  # built at rank n
@@ -585,25 +582,24 @@ def _sweep(ranks: list, degree_cap: int) -> Iterator[tuple]:
                     lhs = _relation_lhs(k, i, j, None)
                     images[c] = lhs, _rho(lhs, stable, memo)
                 lhs, image = images[c]
-            yield (r, f"rel{k}[n={n}{id_tail}", {"relation": k, "n": n, **params},
+            yield (f"rel{k}[n={n}{id_tail}", {"relation": k, "n": n, **params},
                    lhs, reduce_poly(image, ctx))
 
 
-def relation_reports(ranks: Iterable[int], degree_cap: int) -> list:
-    """The report of each rank n of `ranks`, in order: a case of _sweep
-    passes when its left-hand side has no free part and rho 0 at rank n."""
-    ranks = list(ranks)
+def relation_report(name: str, ranks: Sequence[int], degree_cap: int) -> Report:
+    """The report `name` of the cases of _sweep: a case passes when its
+    left-hand side has no free part and rho 0 at its rank."""
     if degree_cap is None:
         raise ValueError("the relation sweep needs a degree cap, not None")
     if None in ranks:
         raise ValueError("the relation sweep needs a rank cap, not None")
-    reports = [Report(f"relations[n={n},degree<={degree_cap}]") for n in ranks]
-    for r, case_id, params, lhs, image in _sweep(ranks, degree_cap):
-        reports[r].check(case_id, params, not lhs.free and image.is_zero(),
-                         "free part is nonzero" if lhs.free else f"rho = {image}")
-    return reports
+    report = Report(name)
+    for case_id, params, lhs, image in _sweep(ranks, degree_cap):
+        report.check(case_id, params, not lhs.free and image.is_zero(),
+                     "free part is nonzero" if lhs.free else "rho = {}", image)
+    return report
 
 
 def verify_relations(n: int, degree_cap: int) -> Report:
-    """The relation sweep at the one rank n (relation_reports)."""
-    return relation_reports([n], degree_cap)[0]
+    """The relation sweep at the one rank n (relation_report)."""
+    return relation_report(f"relations[n={n},degree<={degree_cap}]", [n], degree_cap)

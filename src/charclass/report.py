@@ -31,11 +31,14 @@ class Report:
     def add(self, id: str, params: dict, status: str, detail: str = "") -> None:
         self.cases.append(CaseRecord(id, params, status, detail))
 
-    def check(self, id: str, params: dict, ok: bool, detail: str = "") -> None:
+    def check(self, id: str, params: dict, ok: bool, detail: str = "", *values) -> None:
         """Record a case that passes, with no detail, when ok and that fails
-        with `detail` otherwise."""
-        status, detail = (PASS, "") if ok else (FAIL, detail)
-        self.add(id, params, status, detail)
+        otherwise with detail.format(*values), or with `detail` as it is when
+        no values are given.  A passing case formats nothing."""
+        if ok:
+            self.add(id, params, PASS)
+        else:
+            self.add(id, params, FAIL, detail.format(*values) if values else detail)
 
     def extend(self, other: "Report") -> None:
         self.cases.extend(other.cases)

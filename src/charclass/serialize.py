@@ -68,11 +68,7 @@ def to_json_obj(x):
     if isinstance(x, Report):
         return {
             "suite": x.suite,
-            "cases": [
-                {"id": c.id, "params": c.params, "status": c.status,
-                 "detail": c.detail}
-                for c in x.cases
-            ],
+            "cases": [vars(c) for c in x.cases],
             "summary": x.summary(),
         }
     raise TypeError(f"cannot serialize {type(x).__name__}")

@@ -3,9 +3,12 @@
 Each suite builds a Report with one record per checked case; random cases
 are driven by a seeded generator, so a fixed (suite, degree, rank, seed)
 always produces the identical report.  A case with two outcomes is
-recorded by `Report.check(id, params, ok, detail)`: it passes when its
-check holds and carries `detail` only when it fails.  `Report.add` is left
-for lemma3's expected mismatch.
+recorded by `Report.check(id, params, ok, detail, *values)`: it passes,
+with no detail, when its check holds, and only a failing case formats its
+detail, as `detail.format(*values)`.  So a site passes a template and the
+values it names, not a finished string, and a detail made from data (such
+as `"; ".join(problems)`) is passed as a value, never as the template.
+`Report.add` is left for lemma3's expected mismatch.
 
 The output of `verify --suite all` is pinned byte for byte, so a new suite
 runs by name only and stays out of `all`.
@@ -36,7 +39,7 @@ from .complexifiability import (
 )
 from .errors import CharclassError, NotInIdealError
 from .expr import parse
-from .feshbach import IndexSet, IntClass, relation_reports, rho
+from .feshbach import IndexSet, IntClass, relation_report, rho
 from .report import EXPECTED_MISMATCH, Report
 from .steenrod import sq1
 from .wring import (
@@ -63,8 +66,6 @@ def random_monomial(rng: random.Random, max_degree: int) -> tuple:
             break
         i = rng.randint(1, budget)
         e = min(rng.randint(1, 3), budget // i)
-        if e < 1:
-            continue
         key[i] = key.get(i, 0) + e
         budget -= i * e
     return tuple(sorted(key.items()))
@@ -145,7 +146,7 @@ def suite_theorem1(degree: int = 16, seed: int = 0) -> Report:
         invariant = invariance_oracle(c, ctx)
         params = {"index": k, "member": member, "degree": c.degree()}
         report.check(f"theorem1[{k}]", params, member == invariant,
-                     f"membership={member} oracle={invariant} on {c}")
+                     "membership={} oracle={} on {}", member, invariant, c)
     return report
 
 
@@ -175,16 +176,15 @@ def suite_lemma3() -> Report:
                            "printed half-index factor w1^2 dies on a doubled bundle")
             else:
                 report.check(case, params, lhs == rhs and not expected,
-                             "expected a mismatch" if expected else f"lhs={lhs} rhs={rhs}")
+                             "expected a mismatch" if expected else "lhs={} rhs={}",
+                             lhs, rhs)
     return report
 
 
 def suite_relations(max_rank: int = 8, degree: int = 24) -> Report:
-    """The relation sweep at every rank 2..max_rank (relation_reports)."""
-    report = Report(f"relations[rank<={max_rank},degree<={degree}]")
-    for part in relation_reports(range(2, max_rank + 1), degree):
-        report.extend(part)
-    return report
+    """The relation sweep at every rank 2..max_rank (relation_report)."""
+    return relation_report(f"relations[rank<={max_rank},degree<={degree}]",
+                           range(2, max_rank + 1), degree)
 
 
 def check_squares(report: Report) -> None:
@@ -220,7 +220,7 @@ def check_sq1_laws(report: Report, rng: random.Random) -> None:
             if lhs != rhs:
                 problems.append("Leibniz rule failed")
         prev = x
-        report.check(f"sq1[{k}]", {"index": k}, not problems, "; ".join(problems))
+        report.check(f"sq1[{k}]", {"index": k}, not problems, "{}", "; ".join(problems))
 
 
 def check_cartan(report: Report, rng: random.Random, degree: int) -> None:
@@ -236,7 +236,7 @@ def check_cartan(report: Report, rng: random.Random, degree: int) -> None:
             except NotInIdealError:
                 ok = False
         report.check(f"cartan-member[{k}]", {"index": k}, ok,
-                     f"ideal member mishandled: {c}")
+                     "ideal member mishandled: {}", c)
     for k in range(100):
         c = random_squarefree_containing(rng, degree)
         ok = not cartan_restrict(c).is_zero()
@@ -247,7 +247,7 @@ def check_cartan(report: Report, rng: random.Random, degree: int) -> None:
             except NotInIdealError as e:
                 ok = bool(e.witness)
         report.check(f"cartan-witness[{k}]", {"index": k}, ok,
-                     f"square-free class mishandled: {c}")
+                     "square-free class mishandled: {}", c)
 
 
 def check_integral(report: Report, rng: random.Random, degree: int) -> None:
@@ -258,12 +258,10 @@ def check_integral(report: Report, rng: random.Random, degree: int) -> None:
         cl = random_integral_complexifiable(rng, degree)
         params = {"index": k, "degree": cl.degree()}
         ok = is_complexifiable_integral(cl, ictx)
-        detail = f"criterion rejected {cl}"
-        if ok:
-            image = rho(cl, ictx)
-            ok = invariance_oracle(image, ictx)
-            detail = f"oracle rejected rho({cl}) = {image}"
-        report.check(f"theorem2[{k}]", params, ok, detail)
+        image = rho(cl, ictx) if ok else None
+        detail = "oracle rejected rho({}) = {}" if ok else "criterion rejected {}"
+        ok = ok and invariance_oracle(image, ictx)
+        report.check(f"theorem2[{k}]", params, ok, detail, cl, image)
         chern = express_via_chern(cl, ictx)
         # the free part printed in Chern symbols must parse back to itself
         text = str(ChernExpr(chern.free, MPoly2.zero(SW)))
@@ -271,11 +269,10 @@ def check_integral(report: Report, rng: random.Random, degree: int) -> None:
             ok = parse(text, "chern").free == cl.free_part()
         except CharclassError:
             ok = False
-        detail = f"free part round trip failed: {text}"
-        if ok:
-            ok = chern.expand_torsion_rho(ictx) == rho(cl.torsion_part(), ictx)
-            detail = "torsion rho-image round trip failed"
-        report.check(f"theorem3[{k}]", params, ok, detail)
+        detail = ("torsion rho-image round trip failed" if ok
+                  else "free part round trip failed: {}")
+        ok = ok and chern.expand_torsion_rho(ictx) == rho(cl.torsion_part(), ictx)
+        report.check(f"theorem3[{k}]", params, ok, detail, text)
 
 
 def suite_identities(degree: int = 24, seed: int = 0) -> Report:

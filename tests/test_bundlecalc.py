@@ -2,6 +2,7 @@
 splitting-principle cross-checks."""
 
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -407,3 +408,21 @@ def test_graded_bundle_equals_fresh_one():
         assert hash(graded) == hash(fresh)
         assert repr(graded) == repr(fresh)
         assert dumps(graded) == dumps(fresh)
+
+
+def test_bundle_is_built_whole():
+    b = universal_bundle(RingContext(4))
+    for name, value in [("total", MPoly2.one()), ("rank_bound", 2), ("_grades", {})]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(b, name, value)
+    assert sw(b, 2) == w(2) and str(b.total) == "1 + w1 + w2 + w3 + w4"
+
+
+@pytest.mark.parametrize("cap", [None, 3, 5])
+def test_roots_total_is_the_product_of_its_factors(cap):
+    ctx = RingContext(degree_cap=cap)
+    for m in range(1, 9):
+        total = MPoly2.one(ROOT)
+        for i in range(1, m + 1):
+            total = mul(total, MPoly2.one(ROOT) + MPoly2.gen(i, ROOT), ctx)
+        assert roots_bundle(m, ctx).total == total, m

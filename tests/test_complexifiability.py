@@ -297,6 +297,19 @@ def test_chern_and_squares_forms_are_frozen():
     assert str(sq) == "u1" and str(chern) == "-c2"
 
 
+def test_value_reprs_and_integral_subtraction():
+    a = IntClass.p(1) + IntClass.integer(2) * IntClass.p(2) + IntClass.V(["1/2"])
+    b = IntClass.integer(3) + IntClass.p(1) * IntClass.V([1])
+    assert a - b == a + (-b)
+    assert repr(b - a) == "IntClass(3 - p1 - 2*p2 + V{1/2} + p1*V{1})"
+    assert repr(IndexSet.of("1/2", 3)) == "IndexSet.of(1/2, 3)"
+    assert repr(subring_decomposition(square(w(1) * w(3)) + MPoly2.one())) == (
+        "SquaresPoly(1 + u1*u3)")
+    v = IntClass.V(IndexSet.of("1/2", 1))
+    assert repr(express_via_chern(IntClass.p(1) + v * v, RingContext(24))) == (
+        "ChernExpr(-c2 + rho^-1(rc1*rc3))")
+
+
 def test_value_types_compare_by_their_fields():
     ctx = RingContext(24)
     pairs = [

@@ -24,7 +24,7 @@ from charclass.feshbach import (
     int_add,
     int_mul,
     relation,
-    relation_reports,
+    relation_report,
     rho,
     torsion_equal,
     verify_relations,
@@ -408,12 +408,12 @@ def test_sweep_cases_match_relation():
     # builds it at the case's split rank and reads the stable one elsewhere
     ranks = list(range(2, 17))
     checked = list(feshbach._sweep(ranks, 24))
-    reports = relation_reports(ranks, 24)
-    assert [(ranks[r], case_id) for r, case_id, *_ in checked] == [
-        (n, case.id) for n, report in zip(ranks, reports) for case in report.cases
+    report = relation_report("sweep", ranks, 24)
+    assert [(case_id, params) for case_id, params, *_ in checked] == [
+        (case.id, case.params) for case in report.cases
     ]
     sets = {str(s): s for s in _valid_index_sets(16, 24)}
-    for _, _, params, lhs, _ in checked:
+    for _, params, lhs, _ in checked:
         I, J = sets.get(params.get("I")), sets.get(params.get("J"))
         assert lhs == relation(params["relation"], I, J, params["n"]), params
     # both kinds occur: cases whose split rank is swept, and stable cases

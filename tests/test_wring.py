@@ -26,6 +26,8 @@ from charclass.errors import (
     NamespaceMismatchError,
 )
 from charclass.feshbach import IndexSet, IntClass, relation
+from charclass.report import CaseRecord
+from charclass.serialize import loads, to_json_obj
 from charclass.wring import (
     EXT,
     ROOT,
@@ -293,6 +295,13 @@ B2, I12, I13 = roots_bundle(2), IndexSet([2, 4]), IndexSet([2, 6])
     (lambda: relation(0), ValueError, "unknown relation family 0"),
     (lambda: relation("2", I12, I13), ValueError, "unknown relation family '2'"),
     (lambda: relation(True, I12), ValueError, "unknown relation family True"),
+    (lambda: relation(1), ValueError, "relation 1 needs I"),
+    (lambda: CaseRecord("a", {}, "bogus"), ValueError, "unknown status 'bogus'"),
+    (lambda: to_json_obj(object()), TypeError, "cannot serialize object"),
+    (lambda: loads('{"type":"integral","free":[],"torsion":[{"p":[],"V":[[2,1]]}]}'),
+     ValueError, "malformed or out-of-order V entry: [2, 1]"),
+    (lambda: loads('{"type":"mod2","monomials":[[[1,1,1]]]}'),
+     ValueError, "malformed monomial entry: [1, 1, 1]"),
 ])
 def test_entry_points_refuse_bad_arguments(call, error, message):
     with pytest.raises(error) as excinfo:
