@@ -32,6 +32,7 @@ from .wring import (
     mul,
     reduce_poly,
     square,
+    v,
 )
 
 
@@ -163,15 +164,15 @@ def sw(a: FormalBundle, k: int):
 def chern_mod2(a: FormalBundle, k: int, ctx: RingContext = UNBOUNDED):
     """Mod-2 reduction of the k-th Chern class of the complexification:
     the degree-2k class of the underlying doubled bundle."""
-    if k < 1:
-        raise ValueError("Chern index must be positive")
+    if type(k) is not int or k < 1:
+        raise ValueError("Chern index must be a positive integer")
     return sw(underlying_of_complexification(a, ctx), 2 * k)
 
 
 def pontrjagin_mod2(a: FormalBundle, i: int, ctx: RingContext = UNBOUNDED):
     """Mod-2 reduction of the i-th Pontrjagin class: chern_mod2 at 2i."""
-    if i < 1:
-        raise ValueError("Pontrjagin index must be positive")
+    if type(i) is not int or i < 1:
+        raise ValueError("Pontrjagin index must be a positive integer")
     return chern_mod2(a, 2 * i, ctx)
 
 
@@ -191,10 +192,4 @@ def cartan_restrict(c: MPoly2) -> MPoly2:
     monomial containing a squared variable dies."""
     if c.namespace != SW:
         raise NamespaceMismatchError("cartan_restrict expects an sw polynomial")
-    # distinct keys map to distinct keys, so nothing cancels
-    out = frozenset(
-        tuple((-i, 1) for i, _ in reversed(key))
-        for key in c.monomials
-        if all(e == 1 for _, e in key)
-    )
-    return MPoly2(out, EXT)
+    return evaluate_monomials(c.monomials, v, EXT)

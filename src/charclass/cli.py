@@ -244,6 +244,3 @@ def main(argv=None) -> int:
         print(f"charclass: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,7 +29,6 @@ from .errors import (
     NotInIdealError,
 )
 from .feshbach import IndexSet, IntClass, doubled_w_monomial, rho, signed_sum_str
-from .steenrod import sq1
 from .wring import (
     SW,
     UNBOUNDED,
@@ -150,10 +149,9 @@ def _test_bundle(d: int) -> FormalBundle:
 
 
 def lemma3_lhs(I: IndexSet, b: FormalBundle, ctx: RingContext = UNBOUNDED):
-    """rho of the squared torsion generator on a bundle: the square of Sq1
-    of prod w_{2i}, evaluated on the bundle."""
-    formal = square(sq1(doubled_w_monomial(I.doubled), ctx), ctx)
-    return evaluate_class(formal, b, ctx)
+    """rho of the squared torsion generator V_I^2, evaluated on a bundle.
+    I must be valid at the ctx rank cap."""
+    return evaluate_class(rho(IntClass.V(I) * IntClass.V(I), ctx), b, ctx)
 
 
 def lemma3_rhs(

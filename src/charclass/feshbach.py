@@ -131,7 +131,8 @@ class IndexSet:
         return "{" + ",".join(index_str(d) for d in self.doubled) + "}"
 
     def __repr__(self):
-        return f"IndexSet.of({', '.join(index_str(d) for d in self.doubled)})"
+        args = ("'1/2'" if d == 1 else str(d // 2) for d in self.doubled)
+        return f"IndexSet.of({', '.join(args)})"
 
 
 # free part: dict p_key -> nonzero int, frozen to a sorted tuple

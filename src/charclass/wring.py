@@ -144,9 +144,11 @@ def tor_key(p_key: MonomialKey, v_key: Iterable) -> MonomialKey:
 
 
 def tor_terms(a: MPoly2) -> list:
-    """The monomials of a tor polynomial as (p part, V factors) in the
-    argument form of tor_key, ordered by degree, then p part, then V
-    factors (each ordered by its doubled indices)."""
+    """The monomials of a tor polynomial as (p part, V factors), ordered by
+    degree, then p part, then V factors.  The p part is ascending (i, e)
+    pairs, as tor_key takes it; the V factors are (doubled indices,
+    exponent) pairs ordered by their doubled indices, where tor_key takes
+    (V mask, exponent) pairs."""
     rows = []
     for key in a.monomials:
         p_key = tuple((-i, e) for i, e in reversed(key) if i < 0)
@@ -339,7 +341,9 @@ def add_all(polys: Iterable[MPoly2], ctx: RingContext = UNBOUNDED) -> MPoly2:
     """The sum of one or more polynomials of one namespace in one pass: the
     monomials occurring an odd number of times, context-reduced."""
     polys = iter(polys)
-    first = next(polys)
+    first = next(polys, None)
+    if first is None:
+        raise ValueError("a sum needs at least one polynomial")
     acc = set(first.monomials)
     for b in polys:
         _check_namespaces(first, b)

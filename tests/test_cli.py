@@ -62,6 +62,9 @@ def test_eval_bundles(capsys):
     code, out, _ = run(capsys, "eval", "--expr", "w1", "--bundle", "roots:3",
                        "--degree", "8")
     assert (code, out) == (0, "r1 + r2 + r3\n")
+    code, out, _ = run(capsys, "eval", "--expr", "w1", "--bundle", "trivial",
+                       "--degree", "4")
+    assert (code, out) == (0, "0\n")
     # a rank cap truncates the w_i, not the bundle's roots: all of e3
     e3 = " + ".join("*".join(f"r{i}" for i in c)
                     for c in itertools.combinations(range(1, 6), 3)) + "\n"
@@ -93,6 +96,8 @@ def test_decompose(capsys):
     assert (code, out) == (0, "u1*u3 + u2^2\n")
     code, out, _ = run(capsys, "decompose", "--expr", "w1^2*w2", "--ideal")
     assert (code, out) == (0, "w1^2*(w2)\n")
+    code, out, _ = run(capsys, "decompose", "--expr", "1", "--ideal")
+    assert (code, out) == (0, "0\n")
 
 
 def test_parse_error_exit_1(capsys):
@@ -105,6 +110,7 @@ def test_parse_error_exit_1(capsys):
         (["eval", "--expr", ""], "expected an atom, found end of input (at position 0)"),
         (["eval", "--expr", "(w1"], "expected ')', found end of input (at position 3)"),
         (["rho", "--expr", "V{1/2"], "expected ',' or '}', found end of input (at position 5)"),
+        (["rho", "--expr", "V{0}"], "index must be positive (at position 2)"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv

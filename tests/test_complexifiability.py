@@ -32,6 +32,7 @@ from charclass.complexifiability import (
 )
 from charclass.errors import (
     CapsTooSmallError,
+    InvalidIndexSetError,
     NotComplexifiableError,
     NotInIdealError,
 )
@@ -170,6 +171,10 @@ def test_lemma3_spot_cases():
     assert lemma3_lhs(half, trivial_bundle(), ctx).is_zero()
     with pytest.raises(ValueError):
         lemma3_rhs(half, u, ctx, "freestyle")
+    # the left side is rho(V_I^2), so I must be valid at the rank cap
+    small = RingContext(40, 4)
+    with pytest.raises(InvalidIndexSetError, match=r"index set \{3\} is not valid at rank 4"):
+        lemma3_lhs(IndexSet.of(3), universal_bundle(small), small)
 
 
 def test_lemma3_on_the_fiber_bundle():
@@ -302,7 +307,7 @@ def test_value_reprs_and_integral_subtraction():
     b = IntClass.integer(3) + IntClass.p(1) * IntClass.V([1])
     assert a - b == a + (-b)
     assert repr(b - a) == "IntClass(3 - p1 - 2*p2 + V{1/2} + p1*V{1})"
-    assert repr(IndexSet.of("1/2", 3)) == "IndexSet.of(1/2, 3)"
+    assert repr(IndexSet.of("1/2", 3)) == "IndexSet.of('1/2', 3)"
     assert repr(subring_decomposition(square(w(1) * w(3)) + MPoly2.one())) == (
         "SquaresPoly(1 + u1*u3)")
     v = IntClass.V(IndexSet.of("1/2", 1))

@@ -667,6 +667,11 @@ def test_valid_index_sets_matches_brute_force():
     assert len(_valid_index_sets(128, 24)) == 109
 
 
+def test_index_set_repr_round_trips():
+    for s in _valid_index_sets(16, 24):
+        assert eval(repr(s), {"IndexSet": IndexSet}) == s, repr(s)
+
+
 # -- reference route for relation left-hand sides ----------------------------
 # Families 2-6 built as products of IntClass values through int_mul, the
 # construction relation() used before it built tor keys directly; kept as an

@@ -25,7 +25,7 @@ from charclass.errors import (
     MissingImageError,
     NamespaceMismatchError,
 )
-from charclass.feshbach import IndexSet, IntClass, relation
+from charclass.feshbach import IndexSet, IntClass, int_add_all, relation
 from charclass.report import CaseRecord
 from charclass.serialize import loads, to_json_obj
 from charclass.wring import (
@@ -37,6 +37,7 @@ from charclass.wring import (
     MPoly2,
     RingContext,
     add,
+    add_all,
     constant_term,
     evaluate_monomials,
     grade_component,
@@ -257,6 +258,9 @@ _ROOTS = "roots bundle needs a positive integer number of roots"
 _CLASS_INDEX = "class index must be a nonnegative integer"
 _EXPONENT = "exponent must be a nonnegative integer"
 _DOUBLED = "does not encode 1/2 or a positive integer"
+_CHERN = "Chern index must be a positive integer"
+_PONTRJAGIN = "Pontrjagin index must be a positive integer"
+_EMPTY_SUM = "a sum needs at least one polynomial"
 B2, I12, I13 = roots_bundle(2), IndexSet([2, 4]), IndexSet([2, 6])
 
 
@@ -265,8 +269,11 @@ B2, I12, I13 = roots_bundle(2), IndexSet([2, 4]), IndexSet([2, 6])
     (lambda: roots_bundle(True), ValueError, _ROOTS),
     (lambda: sw(B2, -1), ValueError, _CLASS_INDEX),
     (lambda: sw(B2, 2.0), ValueError, _CLASS_INDEX),
-    (lambda: chern_mod2(B2, 0), ValueError, "Chern index must be positive"),
-    (lambda: pontrjagin_mod2(B2, 0), ValueError, "Pontrjagin index must be positive"),
+    *((lambda k=k: chern_mod2(B2, k), ValueError, _CHERN) for k in (0, True, 1.5, "2")),
+    *((lambda k=k: pontrjagin_mod2(B2, k), ValueError, _PONTRJAGIN)
+      for k in (0, True, 1.5, "2")),
+    (lambda: add_all([]), ValueError, _EMPTY_SUM),
+    (lambda: int_add_all([]), ValueError, _EMPTY_SUM),
     (lambda: FormalBundle(B2.total, True), ValueError,
      "rank bound must be a nonnegative integer or None"),
     (lambda: cartan_restrict(v(1)), NamespaceMismatchError,
