@@ -166,10 +166,11 @@ def lemma3_rhs(
     mode "verbatim" uses w_1^2 as the half-index factor, which dies on any
     doubled bundle; mode "derived" (default) uses w_2^2, the form the Sq1
     expansion actually produces.  The two differ exactly when the half
-    index is present.
+    index is present.  I must be valid at the ctx rank cap.
     """
     if mode not in ("derived", "verbatim"):
         raise ValueError("mode must be 'derived' or 'verbatim'")
+    I.require_valid_at(ctx.rank_cap)
     formal = MPoly2.zero(SW)
     ds = I.doubled
     for d in ds:

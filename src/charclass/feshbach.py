@@ -221,21 +221,31 @@ class IntClass:
         return max([self.torsion.degree()] + [_p_degree(k) for k, _ in self.free])
 
     def __add__(self, other):
+        if not isinstance(other, IntClass):
+            return NotImplemented
         return int_add(self, other)
 
     def __sub__(self, other):
+        if not isinstance(other, IntClass):
+            return NotImplemented
         return int_add(self, other.negate())
 
     def __mul__(self, other):
+        if not isinstance(other, IntClass):
+            return NotImplemented
         return int_mul(self, other)
 
     def __pow__(self, e: int):
-        """self**e as the e-fold product."""
+        """self**e by binary exponentiation."""
         if type(e) is not int or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = IntClass.integer(1)
-        for _ in range(e):
-            out = out * self
+        out, base = IntClass.integer(1), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def negate(self) -> "IntClass":
@@ -477,13 +487,16 @@ def relation(
 ) -> IntClass:
     """Left-hand side of relation family k (1..6) of the presentation.
 
-    Side conditions (violations raise ValueError, as does any k other
-    than the ints 1..6, before any other check):
+    Side conditions (violations raise ValueError, as do any k other than
+    the ints 1..6 and any n that is neither None nor an int, before any
+    other check):
       1: any I.         2-4: |I|>1 and the pair conditions of _pair_refusal.
       5: |I|>1.         6: even n >= 2; no index sets.
     """
     if type(k) is not int or not 1 <= k <= 6:
         raise ValueError(f"unknown relation family {k!r}")
+    if n is not None and type(n) is not int:
+        raise ValueError(f"rank must be an integer or None, got {n!r}")
     if k == 1:
         if I is None:
             raise ValueError("relation 1 needs I")

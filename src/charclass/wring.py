@@ -257,9 +257,13 @@ class MPoly2:
     # -- operator sugar (unbounded context) --------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, MPoly2):
+            return NotImplemented
         return add(self, other, UNBOUNDED)
 
     def __mul__(self, other):
+        if not isinstance(other, MPoly2):
+            return NotImplemented
         return mul(self, other, UNBOUNDED)
 
     def __pow__(self, e: int):
@@ -315,6 +319,9 @@ def v(index: int) -> MPoly2:
 
 
 def _check_namespaces(a: MPoly2, b: MPoly2) -> str:
+    if not (isinstance(a, MPoly2) and isinstance(b, MPoly2)):
+        other = b if isinstance(a, MPoly2) else a
+        raise TypeError(f"cannot combine a polynomial with {type(other).__name__!r}")
     if a.namespace != b.namespace:
         raise NamespaceMismatchError(
             f"cannot combine {a.namespace!r} and {b.namespace!r} polynomials"
@@ -352,8 +359,9 @@ def add_all(polys: Iterable[MPoly2], ctx: RingContext = UNBOUNDED) -> MPoly2:
 
 
 # A sum of products of up to this many term pairs in all takes the dict loop,
-# a larger one the packed kernel.  Ext and tor sums always take the dict loop,
-# since negative indices and V masks do not pack.
+# a larger one the packed kernel.  Ext and tor sums always take the dict loop:
+# the kernel gives the same result for them, but no measured workload gains
+# from packing them.
 _PACK_THRESHOLD = 4096
 # Words of packed pair sums held at once: a product's broadcast chunk, and the
 # pending rows of a sum, counted down to their odd rows when they pass it.
@@ -482,7 +490,7 @@ def _mul_packed(pairs, ns, cap):
     per = min(per, fields)  # fields in use per word
     exps = odd[:, :, None] >> (np.arange(per, dtype=np.uint64) * np.uint64(bits))
     exps &= np.uint64((1 << bits) - 1)
-    return _decode(exps.reshape(-1, words * per)[:, :fields], bits, columns)
+    return _decode(exps.reshape(-1, words * per), bits, columns)
 
 
 def _odd_rows(parts, row, words) -> np.ndarray:
@@ -509,30 +517,40 @@ def _pack(keys, field, bits, per, words) -> np.ndarray:
 def _decode(matrix: np.ndarray, bits: int, columns: list) -> list:
     """The monomial keys of the rows of an (n, m) matrix of exponents below
     2**bits, column j holding the exponent of variable columns[j] (the
-    columns ascending).
+    columns ascending; a column past them must be zero).
 
     Like mono_mul, the keys share their (index, exponent) pairs: one tuple
-    per distinct pair, every key a slice of one flat tuple of them."""
+    per distinct pair.  The rows are grouped by their number r of nonzero
+    fields, and each group's keys are built at once, by one zip over the r
+    columns of the group's pairs."""
     import numpy as np
 
-    m = matrix.shape[1]
-    ends = np.cumsum(np.count_nonzero(matrix, axis=1)).tolist()
-    rows, cols = np.nonzero(matrix)  # row by row, ascending index within a row
-    exps = matrix[rows, cols]
+    n, m = matrix.shape
+    flat = np.flatnonzero(matrix)  # row by row, ascending index within a row
+    exps = matrix.ravel()[flat]
+    counts = np.bincount(flat // m, minlength=n)
     values = None
     if bits + (m - 1).bit_length() > 64:  # exps * m + cols would overflow
         values, exps = np.unique(exps, return_inverse=True)
         values = values.tolist()
-    codes = exps.astype(np.uint64) * np.uint64(m) + cols.astype(np.uint64)
-    del rows, cols, exps  # free the field arrays before the sort
+    codes = exps.astype(np.uint64) * np.uint64(m) + (flat % m).astype(np.uint64)
+    del flat, exps  # free the field arrays before the sort
     uniq, inverse = np.unique(codes, return_inverse=True)
     del codes
-    pairs = [
-        (columns[c % m], c // m if values is None else values[c // m])
-        for c in uniq.tolist()
-    ]
-    flat = tuple(map(pairs.__getitem__, inverse.tolist()))
-    return [flat[s:e] for s, e in zip([0] + ends[:-1], ends)]
+    pairs = np.fromiter(
+        ((columns[c % m], c // m if values is None else values[c // m])
+         for c in uniq.tolist()),
+        dtype=object, count=len(uniq),
+    )
+    starts = np.cumsum(counts) - counts  # each row's first entry in inverse
+    order = np.argsort(counts)  # the rows by nonzero count
+    sizes = np.bincount(counts, minlength=1).tolist()  # rows per count
+    keys, lo = [()] * sizes[0], sizes[0]
+    for r, size in enumerate(sizes[1:], 1):  # the (r, size) pair ids of a group
+        ids = inverse[starts[order[lo : lo + size]] + np.arange(r)[:, None]]
+        keys += zip(*pairs[ids].tolist())
+        lo += size
+    return keys
 
 
 def square(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:

@@ -171,10 +171,12 @@ def test_lemma3_spot_cases():
     assert lemma3_lhs(half, trivial_bundle(), ctx).is_zero()
     with pytest.raises(ValueError):
         lemma3_rhs(half, u, ctx, "freestyle")
-    # the left side is rho(V_I^2), so I must be valid at the rank cap
+    # the left side is rho(V_I^2), so I must be valid at the rank cap, and
+    # the right side refuses the same set
     small = RingContext(40, 4)
-    with pytest.raises(InvalidIndexSetError, match=r"index set \{3\} is not valid at rank 4"):
-        lemma3_lhs(IndexSet.of(3), universal_bundle(small), small)
+    for side in (lemma3_lhs, lemma3_rhs):
+        with pytest.raises(InvalidIndexSetError, match=r"index set \{3\} is not valid at rank 4"):
+            side(IndexSet.of(3), universal_bundle(small), small)
 
 
 def test_lemma3_on_the_fiber_bundle():

@@ -227,6 +227,18 @@ def _random_intclass(rng) -> IntClass:
     return out
 
 
+def test_intclass_power_is_the_repeated_product():
+    rng = random.Random(43)
+    samples = [x for x in (_random_intclass(rng) for _ in range(60))
+               if x.free and x.torsion][:6]
+    assert len(samples) == 6
+    for x in samples:
+        product = IntClass.integer(1)
+        for e in range(10):
+            assert x ** e == product
+            product = int_mul(product, x)
+
+
 def test_rho_homogeneity():
     for doubled in [(1,), (2,), (4,), (1, 2), (2, 6), (1, 4, 6)]:
         iset = IndexSet(doubled)

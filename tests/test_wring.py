@@ -303,6 +303,26 @@ B2, I12, I13 = roots_bundle(2), IndexSet([2, 4]), IndexSet([2, 6])
     (lambda: relation("2", I12, I13), ValueError, "unknown relation family '2'"),
     (lambda: relation(True, I12), ValueError, "unknown relation family True"),
     (lambda: relation(1), ValueError, "relation 1 needs I"),
+    # a rank that is not an int is named before any index set is checked
+    (lambda: relation(1, IndexSet.of(1), n=2.0), ValueError,
+     "rank must be an integer or None, got 2.0"),
+    (lambda: relation(2, I12, I13, n=True), ValueError,
+     "rank must be an integer or None, got True"),
+    (lambda: relation(6, n=4.0), ValueError, "rank must be an integer or None, got 4.0"),
+    (lambda: relation(6, n="4"), ValueError, "rank must be an integer or None, got '4'"),
+    # arithmetic with a plain number is a TypeError, in operator and function form
+    (lambda: w(1) + 1, TypeError, "unsupported operand type(s) for +: 'MPoly2' and 'int'"),
+    (lambda: 1 + w(1), TypeError, "unsupported operand type(s) for +: 'int' and 'MPoly2'"),
+    (lambda: w(1) * 3, TypeError, "unsupported operand type(s) for *: 'MPoly2' and 'int'"),
+    (lambda: mul(w(1), 3), TypeError, "cannot combine a polynomial with 'int'"),
+    (lambda: mul(3, w(1)), TypeError, "cannot combine a polynomial with 'int'"),
+    (lambda: add(w(1), 1), TypeError, "cannot combine a polynomial with 'int'"),
+    (lambda: IntClass.integer(2) + 1, TypeError,
+     "unsupported operand type(s) for +: 'IntClass' and 'int'"),
+    (lambda: IntClass.integer(2) - 1, TypeError,
+     "unsupported operand type(s) for -: 'IntClass' and 'int'"),
+    (lambda: IntClass.integer(2) * w(1), TypeError,
+     "unsupported operand type(s) for *: 'IntClass' and 'MPoly2'"),
     (lambda: CaseRecord("a", {}, "bogus"), ValueError, "unknown status 'bogus'"),
     (lambda: to_json_obj(object()), TypeError, "cannot serialize object"),
     (lambda: loads('{"type":"integral","free":[],"torsion":[{"p":[],"V":[[2,1]]}]}'),
@@ -328,6 +348,46 @@ def test_power_binary_exponentiation():
         expected = expected * x
     assert power(x, 5) == expected
     assert power(x, 0) == MPoly2.one()
+
+
+def _decode_cases():
+    """(matrix, bits, columns) cases for _decode: every row length from 0 to
+    the number of columns, each at least once, in shuffled order; columns
+    past len(columns) are zero, as the padding fields of a packed word are."""
+    import numpy as np
+
+    rng = random.Random(25)
+    cases = []
+    # (bits, len(columns), m): one word, two words with padding, and
+    # exponents so wide that (exponent, column) codes need the exponents'
+    # own ranks (bits + (m - 1).bit_length() > 64)
+    for bits, fields, m in ((3, 7, 7), (5, 13, 24), (62, 5, 8), (64, 2, 2)):
+        columns = sorted(rng.sample(range(1, 60), fields))
+        lengths = [r for r in range(fields + 1) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(lengths)
+        matrix = np.zeros((len(lengths), m), dtype=np.uint64)
+        for row, r in zip(matrix, lengths):
+            for j in rng.sample(range(fields), r):
+                row[j] = rng.randint(1, 2**bits - 1)
+        cases.append((matrix, bits, columns))
+    return cases
+
+
+def test_decode_matches_a_per_row_decode():
+    import numpy as np
+
+    from charclass.wring import _decode
+
+    assert _decode(np.zeros((0, 3), dtype=np.uint64), 2, [1, 2, 3]) == []
+    for matrix, bits, columns in _decode_cases():
+        naive = [tuple((columns[j], e) for j, e in enumerate(row) if e)
+                 for row in matrix.tolist()]
+        keys = _decode(matrix, bits, columns)
+        assert sorted(keys) == sorted(naive)
+        assert () in keys and max(map(len, keys)) == len(columns)
+        shared: dict = {}  # one tuple per distinct (index, exponent) pair
+        for pair in (p for key in keys for p in key):
+            assert shared.setdefault(pair, pair) is pair
 
 
 def _factors(pairs, ns, cap):
