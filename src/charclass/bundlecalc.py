@@ -26,6 +26,7 @@ from .wring import (
     UNBOUNDED,
     MPoly2,
     RingContext,
+    check_value,
     constant_term,
     evaluate_monomials,
     graded_parts,
@@ -63,11 +64,15 @@ class FormalBundle:
 
     rank_bound None means unbounded (a stable bundle).  Construction files
     the total's monomials by degree, once, in `_grades`, which sw() reads.
+    `_powers` maps a RingContext to the powers evaluate_class has built under
+    it, {(i, e): sw(bundle, i)^e as a factor of _sum_products}: at most
+    sum_{i<=d} d // i of them under degree cap d, valid for the bundle's life.
     """
 
     total: MPoly2
     rank_bound: int | None = None
     _grades: dict = field(init=False, compare=False)
+    _powers: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.total, MPoly2):
@@ -79,6 +84,7 @@ class FormalBundle:
         ):
             raise ValueError("rank bound must be a nonnegative integer or None")
         object.__setattr__(self, "_grades", graded_parts(self.total))
+        object.__setattr__(self, "_powers", {})
 
     def __repr__(self):
         return f"FormalBundle({self.total}, rank_bound={self.rank_bound})"
@@ -179,12 +185,14 @@ def pontrjagin_mod2(a: FormalBundle, i: int, ctx: RingContext = UNBOUNDED):
 def evaluate_class(c: MPoly2, a: FormalBundle, ctx: RingContext = UNBOUNDED):
     """Evaluate a universal class (an sw polynomial in the w_i) on a bundle
     by substituting the bundle's classes.  Result lives in the bundle's
-    ambient ring."""
+    ambient ring.  Every call on the bundle under ctx shares the powers of
+    its classes (FormalBundle._powers); the prefix trie is the call's own."""
+    c = reduce_poly(c, ctx)  # refuses a non-value first
+    check_value(a, FormalBundle)
     if c.namespace != SW:
         raise NamespaceMismatchError("classes are polynomials in sw variables")
-    return evaluate_monomials(
-        reduce_poly(c, ctx).monomials, lambda i: sw(a, i), a.total.namespace, ctx
-    )
+    return evaluate_monomials(c.monomials, lambda i: sw(a, i), a.total.namespace,
+                              ctx, powers=a._powers.setdefault(ctx, {}))
 
 
 def cartan_restrict(c: MPoly2) -> MPoly2:

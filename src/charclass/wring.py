@@ -318,10 +318,15 @@ def v(index: int) -> MPoly2:
     return MPoly2(frozenset({((-index, 1),)}), EXT)
 
 
+def check_value(x, kind: type = MPoly2):
+    if not isinstance(x, kind):
+        raise TypeError(f"cannot combine a polynomial with {type(x).__name__!r}")
+    return x
+
+
 def _check_namespaces(a: MPoly2, b: MPoly2) -> str:
     if not (isinstance(a, MPoly2) and isinstance(b, MPoly2)):
-        other = b if isinstance(a, MPoly2) else a
-        raise TypeError(f"cannot combine a polynomial with {type(other).__name__!r}")
+        check_value(b if isinstance(a, MPoly2) else a)
     if a.namespace != b.namespace:
         raise NamespaceMismatchError(
             f"cannot combine {a.namespace!r} and {b.namespace!r} polynomials"
@@ -331,6 +336,7 @@ def _check_namespaces(a: MPoly2, b: MPoly2) -> str:
 
 def reduce_poly(a: MPoly2, ctx: RingContext) -> MPoly2:
     """Drop monomials the context does not admit."""
+    check_value(a)
     if ctx.is_unbounded():
         return a
     kept = frozenset(k for k in a.monomials if ctx.admits(k, a.namespace))
@@ -351,6 +357,7 @@ def add_all(polys: Iterable[MPoly2], ctx: RingContext = UNBOUNDED) -> MPoly2:
     first = next(polys, None)
     if first is None:
         raise ValueError("a sum needs at least one polynomial")
+    check_value(first)
     acc = set(first.monomials)
     for b in polys:
         _check_namespaces(first, b)
@@ -555,6 +562,7 @@ def _decode(matrix: np.ndarray, bits: int, columns: list) -> list:
 
 def square(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Frobenius: squaring doubles every exponent, cross terms cancel."""
+    check_value(a)
     keys = set()
     for key in a.monomials:
         doubled = tuple((i, 2 * e) for i, e in key)
@@ -567,8 +575,8 @@ def power(a: MPoly2, e: int, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """a**e by binary exponentiation (squaring is cheap here)."""
     if type(e) is not int or e < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = MPoly2.one(a.namespace)
     base = reduce_poly(a, ctx)
+    result = MPoly2.one(a.namespace)
     while e:
         if e & 1:
             result = _mul_reduced(result, base, ctx)
@@ -603,6 +611,7 @@ def evaluate_monomials(
     namespace: str,
     ctx: RingContext = UNBOUNDED,
     memo: dict | None = None,
+    powers: dict | None = None,
 ) -> MPoly2:
     """Sum over monomials of the product of images, a ring homomorphism.
 
@@ -610,23 +619,28 @@ def evaluate_monomials(
     `namespace`.  Products of leading factors are memoized in `memo`, a trie
     keyed by monomial prefix: memo[(i, e)] is the node of the one-factor
     prefix, and a node is (the product of its prefix, its children by next
-    factor).  A one-factor node's product is the power of image i, and a
-    longer prefix's product is made once from its parent's and its last
-    factor's, however many monomials share it.  The memo is a fresh dict
-    unless the caller passes one to share between calls with the same
-    images and ctx.  The products are factors of _sum_products, which keep
-    their keys' degrees, and every monomial's last factor is multiplied into
-    its head by one _sum_products call.
+    factor).  A one-factor node's product is image i to the power e, read
+    from or filed in `powers[(i, e)]`, and a longer prefix's product is made
+    once from its parent's and its last factor's, however many monomials
+    share it.  Each memo is a fresh dict unless the caller passes one to
+    share between calls with the same images and ctx: `memo` holds products
+    of heads, `powers` only powers of images.  The products are factors of
+    _sum_products, which keep their keys' degrees, and every monomial's last
+    factor is multiplied into its head by one _sum_products call.
     """
     memo = {} if memo is None else memo
+    powers = {} if powers is None else powers
     cap, one = ctx.degree_cap, MPoly2.one(namespace)
 
     def power_of(pair: tuple) -> tuple:
         node = memo.get(pair)
         if node is None:
-            image = power(images(pair[0]), pair[1], ctx)
-            _check_namespaces(one, image)
-            node = memo[pair] = (_factor(image.monomials, namespace, cap), {})
+            factor = powers.get(pair)
+            if factor is None:
+                image = power(images(pair[0]), pair[1], ctx)
+                _check_namespaces(one, image)
+                factor = powers[pair] = _factor(image.monomials, namespace, cap)
+            node = memo[pair] = (factor, {})
         return node
 
     pairs = []
@@ -653,11 +667,12 @@ def substitute(
     Every variable occurring in `a` needs an image; images must share a
     namespace (which becomes the result namespace).
     """
+    check_value(a)
     occurring = a.variables()
     missing = occurring - set(images)
     if missing:
         raise MissingImageError(f"no image for variable index {min(missing)}")
-    namespaces = {images[i].namespace for i in occurring}
+    namespaces = {check_value(images[i]).namespace for i in occurring}
     if len(namespaces) > 1:
         raise NamespaceMismatchError("substitution images mix namespaces")
     ns = namespaces.pop() if namespaces else a.namespace

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from charclass import wring
 from charclass.bundlecalc import (
     FormalBundle,
     cartan_restrict,
@@ -22,6 +23,7 @@ from charclass.bundlecalc import (
     universal_bundle,
     whitney_sum,
 )
+from charclass.complexifiability import _test_bundle
 from charclass.errors import CapsTooSmallError, NamespaceMismatchError
 from charclass.serialize import dumps, to_json_obj
 from charclass.verify import random_mod2
@@ -29,6 +31,7 @@ from charclass.wring import (
     EXT,
     ROOT,
     SW,
+    UNBOUNDED,
     MPoly2,
     RingContext,
     constant_term,
@@ -403,6 +406,8 @@ def test_graded_bundle_equals_fresh_one():
         graded = FormalBundle(total, 3)
         for k in range(total.degree() + 1):
             sw(graded, k)
+        evaluate_class(w(1) ** 2 * w(3), graded, RingContext(6))
+        assert graded._powers
         fresh = FormalBundle(total, 3)
         assert graded == fresh and fresh == graded
         assert hash(graded) == hash(fresh)
@@ -412,7 +417,8 @@ def test_graded_bundle_equals_fresh_one():
 
 def test_bundle_is_built_whole():
     b = universal_bundle(RingContext(4))
-    for name, value in [("total", MPoly2.one()), ("rank_bound", 2), ("_grades", {})]:
+    for name, value in [("total", MPoly2.one()), ("rank_bound", 2), ("_grades", {}),
+                        ("_powers", {})]:
         with pytest.raises(FrozenInstanceError):
             setattr(b, name, value)
     assert sw(b, 2) == w(2) and str(b.total) == "1 + w1 + w2 + w3 + w4"
@@ -426,3 +432,67 @@ def test_roots_total_is_the_product_of_its_factors(cap):
         for i in range(1, m + 1):
             total = mul(total, MPoly2.one(ROOT) + MPoly2.gen(i, ROOT), ctx)
         assert roots_bundle(m, ctx).total == total, m
+
+
+# Degree caps 12 and 8, a rank cap and no cap, taken in turn on one bundle.
+_MEMO_CONTEXTS = (RingContext(12), RingContext(8), RingContext(rank_cap=4), UNBOUNDED)
+_MEMO_BUNDLES = {
+    "universal": lambda: universal_bundle(RingContext(12)),
+    "fiber": lambda: fiber_bundle(RingContext(12)),
+    "roots": lambda: roots_bundle(6),
+    "test": lambda: _test_bundle.__wrapped__(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_BUNDLES))
+def test_power_memo_never_changes_an_answer(name):
+    """Classes evaluated on one bundle under alternating contexts, so its
+    powers are built and reused under each, equal the same classes
+    evaluated on a freshly built bundle; some exponents pass the caps."""
+    build = _MEMO_BUNDLES[name]
+    shared = _test_bundle(12) if name == "test" else build()
+    rng = random.Random(37)
+    classes = [random_mod2(rng, 16, max_terms=8) for _ in range(10)]
+    classes.append(MPoly2(frozenset(
+        {((1, 13),), ((2, 7),), ((1, 3), (3, 4)), ((2, 2), (5, 1)), ((4, 3),)}
+    ), SW))
+    for c in classes:
+        for ctx in _MEMO_CONTEXTS:
+            got, want = evaluate_class(c, shared, ctx), evaluate_class(c, build(), ctx)
+            assert got == want and dumps(got) == dumps(want), (c, ctx)
+    assert set(_MEMO_CONTEXTS) <= set(shared._powers)
+
+
+def test_power_memo_builds_each_power_once_per_context(monkeypatch):
+    calls = []
+    real = wring.power
+
+    def counting(a, e, ctx=UNBOUNDED):
+        calls.append(e)
+        return real(a, e, ctx)
+
+    c = w(1) ** 3 * w(2) + w(3) ** 2 + w(1) * w(5)
+    heads = w(1) * w(2) * w(3) * w(4) + w(5) ** 5 + w(2) ** 3 * w(7)
+    monkeypatch.setattr(wring, "power", counting)
+    b, ctx = _test_bundle.__wrapped__(12), RingContext(12)
+    first = evaluate_class(c, b, ctx)
+    assert len(calls) == 5  # one per distinct (i, e)
+    calls.clear()
+    assert evaluate_class(c, b, ctx) == first and calls == []
+    evaluate_class(c, b, RingContext(8))
+    assert len(calls) == 5 and set(b._powers) == {ctx, RingContext(8)}
+
+    # every w_i^e under degree cap 24 fills the memo to its bound
+    t, ctx = _test_bundle(24), RingContext(24)
+    for i in range(1, 25):
+        for e in range(1, 24 // i + 1):
+            evaluate_class(MPoly2(frozenset({((i, e),)}), SW), t, ctx)
+    bound = sum(24 // i for i in range(1, 25))
+    assert bound == 84 and len(t._powers[ctx]) == bound
+    # multi-factor heads and exponents past the cap add no entries
+    calls.clear()
+    rng = random.Random(38)
+    for _ in range(20):
+        evaluate_class(random_mod2(rng, 30, max_terms=8), t, ctx)
+    evaluate_class(heads, t, ctx)
+    assert calls == [] and len(t._powers[ctx]) == bound

@@ -336,6 +336,35 @@ def test_entry_points_refuse_bad_arguments(call, error, message):
     assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
+_BUNDLE = FormalBundle(MPoly2.one(SW) + w(1) + w(2))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: add(1, w(1)), "int"),
+    (lambda: add_all([1, w(1)]), "int"),
+    (lambda: add_all([1]), "int"),
+    (lambda: mul(3, w(1), RingContext(8)), "int"),
+    (lambda: power(3, 2), "int"),
+    (lambda: power("w1", 2, RingContext(8)), "str"),
+    (lambda: square(3), "int"),
+    (lambda: reduce_poly(3, RingContext(8)), "int"),
+    (lambda: reduce_poly(None, UNBOUNDED), "NoneType"),
+    (lambda: substitute(3, {}), "int"),
+    (lambda: substitute(w(1) * w(2), {1: w(1), 2: 3}), "int"),
+    (lambda: evaluate_monomials([((1, 1),)], {1: 3}.get, SW), "int"),
+    (lambda: evaluate_class(3, _BUNDLE, RingContext(8)), "int"),
+    (lambda: evaluate_class(w(1), 3, RingContext(8)), "int"),
+    (lambda: evaluate_class(w(1), w(2)), "MPoly2"),
+])
+def test_function_forms_refuse_a_non_value_operand(call, name):
+    """A plain number or other non-value in any operand position is a
+    TypeError in _check_namespaces's wording, never an AttributeError."""
+    with pytest.raises(TypeError) as excinfo:
+        call()
+    assert type(excinfo.value) is TypeError
+    assert str(excinfo.value) == f"cannot combine a polynomial with {name!r}"
+
+
 def test_degree_cap_zero_is_legal():
     ctx = RingContext(degree_cap=0)
     assert reduce_poly(MPoly2.one() + w(1), ctx) == MPoly2.one()
