@@ -41,10 +41,11 @@ from .wring import (
     MonomialKey,
     MPoly2,
     RingContext,
-    _mask_doubled,
     add_all,
+    check_value,
     evaluate_monomials,
     index_str,
+    mask_doubled,
     mono_factors,
     mono_mul,
     mul,
@@ -135,7 +136,7 @@ class IndexSet:
         return f"IndexSet.of({', '.join(args)})"
 
 
-# free part: dict p_key -> nonzero int, frozen to a sorted tuple
+# free part: (p_key, nonzero int) pairs in the order collect_free sorts
 # torsion part: an MPoly2 in the wring namespace tor (p_i is variable -i,
 #   V_I the bit mask of I: bit 0 for 1/2, bit k for k), each monomial with a
 #   V factor; wring.tor_key / tor_terms encode and decode it.  A rank cap
@@ -148,8 +149,15 @@ def _p_degree(p_key: PKey) -> int:
     return sum(4 * i * e for i, e in p_key)
 
 
-def _freeze_free(d: dict) -> tuple:
-    items = [(k, c) for k, c in d.items() if c]
+def collect_free(terms: Iterable[tuple]) -> tuple:
+    """The free part of a sum of (p key, integer coefficient) terms: equal
+    keys added, zero sums dropped, sorted by degree, then key.  Single terms
+    and negate skip it: one nonzero term, or a sign flip of a free part, is
+    canonical already, and routing them here slowed parsing by about 2%."""
+    acc: dict = {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    items = [(k, c) for k, c in acc.items() if c]
     items.sort(key=lambda kc: (_p_degree(kc[0]), kc[0]))
     return tuple(items)
 
@@ -268,26 +276,23 @@ def int_add(a: IntClass, b: IntClass) -> IntClass:
 
 
 def int_add_all(classes: Iterable[IntClass]) -> IntClass:
-    """The sum of one or more classes in one pass: one coefficient dict for
-    the free parts and one sum of the torsion parts."""
-    free: dict = {}
-    torsions = []
-    for a in classes:
-        for k, c in a.free:
-            free[k] = free.get(k, 0) + c
-        torsions.append(a.torsion)
-    return IntClass(_freeze_free(free), add_all(torsions))
+    """The sum of one or more classes in one pass: one collect_free of the
+    free parts and one sum of the torsion parts."""
+    classes = [check_value(a, IntClass) for a in classes]
+    free = collect_free(t for a in classes for t in a.free)
+    return IntClass(free, add_all(a.torsion for a in classes))
 
 
 def _validate_rank(a: IntClass, n: int | None) -> None:
     """Refuse a class with an index set invalid at rank n, naming the first
-    such set in doubled order."""
+    such set in doubled order.  Refuses a value that is no IntClass first."""
+    check_value(a, IntClass)
     if n is None:
         return
     invalid = [i for key in a.torsion.monomials for i, _ in key
                if i > 0 and n < _min_rank(i)]
     if invalid:
-        IndexSet(min(map(_mask_doubled, invalid))).require_valid_at(n)
+        IndexSet(min(map(mask_doubled, invalid))).require_valid_at(n)
 
 
 def _with_odd_free(a: IntClass) -> MPoly2:
@@ -307,22 +312,17 @@ def int_mul(
     _validate_rank(a, rank)
     _validate_rank(b, rank)
     cap = ctx.degree_cap
-
-    free: dict = {}
-    for k1, c1 in a.free:
-        for k2, c2 in b.free:
-            if cap is not None and _p_degree(k1) + _p_degree(k2) > cap:
-                continue
-            k = mono_mul(k1, k2)
-            free[k] = free.get(k, 0) + c1 * c2
+    free = collect_free((mono_mul(k1, k2), c1 * c2)
+                        for k1, c1 in a.free for k2, c2 in b.free
+                        if cap is None or _p_degree(k1) + _p_degree(k2) <= cap)
 
     # (a mod 2) * (b mod 2) without the pure-p products, which belong to the
     # free part; every other product keeps a V factor.
     if not (a.torsion or b.torsion):
-        return IntClass(_freeze_free(free))
+        return IntClass(free)
     prod = mul(_with_odd_free(a), _with_odd_free(b), ctx)
     torsion = frozenset(k for k in prod.monomials if k and k[-1][0] > 0)
-    return IntClass(_freeze_free(free), MPoly2(torsion, TOR))
+    return IntClass(free, MPoly2(torsion, TOR))
 
 
 def doubled_w_monomial(ds) -> MPoly2:
@@ -337,7 +337,7 @@ def _rho_image(i: int, ctx: RingContext) -> MPoly2:
     the w_d over the doubled indices d of I for V_I."""
     if i < 0:
         return square(w(-2 * i), ctx)
-    return sq1(doubled_w_monomial(_mask_doubled(i)), ctx)
+    return sq1(doubled_w_monomial(mask_doubled(i)), ctx)
 
 
 def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
@@ -363,10 +363,10 @@ def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> boo
     below the classes compared; a finite rank cap is the rank of the ring
     in which the comparison happens, and index sets must be valid there.
     """
-    needed = max(a.degree(), b.degree())
-    require_degree_cap_at_least(ctx, needed, "torsion_equal")
     _validate_rank(a, ctx.rank_cap)
     _validate_rank(b, ctx.rank_cap)
+    needed = max(a.degree(), b.degree())
+    require_degree_cap_at_least(ctx, needed, "torsion_equal")
     # rho and truncation are linear: the torsion parts are rho-equal exactly
     # when their sum has rho 0
     difference = IntClass((), a.torsion + b.torsion)
@@ -405,11 +405,11 @@ def _convention(mask: int, n: int | None) -> list:
         rest = mask & ~(1 | top)
         if not rest:
             raise InvalidIndexSetError(
-                f"V{IndexSet(_mask_doubled(mask))} at rank {n} has no convention expansion"
+                f"V{IndexSet(mask_doubled(mask))} at rank {n} has no convention expansion"
             )
         return [top, *_convention(rest, n)]
     if n is not None and n < _min_rank(mask):
-        IndexSet(_mask_doubled(mask)).require_valid_at(n)
+        IndexSet(mask_doubled(mask)).require_valid_at(n)
     return [mask]
 
 
@@ -500,7 +500,7 @@ def relation(
     if k == 1:
         if I is None:
             raise ValueError("relation 1 needs I")
-        I.require_valid_at(n)
+        check_value(I, IndexSet).require_valid_at(n)
         return int_add(IntClass.V(I), IntClass.V(I))  # 2*V_I = 0
 
     if k == 6:
@@ -510,7 +510,7 @@ def relation(
 
     if I is None:
         raise ValueError(f"relation {k} needs I")
-    I.require_valid_at(n)
+    check_value(I, IndexSet).require_valid_at(n)
     if len(I.doubled) <= 1:
         raise ValueError("the cardinality of I must exceed one")
     i = I.mask
@@ -519,7 +519,7 @@ def relation(
 
     if J is None:
         raise ValueError(f"relation {k} needs J")
-    J.require_valid_at(n)
+    check_value(J, IndexSet).require_valid_at(n)
     j = J.mask
     if refusal := _pair_refusal(k, i, j):
         raise ValueError(refusal)

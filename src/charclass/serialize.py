@@ -24,7 +24,7 @@ import json
 
 from .bundlecalc import FormalBundle
 from .errors import InvalidIndexSetError
-from .feshbach import IndexSet, IntClass, _freeze_free
+from .feshbach import IndexSet, IntClass, collect_free
 from .report import Report
 from .wring import EXT, ROOT, SW, TOR, MPoly2, ext_terms, graded_lex, tor_key, tor_terms
 
@@ -115,12 +115,12 @@ def _decode(obj):
         ns = ROOT if obj.get("namespace") == "root" else SW
         return MPoly2(frozenset(_pairs(m, "monomial") for m in obj["monomials"]), ns)
     if kind == "integral":
-        free: dict = {}
+        free = []
         for t in obj["free"]:
             key, c = _pairs(t["p"], "p-monomial"), t["coeff"]
             if type(c) is not int:
                 raise ValueError(f"malformed coefficient: {c!r}")
-            free[key] = free.get(key, 0) + c
+            free.append((key, c))
         torsion = set()
         for t in obj["torsion"]:
             v_key = _pairs(t["V"], "V", _index_set)
@@ -128,7 +128,7 @@ def _decode(obj):
                 raise ValueError("a torsion term needs a V factor")
             masks = [(mask, e) for (_, mask), e in v_key]
             torsion.add(tor_key(_pairs(t["p"], "p-monomial"), masks))
-        return IntClass(_freeze_free(free), MPoly2(frozenset(torsion), TOR))
+        return IntClass(collect_free(free), MPoly2(frozenset(torsion), TOR))
     raise ValueError(f"cannot deserialize type {kind!r}")
 
 
@@ -147,4 +147,7 @@ def from_json_obj(obj):
 
 
 def loads(text: str):
-    return from_json_obj(json.loads(text))
+    try:
+        return from_json_obj(json.loads(text))
+    except RecursionError:  # nested deeper than the parser recurses
+        raise ValueError("JSON nested too deeply") from None

@@ -9,7 +9,7 @@ exactly one and kills every square.
 from __future__ import annotations
 
 from .errors import NamespaceMismatchError
-from .wring import SW, UNBOUNDED, MPoly2, MonomialKey, RingContext, mono_mul
+from .wring import SW, UNBOUNDED, MPoly2, MonomialKey, RingContext, check_value, mono_mul
 
 
 def _generator_terms(key: MonomialKey, j: int, pos: int) -> list:
@@ -27,7 +27,7 @@ def _generator_terms(key: MonomialKey, j: int, pos: int) -> list:
 
 def sq1(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Apply Sq1, context-reduced.  Root-namespace input is rejected."""
-    if a.namespace != SW:
+    if check_value(a).namespace != SW:
         raise NamespaceMismatchError("sq1 is defined on the sw namespace only")
     out: set = set()
     for key in a.monomials:

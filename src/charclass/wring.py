@@ -53,10 +53,10 @@ def mono_degree(key: MonomialKey, namespace: str = SW) -> int:
         return sum(e for _, e in key)
     if namespace == EXT:
         return sum(abs(i) * e for i, e in key)
-    return sum((-4 * i if i < 0 else 1 + sum(_mask_doubled(i))) * e for i, e in key)
+    return sum((-4 * i if i < 0 else 1 + sum(mask_doubled(i))) * e for i, e in key)
 
 
-def _mask_doubled(mask: int) -> tuple:
+def mask_doubled(mask: int) -> tuple:
     """The ascending doubled indices of a tor V mask."""
     out = []
     while mask:
@@ -152,7 +152,7 @@ def tor_terms(a: MPoly2) -> list:
     rows = []
     for key in a.monomials:
         p_key = tuple((-i, e) for i, e in reversed(key) if i < 0)
-        v_key = tuple(sorted((_mask_doubled(i), e) for i, e in key if i > 0))
+        v_key = tuple(sorted((mask_doubled(i), e) for i, e in key if i > 0))
         rows.append((mono_degree(key, TOR), p_key, v_key))
     rows.sort()
     return [row[1:] for row in rows]
@@ -367,8 +367,9 @@ def add_all(polys: Iterable[MPoly2], ctx: RingContext = UNBOUNDED) -> MPoly2:
 
 # A sum of products of up to this many term pairs in all takes the dict loop,
 # a larger one the packed kernel.  Ext and tor sums always take the dict loop:
-# the kernel gives the same result for them, but no measured workload gains
-# from packing them.
+# the kernel gives the same result for them, but no bench workload has one
+# that large, and packing the few theorem-1 ones (one at degree 48) would
+# import numpy into runs that otherwise never need it, doubling their time.
 _PACK_THRESHOLD = 4096
 # Words of packed pair sums held at once: a product's broadcast chunk, and the
 # pending rows of a sum, counted down to their odd rows when they pass it.

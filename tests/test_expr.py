@@ -230,6 +230,18 @@ def test_json_rejects_malformed_and_noncanonical(blob):
         loads(blob)
 
 
+@pytest.mark.parametrize("blob", [
+    "[" * 100_000,
+    '{"type":"mod2","monomials":' + "[" * 100_000 + "]" * 100_000 + "}",
+])
+def test_json_refuses_deep_nesting_with_value_error(blob):
+    """Nesting deeper than the JSON parser recurses is refused like any
+    other text dumps would not write, not with a RecursionError."""
+    with pytest.raises(ValueError) as excinfo:
+        loads(blob)
+    assert str(excinfo.value) == "JSON nested too deeply"
+
+
 def _reference_atom(domain, rng):
     """A random atom of the regime as (text, value from the public
     constructors), drawn from small pools so that atoms repeat."""

@@ -36,7 +36,7 @@ from charclass.verify import random_integral_complexifiable, suite_relations
 from charclass.wring import (
     MPoly2,
     RingContext,
-    _mask_doubled,
+    mask_doubled,
     mono_degree,
     mul,
     reduce_poly,
@@ -490,7 +490,7 @@ def test_relation_convention_splits_half_with_midrank():
     assert rho(lhs, RingContext(degree_cap=40, rank_cap=6)).is_zero()
     for mask in lhs.torsion.variables():
         if mask > 0:
-            assert IndexSet(_mask_doubled(mask)).valid_at(6)
+            assert IndexSet(mask_doubled(mask)).valid_at(6)
 
 
 def test_torsion_text_and_json_pinned():

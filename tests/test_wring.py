@@ -25,9 +25,19 @@ from charclass.errors import (
     MissingImageError,
     NamespaceMismatchError,
 )
-from charclass.feshbach import IndexSet, IntClass, int_add_all, relation
+from charclass.feshbach import (
+    IndexSet,
+    IntClass,
+    int_add,
+    int_add_all,
+    int_mul,
+    relation,
+    rho,
+    torsion_equal,
+)
 from charclass.report import CaseRecord
 from charclass.serialize import loads, to_json_obj
+from charclass.steenrod import sq1
 from charclass.wring import (
     EXT,
     ROOT,
@@ -355,6 +365,17 @@ _BUNDLE = FormalBundle(MPoly2.one(SW) + w(1) + w(2))
     (lambda: evaluate_class(3, _BUNDLE, RingContext(8)), "int"),
     (lambda: evaluate_class(w(1), 3, RingContext(8)), "int"),
     (lambda: evaluate_class(w(1), w(2)), "MPoly2"),
+    (lambda: sq1(3), "int"),
+    (lambda: rho(3), "int"),
+    (lambda: int_mul(IntClass.p(1), 3), "int"),
+    (lambda: int_mul(w(1), IntClass.p(1), 2), "MPoly2"),
+    (lambda: int_add(IntClass.p(1), 3), "int"),
+    (lambda: int_add_all([3]), "int"),
+    (lambda: torsion_equal(IntClass.p(1), w(1)), "MPoly2"),
+    (lambda: torsion_equal(3, IntClass.p(1), RingContext(8)), "int"),
+    (lambda: relation(2, [1, 2], [1, 4]), "list"),
+    (lambda: relation(1, (1,)), "tuple"),
+    (lambda: relation(2, IndexSet.of(1, 2), [1, 4]), "list"),
 ])
 def test_function_forms_refuse_a_non_value_operand(call, name):
     """A plain number or other non-value in any operand position is a
