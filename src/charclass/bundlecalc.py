@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import CapsTooSmallError, NamespaceMismatchError
+from .errors import CapsTooSmallError
 from .wring import (
     EXT,
     ROOT,
@@ -26,6 +26,7 @@ from .wring import (
     UNBOUNDED,
     MPoly2,
     RingContext,
+    check_sw,
     check_value,
     constant_term,
     evaluate_monomials,
@@ -39,12 +40,9 @@ from .wring import (
 
 def to_ext(a: MPoly2) -> MPoly2:
     """An sw polynomial as an oracle-ring value; ext values pass through."""
-    if a.namespace == EXT:
+    if check_value(a).namespace == EXT:
         return a
-    if a.namespace != SW:
-        raise NamespaceMismatchError(
-            "only sw polynomials embed into the oracle ring"
-        )
+    check_sw(a, "only sw polynomials embed into the oracle ring")
     return MPoly2(a.monomials, EXT)
 
 
@@ -64,9 +62,10 @@ class FormalBundle:
 
     rank_bound None means unbounded (a stable bundle).  Construction files
     the total's monomials by degree, once, in `_grades`, which sw() reads.
-    `_powers` maps a RingContext to the powers evaluate_class has built under
-    it, {(i, e): sw(bundle, i)^e as a factor of _sum_products}: at most
-    sum_{i<=d} d // i of them under degree cap d, valid for the bundle's life.
+    `_powers` maps a RingContext with a degree cap d to the powers
+    evaluate_class has built under it, {(i, e): sw(bundle, i)^e as a factor
+    of _sum_products}: at most sum_{i<=d} d // i of them, valid for the
+    bundle's life.
     """
 
     total: MPoly2
@@ -92,7 +91,7 @@ class FormalBundle:
 
 def universal_bundle(ctx: RingContext) -> FormalBundle:
     """Total class 1 + w1 + w2 + ... up to the context caps."""
-    bound = ctx.rank_cap
+    bound = check_value(ctx, RingContext).rank_cap
     if ctx.degree_cap is not None:
         bound = ctx.degree_cap if bound is None else min(bound, ctx.degree_cap)
     if bound is None:
@@ -110,7 +109,7 @@ def trivial_bundle() -> FormalBundle:
 def fiber_bundle(ctx: RingContext) -> FormalBundle:
     """Total class 1 + v1 + v2 + ... : the pullback of the universal bundle
     to the Cartan fiber, which complexifies trivially."""
-    if ctx.degree_cap is None:
+    if check_value(ctx, RingContext).degree_cap is None:
         raise CapsTooSmallError("the fiber bundle needs a finite degree cap")
     keys = {()} | {((-i, 1),) for i in range(1, ctx.degree_cap + 1)}
     return FormalBundle(MPoly2(frozenset(keys), EXT), None)
@@ -121,7 +120,8 @@ def roots_bundle(m: int, ctx: RingContext = UNBOUNDED) -> FormalBundle:
     square-free monomials in r_1..r_m, of degree at most the ctx degree cap."""
     if type(m) is not int or m < 1:
         raise ValueError("roots bundle needs a positive integer number of roots")
-    top = m if ctx.degree_cap is None else min(m, ctx.degree_cap)
+    cap = check_value(ctx, RingContext).degree_cap
+    top = m if cap is None else min(m, cap)
     keys = (tuple((i, 1) for i in roots)
             for d in range(top + 1) for roots in combinations(range(1, m + 1), d))
     return FormalBundle(MPoly2(frozenset(keys), ROOT), m)
@@ -132,13 +132,9 @@ def whitney_sum(
 ) -> FormalBundle:
     """Total class of a sum is the product of total classes; ranks add.
     A plain sw bundle summed with an oracle-ring one embeds first."""
-    ta, tb = a.total, b.total
+    ta, tb = check_value(a, FormalBundle).total, check_value(b, FormalBundle).total
     if EXT in (ta.namespace, tb.namespace):
         ta, tb = to_ext(ta), to_ext(tb)
-    elif ta.namespace != tb.namespace:
-        raise NamespaceMismatchError(
-            "cannot combine bundles over different variable namespaces"
-        )
     total = mul(ta, tb, ctx)
     if a.rank_bound is None or b.rank_bound is None:
         bound = None
@@ -152,7 +148,7 @@ def underlying_of_complexification(
 ) -> FormalBundle:
     """The real bundle underlying the complexification: total class squared,
     rank doubled."""
-    total = square(a.total, ctx)
+    total = square(check_value(a, FormalBundle).total, ctx)
     bound = None if a.rank_bound is None else 2 * a.rank_bound
     return FormalBundle(total, bound)
 
@@ -161,7 +157,7 @@ def sw(a: FormalBundle, k: int):
     """The degree-k class of the bundle; zero above the rank bound."""
     if type(k) is not int or k < 0:
         raise ValueError("class index must be a nonnegative integer")
-    ns = a.total.namespace
+    ns = check_value(a, FormalBundle).total.namespace
     if a.rank_bound is not None and k > a.rank_bound:
         return MPoly2.zero(ns)
     return a._grades.get(k) or MPoly2.zero(ns)
@@ -185,19 +181,19 @@ def pontrjagin_mod2(a: FormalBundle, i: int, ctx: RingContext = UNBOUNDED):
 def evaluate_class(c: MPoly2, a: FormalBundle, ctx: RingContext = UNBOUNDED):
     """Evaluate a universal class (an sw polynomial in the w_i) on a bundle
     by substituting the bundle's classes.  Result lives in the bundle's
-    ambient ring.  Every call on the bundle under ctx shares the powers of
-    its classes (FormalBundle._powers); the prefix trie is the call's own."""
-    c = reduce_poly(c, ctx)  # refuses a non-value first
+    ambient ring.  Calls on the bundle under one ctx with a degree cap
+    share the powers of its classes (FormalBundle._powers); with no degree
+    cap to bound them, the powers are the call's own, as the prefix trie
+    always is."""
+    c = reduce_poly(check_sw(c, "classes are polynomials in sw variables"), ctx)
     check_value(a, FormalBundle)
-    if c.namespace != SW:
-        raise NamespaceMismatchError("classes are polynomials in sw variables")
+    powers = None if ctx.degree_cap is None else a._powers.setdefault(ctx, {})
     return evaluate_monomials(c.monomials, lambda i: sw(a, i), a.total.namespace,
-                              ctx, powers=a._powers.setdefault(ctx, {}))
+                              ctx, powers=powers)
 
 
 def cartan_restrict(c: MPoly2) -> MPoly2:
     """Restriction along the Cartan fiber inclusion: w_i maps to v_i, so any
     monomial containing a squared variable dies."""
-    if c.namespace != SW:
-        raise NamespaceMismatchError("cartan_restrict expects an sw polynomial")
+    check_sw(c, "cartan_restrict expects an sw polynomial")
     return evaluate_monomials(c.monomials, v, EXT)

@@ -23,11 +23,7 @@ from .bundlecalc import (
     universal_bundle,
     whitney_sum,
 )
-from .errors import (
-    NamespaceMismatchError,
-    NotComplexifiableError,
-    NotInIdealError,
-)
+from .errors import NotComplexifiableError, NotInIdealError
 from .feshbach import IndexSet, IntClass, doubled_w_monomial, rho, signed_sum_str
 from .wring import (
     SW,
@@ -35,6 +31,8 @@ from .wring import (
     MPoly2,
     RingContext,
     add,
+    check_sw,
+    check_value,
     mono_degree,
     mono_factors,
     mul,
@@ -64,8 +62,7 @@ class SquaresPoly:
 
 def is_complexifiable_mod2(c: MPoly2) -> bool:
     """Membership in the squares sub-ring: every exponent even."""
-    if c.namespace != SW:
-        raise NamespaceMismatchError("complexifiability is a question about sw classes")
+    check_sw(c, "complexifiability is a question about sw classes")
     return all(e % 2 == 0 for key in c.monomials for _, e in key)
 
 
@@ -89,8 +86,7 @@ def ideal_decomposition(c: MPoly2) -> list:
     Returns [(i, r_i)] sorted by i; raises NotInIdealError with the first
     square-free monomial (in graded-lex order) as witness otherwise.
     """
-    if c.namespace != SW:
-        raise NamespaceMismatchError("ideal decomposition expects an sw class")
+    check_sw(c, "ideal decomposition expects an sw class")
     buckets: dict = {}
     bad = []
     for key in c.monomials:
@@ -129,9 +125,7 @@ def invariance_oracle(c: MPoly2, ctx: RingContext) -> bool:
     Demands caps at least deg(c); truncation below that could hide a
     failure, so the call refuses instead.
     """
-    if c.namespace != SW:
-        raise NamespaceMismatchError("the oracle expects an sw class")
-    d = c.degree()
+    d = check_sw(c, "the oracle expects an sw class").degree()
     require_degree_cap_at_least(ctx, d, "invariance oracle")
     require_rank_cap_at_least(ctx, d, "invariance oracle")
     # all action happens in degrees <= d, so compute in that truncation
@@ -170,7 +164,7 @@ def lemma3_rhs(
     """
     if mode not in ("derived", "verbatim"):
         raise ValueError("mode must be 'derived' or 'verbatim'")
-    I.require_valid_at(ctx.rank_cap)
+    check_value(I, IndexSet).require_valid_at(check_value(ctx, RingContext).rank_cap)
     formal = MPoly2.zero(SW)
     ds = I.doubled
     for d in ds:
@@ -190,7 +184,7 @@ def lemma3_rhs(
 def _torsion_image(C: IntClass, ctx: RingContext) -> MPoly2:
     """rho of the torsion part of C; refuses caps below deg C, under which
     truncation could hide an odd exponent."""
-    d = C.degree()
+    d = check_value(C, IntClass).degree()
     require_degree_cap_at_least(ctx, d, "integral criterion")
     require_rank_cap_at_least(ctx, d, "integral criterion")
     return rho(C.torsion_part(), ctx)

@@ -308,10 +308,10 @@ def int_mul(
     rank cap when n is None; products of V symbols stay formal monomials
     (equality is decided through rho).  A finite ctx degree cap drops
     monomials above it (a graded quotient)."""
+    cap = check_value(ctx, RingContext).degree_cap
     rank = ctx.rank_cap if n is None else n
     _validate_rank(a, rank)
     _validate_rank(b, rank)
-    cap = ctx.degree_cap
     free = collect_free((mono_mul(k1, k2), c1 * c2)
                         for k1, c1 in a.free for k2, c2 in b.free
                         if cap is None or _p_degree(k1) + _p_degree(k2) <= cap)
@@ -344,7 +344,7 @@ def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Mod-2 reduction: coefficients mod 2, p_i to w_{2i}^2, V_I to
     Sq1 of the product of the w_{2i}, context-reduced.  Index sets must be
     valid at the ctx rank cap."""
-    _validate_rank(a, ctx.rank_cap)
+    _validate_rank(a, check_value(ctx, RingContext).rank_cap)
     return _rho(a, ctx)
 
 
@@ -363,7 +363,7 @@ def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> boo
     below the classes compared; a finite rank cap is the rank of the ring
     in which the comparison happens, and index sets must be valid there.
     """
-    _validate_rank(a, ctx.rank_cap)
+    _validate_rank(a, check_value(ctx, RingContext).rank_cap)
     _validate_rank(b, ctx.rank_cap)
     needed = max(a.degree(), b.degree())
     require_degree_cap_at_least(ctx, needed, "torsion_equal")

@@ -8,36 +8,26 @@ exactly one and kills every square.
 
 from __future__ import annotations
 
-from .errors import NamespaceMismatchError
-from .wring import SW, UNBOUNDED, MPoly2, MonomialKey, RingContext, check_value, mono_mul
-
-
-def _generator_terms(key: MonomialKey, j: int, pos: int) -> list:
-    """The two Leibniz contributions of the odd-exponent variable w_j in
-    the monomial `key` (at tuple position `pos`)."""
-    # (m / w_j) * w1 * w_j == m * w1
-    terms = [mono_mul(key, ((1, 1),))]
-    if j % 2 == 0:
-        # swap one w_j for w_{j+1}
-        i, e = key[pos]
-        rest = key[:pos] + (((i, e - 1),) if e > 1 else ()) + key[pos + 1 :]
-        terms.append(mono_mul(rest, ((j + 1, 1),)))
-    return terms
+from .wring import SW, UNBOUNDED, MPoly2, RingContext, check_sw, check_value, mono_mul
 
 
 def sq1(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
-    """Apply Sq1, context-reduced.  Root-namespace input is rejected."""
-    if check_value(a).namespace != SW:
-        raise NamespaceMismatchError("sq1 is defined on the sw namespace only")
+    """Apply Sq1, context-reduced.  Only sw input is accepted.
+
+    Closed form: on a monomial m with t odd exponents, Sq1(m) is w1*m when
+    t is odd (its t Leibniz copies cancel in pairs), plus, for each even j
+    whose exponent is odd, m with one w_j swapped for w_{j+1}.  The terms
+    of one monomial are distinct; they toggle against other monomials'."""
+    check_sw(a, "sq1 is defined on the sw namespace only")
+    check_value(ctx, RingContext)
     out: set = set()
     for key in a.monomials:
-        for pos, (j, e) in enumerate(key):
-            if e % 2 == 0:
-                continue
-            for term in _generator_terms(key, j, pos):
-                if term in out:
-                    out.remove(term)
-                else:
-                    out.add(term)
-    kept = frozenset(k for k in out if ctx.admits(k, SW))
-    return MPoly2(kept, SW)
+        odd = [pos for pos, (_, e) in enumerate(key) if e % 2]
+        terms = [mono_mul(key, ((1, 1),))] if len(odd) % 2 else []
+        for pos in odd:
+            j, e = key[pos]
+            if j % 2 == 0:
+                rest = key[:pos] + (((j, e - 1),) if e > 1 else ()) + key[pos + 1 :]
+                terms.append(mono_mul(rest, ((j + 1, 1),)))
+        out.symmetric_difference_update(terms)
+    return MPoly2(frozenset(k for k in out if ctx.admits(k, SW)), SW)

@@ -319,8 +319,20 @@ def v(index: int) -> MPoly2:
 
 
 def check_value(x, kind: type = MPoly2):
+    """x, refused with a TypeError naming the type expected unless it is
+    an instance of kind."""
     if not isinstance(x, kind):
-        raise TypeError(f"cannot combine a polynomial with {type(x).__name__!r}")
+        got = type(x).__name__
+        raise TypeError(f"cannot combine a polynomial with {got!r}" if kind is MPoly2
+                        else f"expected {kind.__name__}, got {got!r}")
+    return x
+
+
+def check_sw(x, message: str) -> MPoly2:
+    """x, refused unless it is an sw polynomial: a non-value by check_value,
+    a value of another namespace by NamespaceMismatchError(message)."""
+    if check_value(x).namespace != SW:
+        raise NamespaceMismatchError(message)
     return x
 
 
@@ -337,7 +349,7 @@ def _check_namespaces(a: MPoly2, b: MPoly2) -> str:
 def reduce_poly(a: MPoly2, ctx: RingContext) -> MPoly2:
     """Drop monomials the context does not admit."""
     check_value(a)
-    if ctx.is_unbounded():
+    if check_value(ctx, RingContext).is_unbounded():
         return a
     kept = frozenset(k for k in a.monomials if ctx.admits(k, a.namespace))
     if len(kept) == len(a.monomials):
@@ -564,6 +576,7 @@ def _decode(matrix: np.ndarray, bits: int, columns: list) -> list:
 def square(a: MPoly2, ctx: RingContext = UNBOUNDED) -> MPoly2:
     """Frobenius: squaring doubles every exponent, cross terms cancel."""
     check_value(a)
+    check_value(ctx, RingContext)
     keys = set()
     for key in a.monomials:
         doubled = tuple((i, 2 * e) for i, e in key)
@@ -631,7 +644,7 @@ def evaluate_monomials(
     """
     memo = {} if memo is None else memo
     powers = {} if powers is None else powers
-    cap, one = ctx.degree_cap, MPoly2.one(namespace)
+    cap, one = check_value(ctx, RingContext).degree_cap, MPoly2.one(namespace)
 
     def power_of(pair: tuple) -> tuple:
         node = memo.get(pair)
@@ -682,14 +695,14 @@ def substitute(
 
 def require_degree_cap_at_least(ctx: RingContext, needed: int, what: str) -> None:
     """Refuse to answer when the context truncates below `needed`."""
-    if ctx.degree_cap is not None and ctx.degree_cap < needed:
+    if check_value(ctx, RingContext).degree_cap is not None and ctx.degree_cap < needed:
         raise CapsTooSmallError(
             f"{what} needs degree_cap >= {needed}, got {ctx.degree_cap}"
         )
 
 
 def require_rank_cap_at_least(ctx: RingContext, needed: int, what: str) -> None:
-    if ctx.rank_cap is not None and ctx.rank_cap < needed:
+    if check_value(ctx, RingContext).rank_cap is not None and ctx.rank_cap < needed:
         raise CapsTooSmallError(
             f"{what} needs rank_cap >= {needed}, got {ctx.rank_cap}"
         )

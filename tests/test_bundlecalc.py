@@ -448,7 +448,8 @@ _MEMO_BUNDLES = {
 def test_power_memo_never_changes_an_answer(name):
     """Classes evaluated on one bundle under alternating contexts, so its
     powers are built and reused under each, equal the same classes
-    evaluated on a freshly built bundle; some exponents pass the caps."""
+    evaluated on a freshly built bundle; some exponents pass the caps.
+    Only a degree cap bounds the powers, so only capped contexts keep them."""
     build = _MEMO_BUNDLES[name]
     shared = _test_bundle(12) if name == "test" else build()
     rng = random.Random(37)
@@ -460,7 +461,9 @@ def test_power_memo_never_changes_an_answer(name):
         for ctx in _MEMO_CONTEXTS:
             got, want = evaluate_class(c, shared, ctx), evaluate_class(c, build(), ctx)
             assert got == want and dumps(got) == dumps(want), (c, ctx)
-    assert set(_MEMO_CONTEXTS) <= set(shared._powers)
+    capped = {ctx for ctx in _MEMO_CONTEXTS if ctx.degree_cap is not None}
+    assert capped <= set(shared._powers)
+    assert all(ctx.degree_cap is not None for ctx in shared._powers)
 
 
 def test_power_memo_builds_each_power_once_per_context(monkeypatch):

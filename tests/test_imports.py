@@ -1,5 +1,6 @@
-"""Every name a package module imports at its top level is used there, and
-no package module imports an underscore name from another one."""
+"""Every name a package module imports at its top level is used there, no
+package module imports an underscore name from another one, and only wring
+raises NamespaceMismatchError."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,18 @@ def _private_imports(tree: ast.Module) -> list:
         for a in node.names
         if a.name.startswith("_")
     ]
+
+
+def _namespace_raises(tree: ast.Module) -> int:
+    """The number of raise statements of NamespaceMismatchError, called or
+    bare, by name or as an attribute."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            count += name == "NamespaceMismatchError"
+    return count
 
 
 def _modules() -> list:
@@ -68,3 +81,24 @@ def test_planted_private_import_is_found():
     planted = source + "\n\ndef _late():\n    from .wring import _repeats_v, add\n"
     planted = "from charclass.feshbach import _p_degree\n" + planted
     assert _private_imports(ast.parse(planted)) == ["_p_degree", "_repeats_v"]
+
+
+def test_only_wring_raises_namespace_mismatch():
+    """The sw-only entry points refuse other namespaces through
+    wring.check_sw, so no other module raises NamespaceMismatchError."""
+    raising = {
+        p.name
+        for p in _modules()
+        if _namespace_raises(ast.parse(p.read_text(encoding="utf-8")))
+    }
+    assert raising == {"wring.py"}, raising
+
+
+def test_planted_namespace_raise_is_found():
+    source = (PACKAGE / "steenrod.py").read_text(encoding="utf-8")
+    assert _namespace_raises(ast.parse(source)) == 0
+    planted = source + (
+        "\n\ndef _late(a):\n    if a:\n        raise NamespaceMismatchError('x')\n"
+        "    raise errors.NamespaceMismatchError\n"
+    )
+    assert _namespace_raises(ast.parse(planted)) == 2

@@ -46,6 +46,13 @@ def test_generator_rule():
     assert sq1(w(2)) == w(1) * w(2) + w(3)
     assert sq1(w(3)) == w(1) * w(3)
     assert sq1(w(4)) == w(1) * w(4) + w(5)
+    # odd powers on odd and even indices: Sq1(w_j^e) = w_j^(e-1) * Sq1(w_j)
+    assert sq1(w(2) ** 3) == w(1) * w(2) ** 3 + w(2) ** 2 * w(3)
+    assert sq1(w(3) ** 5) == w(1) * w(3) ** 5
+    for j in range(1, 7):
+        for e in (3, 5):
+            assert sq1(w(j) ** e) == w(j) ** (e - 1) * sq1(w(j)), (j, e)
+            assert sq1(w(j) ** (e - 1)).is_zero(), (j, e)
 
 
 def test_leibniz_cancellation_example():
@@ -67,12 +74,22 @@ def test_sq1_twice_is_zero():
         assert sq1(sq1(x)).is_zero()
 
 
+# Products with two, three and four odd exponents, split into two factors;
+# the sums make their terms toggle against each other's.
+_ODD_PAIRS = [
+    (w(2) ** 3, w(3)),
+    (w(1) * w(2) ** 3, w(4) ** 5),
+    (w(2) * w(3) ** 3, w(4) ** 5 * w(7)),
+    (w(3) ** 5 * w(6) ** 2, w(1) ** 3 * w(6)),
+    (w(2) * w(4) + w(2) ** 3, w(4) ** 3 + w(1) * w(3)),
+]
+
+
 def test_leibniz_rule_random():
     rng = random.Random(23)
-    for _ in range(100):
-        x = random_mod2(rng, 12)
-        y = random_mod2(rng, 12)
-        assert sq1(mul(x, y)) == add(mul(sq1(x), y), mul(x, sq1(y)))
+    pairs = [(random_mod2(rng, 12), random_mod2(rng, 12)) for _ in range(100)]
+    for x, y in _ODD_PAIRS + pairs:
+        assert sq1(mul(x, y)) == add(mul(sq1(x), y), mul(x, sq1(y))), (x, y)
 
 
 def test_degree_homogeneity():

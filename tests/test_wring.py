@@ -11,14 +11,23 @@ from charclass.bundlecalc import (
     cartan_restrict,
     chern_mod2,
     evaluate_class,
+    fiber_bundle,
     pontrjagin_mod2,
     roots_bundle,
     sw,
+    to_ext,
+    underlying_of_complexification,
+    universal_bundle,
+    whitney_sum,
 )
 from charclass.complexifiability import (
+    express_via_chern,
     ideal_decomposition,
     invariance_oracle,
+    is_complexifiable_integral,
     is_complexifiable_mod2,
+    lemma3_rhs,
+    subring_decomposition,
 )
 from charclass.errors import (
     InvalidIndexSetError,
@@ -57,6 +66,8 @@ from charclass.wring import (
     power,
     r,
     reduce_poly,
+    require_degree_cap_at_least,
+    require_rank_cap_at_least,
     square,
     substitute,
     tor_key,
@@ -347,43 +358,85 @@ def test_entry_points_refuse_bad_arguments(call, error, message):
 
 
 _BUNDLE = FormalBundle(MPoly2.one(SW) + w(1) + w(2))
+_POLY, _INT, _SET = "MPoly2", "IntClass", "IndexSet"
+_BUN, _CTX = "FormalBundle", "RingContext"
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda: add(1, w(1)), "int"),
-    (lambda: add_all([1, w(1)]), "int"),
-    (lambda: add_all([1]), "int"),
-    (lambda: mul(3, w(1), RingContext(8)), "int"),
-    (lambda: power(3, 2), "int"),
-    (lambda: power("w1", 2, RingContext(8)), "str"),
-    (lambda: square(3), "int"),
-    (lambda: reduce_poly(3, RingContext(8)), "int"),
-    (lambda: reduce_poly(None, UNBOUNDED), "NoneType"),
-    (lambda: substitute(3, {}), "int"),
-    (lambda: substitute(w(1) * w(2), {1: w(1), 2: 3}), "int"),
-    (lambda: evaluate_monomials([((1, 1),)], {1: 3}.get, SW), "int"),
-    (lambda: evaluate_class(3, _BUNDLE, RingContext(8)), "int"),
-    (lambda: evaluate_class(w(1), 3, RingContext(8)), "int"),
-    (lambda: evaluate_class(w(1), w(2)), "MPoly2"),
-    (lambda: sq1(3), "int"),
-    (lambda: rho(3), "int"),
-    (lambda: int_mul(IntClass.p(1), 3), "int"),
-    (lambda: int_mul(w(1), IntClass.p(1), 2), "MPoly2"),
-    (lambda: int_add(IntClass.p(1), 3), "int"),
-    (lambda: int_add_all([3]), "int"),
-    (lambda: torsion_equal(IntClass.p(1), w(1)), "MPoly2"),
-    (lambda: torsion_equal(3, IntClass.p(1), RingContext(8)), "int"),
-    (lambda: relation(2, [1, 2], [1, 4]), "list"),
-    (lambda: relation(1, (1,)), "tuple"),
-    (lambda: relation(2, IndexSet.of(1, 2), [1, 4]), "list"),
+@pytest.mark.parametrize("call, name, expected", [
+    (lambda: add(1, w(1)), "int", _POLY),
+    (lambda: add_all([1, w(1)]), "int", _POLY),
+    (lambda: add_all([1]), "int", _POLY),
+    (lambda: mul(3, w(1), RingContext(8)), "int", _POLY),
+    (lambda: power(3, 2), "int", _POLY),
+    (lambda: power("w1", 2, RingContext(8)), "str", _POLY),
+    (lambda: square(3), "int", _POLY),
+    (lambda: reduce_poly(3, RingContext(8)), "int", _POLY),
+    (lambda: reduce_poly(None, UNBOUNDED), "NoneType", _POLY),
+    (lambda: substitute(3, {}), "int", _POLY),
+    (lambda: substitute(w(1) * w(2), {1: w(1), 2: 3}), "int", _POLY),
+    (lambda: evaluate_monomials([((1, 1),)], {1: 3}.get, SW), "int", _POLY),
+    (lambda: evaluate_class(3, _BUNDLE, RingContext(8)), "int", _POLY),
+    (lambda: evaluate_class(w(1), 3, RingContext(8)), "int", _BUN),
+    (lambda: evaluate_class(w(1), w(2)), "MPoly2", _BUN),
+    (lambda: sq1(3), "int", _POLY),
+    (lambda: rho(3), "int", _INT),
+    (lambda: int_mul(IntClass.p(1), 3), "int", _INT),
+    (lambda: int_mul(w(1), IntClass.p(1), 2), "MPoly2", _INT),
+    (lambda: int_add(IntClass.p(1), 3), "int", _INT),
+    (lambda: int_add_all([3]), "int", _INT),
+    (lambda: torsion_equal(IntClass.p(1), w(1)), "MPoly2", _INT),
+    (lambda: torsion_equal(3, IntClass.p(1), RingContext(8)), "int", _INT),
+    (lambda: relation(2, [1, 2], [1, 4]), "list", _SET),
+    (lambda: relation(1, (1,)), "tuple", _SET),
+    (lambda: relation(2, IndexSet.of(1, 2), [1, 4]), "list", _SET),
+    (lambda: lemma3_rhs([1], _BUNDLE), "list", _SET),
+    # the sw-only entry points, through wring.check_sw
+    (lambda: to_ext(3), "int", _POLY),
+    (lambda: cartan_restrict(3), "int", _POLY),
+    (lambda: is_complexifiable_mod2(3), "int", _POLY),
+    (lambda: subring_decomposition(3), "int", _POLY),
+    (lambda: ideal_decomposition(3), "int", _POLY),
+    (lambda: invariance_oracle(3, RingContext(8, 8)), "int", _POLY),
+    # bundles and integral classes
+    (lambda: sw(3, 1), "int", _BUN),
+    (lambda: chern_mod2(3, 1), "int", _BUN),
+    (lambda: underlying_of_complexification(3), "int", _BUN),
+    (lambda: whitney_sum(_BUNDLE, 3), "int", _BUN),
+    (lambda: whitney_sum(w(1), _BUNDLE), "MPoly2", _BUN),
+    (lambda: express_via_chern(w(1), RingContext(8)), "MPoly2", _INT),
+    (lambda: is_complexifiable_integral(w(1), RingContext(8)), "MPoly2", _INT),
+    # contexts
+    (lambda: mul(w(1), w(2), 8), "int", _CTX),
+    (lambda: reduce_poly(w(1), None), "NoneType", _CTX),
+    (lambda: square(w(1), 8), "int", _CTX),
+    (lambda: power(w(1), 3, 8), "int", _CTX),
+    (lambda: sq1(w(1), 8), "int", _CTX),
+    (lambda: evaluate_monomials([((1, 1),)], {1: w(1)}.get, SW, 8), "int", _CTX),
+    (lambda: evaluate_class(w(1), _BUNDLE, 8), "int", _CTX),
+    (lambda: require_degree_cap_at_least(8, 1, "x"), "int", _CTX),
+    (lambda: require_rank_cap_at_least(8, 1, "x"), "int", _CTX),
+    (lambda: invariance_oracle(w(1), 8), "int", _CTX),
+    (lambda: universal_bundle(8), "int", _CTX),
+    (lambda: fiber_bundle(8), "int", _CTX),
+    (lambda: roots_bundle(2, 8), "int", _CTX),
+    (lambda: rho(IntClass.p(1), 8), "int", _CTX),
+    (lambda: int_mul(IntClass.p(1), IntClass.p(1), ctx=8), "int", _CTX),
+    (lambda: int_mul(IntClass.p(1), IntClass.p(1), 2, 8), "int", _CTX),
+    (lambda: torsion_equal(IntClass.p(1), IntClass.p(1), 8), "int", _CTX),
+    (lambda: lemma3_rhs(IndexSet.of(1), _BUNDLE, 8), "int", _CTX),
+    (lambda: is_complexifiable_integral(IntClass.p(1), 8), "int", _CTX),
 ])
-def test_function_forms_refuse_a_non_value_operand(call, name):
+def test_function_forms_refuse_a_non_value_operand(call, name, expected):
     """A plain number or other non-value in any operand position is a
-    TypeError in _check_namespaces's wording, never an AttributeError."""
+    TypeError naming the type expected, in _check_namespaces's wording for
+    a polynomial, never an AttributeError."""
     with pytest.raises(TypeError) as excinfo:
         call()
     assert type(excinfo.value) is TypeError
-    assert str(excinfo.value) == f"cannot combine a polynomial with {name!r}"
+    if expected == _POLY:
+        assert str(excinfo.value) == f"cannot combine a polynomial with {name!r}"
+    else:
+        assert str(excinfo.value) == f"expected {expected}, got {name!r}"
 
 
 def test_degree_cap_zero_is_legal():
