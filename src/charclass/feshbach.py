@@ -208,7 +208,8 @@ class IntClass:
 
     @classmethod
     def V(cls, indices) -> "IntClass":
-        iset = indices if isinstance(indices, IndexSet) else IndexSet.of(*indices)
+        iset = (indices if isinstance(indices, IndexSet)
+                else IndexSet.of(*check_value(indices, Iterable)))
         return cls((), MPoly2(frozenset({tor_key((), ((iset.mask, 1),))}), TOR))
 
     # -- queries -----------------------------------------------------------
@@ -283,6 +284,13 @@ def int_add_all(classes: Iterable[IntClass]) -> IntClass:
     return IntClass(free, add_all(a.torsion for a in classes))
 
 
+def _check_rank(n) -> int | None:
+    """n, refused with a ValueError unless it is an int or None."""
+    if n is not None and type(n) is not int:
+        raise ValueError(f"rank must be an integer or None, got {n!r}")
+    return n
+
+
 def _validate_rank(a: IntClass, n: int | None) -> None:
     """Refuse a class with an index set invalid at rank n, naming the first
     such set in doubled order.  Refuses a value that is no IntClass first."""
@@ -309,7 +317,7 @@ def int_mul(
     (equality is decided through rho).  A finite ctx degree cap drops
     monomials above it (a graded quotient)."""
     cap = check_value(ctx, RingContext).degree_cap
-    rank = ctx.rank_cap if n is None else n
+    rank = ctx.rank_cap if _check_rank(n) is None else n
     _validate_rank(a, rank)
     _validate_rank(b, rank)
     free = collect_free((mono_mul(k1, k2), c1 * c2)
@@ -495,8 +503,7 @@ def relation(
     """
     if type(k) is not int or not 1 <= k <= 6:
         raise ValueError(f"unknown relation family {k!r}")
-    if n is not None and type(n) is not int:
-        raise ValueError(f"rank must be an integer or None, got {n!r}")
+    _check_rank(n)
     if k == 1:
         if I is None:
             raise ValueError("relation 1 needs I")
@@ -567,35 +574,51 @@ def _relation_cases(top: int, degree_cap: int) -> Iterator[tuple]:
             yield _min_rank(i), _min_rank(i) - 1, 5, i, 0, f",I={text_i}]", {"I": text_i}
 
 
+@lru_cache(maxsize=4)
+def _stable_table(degree_cap: int) -> tuple:
+    """The relation sweep's rank-independent work at one degree cap, kept
+    across calls and filled as they need it: the case lists by
+    min(top rank, degree_cap), rho's prefix memo at the cap, and each
+    stable case's left-hand side and its rho at the cap by (family, I mask,
+    J mask).  An index set of degree <= degree_cap is valid from a rank <=
+    degree_cap on, so every higher top rank has the cases of degree_cap."""
+    return {}, {}, {}
+
+
 def _sweep(ranks: Sequence[int], degree_cap: int) -> Iterator[tuple]:
     """Every case of the relation sweep, rank by rank in report order: each
     valid instantiation of families 2..6 at a rank n of `ranks` with degree
     <= degree_cap, as (case id, params, left-hand side, its rho at rank n).
 
-    Cases are enumerated once, at the top rank.  Each stable left-hand side
-    and its rho at the degree cap are made once, and one prefix memo serves
-    every rho; a rank cap drops the monomials with a w_i above it, a
-    monomial ideal, and rho is a ring homomorphism, so rho at rank n is
-    reduce_poly of rho at the degree cap alone."""
+    The cases up to the top rank, each stable left-hand side and its rho at
+    the degree cap come from the cap's _stable_table, so they are made once
+    per process, and one prefix memo serves every rho at the cap; a rank cap
+    drops the monomials with a w_i above it, a monomial ideal, and rho is a
+    ring homomorphism, so rho at rank n is reduce_poly of rho at the degree
+    cap alone.  Split-rank and family-6 left-hand sides depend on n and are
+    built at their rank."""
     stable = RingContext(degree_cap)
-    memo: dict = {}  # rho's prefix products
-    images: dict = {}  # case position -> its stable left-hand side and rho
-    cases = list(_relation_cases(max(ranks, default=0), degree_cap))
-    for n in ranks:
-        ctx = RingContext(degree_cap, n)
+    contexts = [RingContext(degree_cap, n) for n in ranks]  # refuses bad ranks first
+    by_top, memo, images = _stable_table(degree_cap)
+    top = min(max(ranks, default=0), degree_cap)
+    if top not in by_top:
+        by_top[top] = list(_relation_cases(top, degree_cap))
+    for ctx in contexts:
+        n = ctx.rank_cap
         fits6 = _midrank_bit(n) and 2 + 2 * n <= degree_cap
         rel6 = [(n, n, 6, 0, 0, "]", {})] if fits6 else []  # built at rank n
-        for c, (low, split, k, i, j, id_tail, params) in enumerate(cases + rel6):
+        for low, split, k, i, j, id_tail, params in by_top[top] + rel6:
             if low > n:
                 continue
             if n == split:
                 lhs = _relation_lhs(k, i, j, n)
                 image = _rho(lhs, stable, memo)
             else:
-                if c not in images:
+                key = k, i, j
+                if key not in images:
                     lhs = _relation_lhs(k, i, j, None)
-                    images[c] = lhs, _rho(lhs, stable, memo)
-                lhs, image = images[c]
+                    images[key] = lhs, _rho(lhs, stable, memo)
+                lhs, image = images[key]
             yield (f"rel{k}[n={n}{id_tail}", {"relation": k, "n": n, **params},
                    lhs, reduce_poly(image, ctx))
 

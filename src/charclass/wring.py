@@ -288,7 +288,7 @@ def poly_str(a: MPoly2, letter: str | None = None) -> str:
     """Canonical text: monomials in graded-lex order, `letter` overriding
     the namespace letter (used for the u / rc symbol families); ext and tor
     monomials print decoded, in the order of ext_terms and tor_terms."""
-    if not a.monomials:
+    if not check_value(a).monomials:
         return "0"
     if a.namespace == EXT:
         monos = [[f"v{i}" for i in vs] + mono_factors(w_key, "w")
@@ -603,7 +603,7 @@ def power(a: MPoly2, e: int, ctx: RingContext = UNBOUNDED) -> MPoly2:
 def graded_parts(a: MPoly2) -> dict:
     """The homogeneous pieces of a in one pass: degree -> nonzero piece,
     with no entry for a degree that has no monomial."""
-    ns, buckets = a.namespace, {}
+    ns, buckets = check_value(a).namespace, {}
     for key in a.monomials:
         buckets.setdefault(mono_degree(key, ns), []).append(key)
     return {d: MPoly2(frozenset(keys), ns) for d, keys in buckets.items()}
@@ -616,7 +616,7 @@ def grade_component(a: MPoly2, k: int) -> MPoly2:
 
 def constant_term(a: MPoly2) -> int:
     """Coefficient of the empty monomial: 1 or 0."""
-    return 1 if () in a.monomials else 0
+    return 1 if () in check_value(a).monomials else 0
 
 
 def evaluate_monomials(

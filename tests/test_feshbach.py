@@ -123,6 +123,8 @@ def test_every_set_is_invalid_at_a_negative_rank():
         int_mul(IntClass.V(half), IntClass.V(half), n=-3)
     with pytest.raises(ValueError, match="rank_cap must be a nonnegative integer"):
         verify_relations(-1, 24)
+    with pytest.raises(ValueError, match="rank_cap must be a nonnegative integer"):
+        verify_relations(2.5, 24)  # refused before the sweep table is read
 
 
 def test_relation_sweep_refuses_a_missing_cap():
@@ -473,14 +475,36 @@ def test_sweep_case_ids_match_brute_force(cap):
 
 @pytest.mark.parametrize("cap", [16, 24])
 def test_suite_relations_matches_unshared_ranks(cap):
-    # the suite sweeps every rank in one pass over cases enumerated once;
-    # each rank alone enumerates and checks its cases itself
+    # the suite sweeps every rank in one call; each rank alone is one call
+    # of its own, reading the cases and images the earlier ones left
     got = suite_relations(20, cap)
     want = Report(got.suite)
     for n in range(2, 21):
         want.extend(verify_relations(n, cap))
     assert str(got) == str(want)
     assert dumps(got) == dumps(want)
+
+
+def test_shared_table_never_changes_a_report():
+    # the sweep keeps its cases, stable left-hand sides and their rho per
+    # degree cap across calls; no order of calls may change what a call
+    # yields, odd ranks, split ranks and ranks above the cap included.  A
+    # report cannot see a wrong left-hand side (each one passes), so the
+    # sweep's own (id, params, lhs, rho) tuples are compared as well.
+    def run(n, cap):
+        return dumps(verify_relations(n, cap)), list(feshbach._sweep([n], cap))
+
+    calls = ([(n, 24) for n in range(32, 1, -1)] + [(n, 16) for n in range(32, 1, -1)]
+             + [(n, 24) for n in range(2, 33)])
+    cold = {}
+    for n, cap in calls:
+        if (n, cap) not in cold:
+            feshbach._stable_table.cache_clear()
+            cold[n, cap] = run(n, cap)
+    feshbach._stable_table.cache_clear()
+    for n, cap in calls:
+        assert run(n, cap) == cold[n, cap], (n, cap)
+    assert feshbach._stable_table.cache_info().currsize == 2
 
 
 def test_relation_convention_splits_half_with_midrank():

@@ -129,8 +129,17 @@ FAILURE_PINS = {
 }
 
 
+@pytest.fixture
+def cold_relation_table():
+    """An empty relation sweep table before and after the test, so a warm
+    one serves no result made before a patch and keeps none made under it."""
+    feshbach._stable_table.cache_clear()
+    yield
+    feshbach._stable_table.cache_clear()
+
+
 @pytest.mark.parametrize("row", FAILURE_PINS.values(), ids=FAILURE_PINS)
-def test_failure_details_pinned(monkeypatch, row):
+def test_failure_details_pinned(monkeypatch, cold_relation_table, row):
     module, name, replacement, suite, degree, rank, detail, digest = row
     monkeypatch.setattr(module, name, replacement)
     report = run_suite(suite, degree=degree, rank=rank, seed=0)

@@ -26,6 +26,7 @@ from charclass.complexifiability import (
     invariance_oracle,
     is_complexifiable_integral,
     is_complexifiable_mod2,
+    lemma3_lhs,
     lemma3_rhs,
     subring_decomposition,
 )
@@ -63,6 +64,7 @@ from charclass.wring import (
     graded_parts,
     mono_degree,
     mul,
+    poly_str,
     power,
     r,
     reduce_poly,
@@ -331,6 +333,15 @@ B2, I12, I13 = roots_bundle(2), IndexSet([2, 4]), IndexSet([2, 6])
      "rank must be an integer or None, got True"),
     (lambda: relation(6, n=4.0), ValueError, "rank must be an integer or None, got 4.0"),
     (lambda: relation(6, n="4"), ValueError, "rank must be an integer or None, got '4'"),
+    # int_mul's rank takes the same gate, before any index set is checked
+    (lambda: int_mul(IntClass.p(1), IntClass.p(1), "2"), ValueError,
+     "rank must be an integer or None, got '2'"),
+    (lambda: int_mul(IntClass.V([1]), IntClass.p(1), 2.5), ValueError,
+     "rank must be an integer or None, got 2.5"),
+    (lambda: int_mul(IntClass.V([1]), IntClass.p(1), "2"), ValueError,
+     "rank must be an integer or None, got '2'"),
+    (lambda: int_mul(IntClass.V([1]), IntClass.V([1]), True), ValueError,
+     "rank must be an integer or None, got True"),
     # arithmetic with a plain number is a TypeError, in operator and function form
     (lambda: w(1) + 1, TypeError, "unsupported operand type(s) for +: 'MPoly2' and 'int'"),
     (lambda: 1 + w(1), TypeError, "unsupported operand type(s) for +: 'int' and 'MPoly2'"),
@@ -358,7 +369,7 @@ def test_entry_points_refuse_bad_arguments(call, error, message):
 
 
 _BUNDLE = FormalBundle(MPoly2.one(SW) + w(1) + w(2))
-_POLY, _INT, _SET = "MPoly2", "IntClass", "IndexSet"
+_POLY, _INT, _SET, _ITER = "MPoly2", "IntClass", "IndexSet", "Iterable"
 _BUN, _CTX = "FormalBundle", "RingContext"
 
 
@@ -390,6 +401,13 @@ _BUN, _CTX = "FormalBundle", "RingContext"
     (lambda: relation(1, (1,)), "tuple", _SET),
     (lambda: relation(2, IndexSet.of(1, 2), [1, 4]), "list", _SET),
     (lambda: lemma3_rhs([1], _BUNDLE), "list", _SET),
+    (lambda: IntClass.V(3), "int", _ITER),
+    (lambda: lemma3_lhs(3, _BUNDLE), "int", _ITER),
+    # the grading and printing helpers
+    (lambda: graded_parts(3), "int", _POLY),
+    (lambda: grade_component(3, 1), "int", _POLY),
+    (lambda: constant_term(None), "NoneType", _POLY),
+    (lambda: poly_str(IntClass.p(1)), "IntClass", _POLY),
     # the sw-only entry points, through wring.check_sw
     (lambda: to_ext(3), "int", _POLY),
     (lambda: cartan_restrict(3), "int", _POLY),

@@ -73,6 +73,18 @@ MUTANTS = [
     Mutant("collect-free-sorts-by-key", "src/charclass/feshbach.py",
            "key=lambda kc: (_p_degree(kc[0]), kc[0])", "key=lambda kc: kc[0]",
            ("tests/test_feshbach.py::test_int_mul_and_rho_match_brute_force",)),
+    # One relation sweep table for every degree cap: a call at one cap reads
+    # the cases another cap's calls left.
+    Mutant("sweep-table-shared-by-caps", "src/charclass/feshbach.py",
+           "_stable_table(degree_cap)", "_stable_table(0)",
+           ("tests/test_feshbach.py::test_shared_table_never_changes_a_report",)),
+    # Stable left-hand sides keyed without J, so cases sharing a family and
+    # an I read one another's.  (Keyed by (I, J) without the family is an
+    # equivalent mutant: families 2, 3 and 4 ask disjoint conditions of the
+    # pair and family 5 has no J, so the pair names the family.)
+    Mutant("sweep-images-keyed-without-j", "src/charclass/feshbach.py",
+           "key = k, i, j", "key = k, i",
+           ("tests/test_feshbach.py::test_shared_table_never_changes_a_report",)),
 ]
 
 
