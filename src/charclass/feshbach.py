@@ -356,11 +356,22 @@ def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
     return _rho(a, ctx)
 
 
-def _rho(a: IntClass, ctx: RingContext, memo: dict | None = None) -> MPoly2:
-    """rho without the rank gate.  Calls with the same ctx may share one
-    `memo`, the prefix memo of evaluate_monomials."""
+@lru_cache(maxsize=8)
+def _rho_memo(ctx: RingContext) -> tuple:
+    """The (prefix memo, powers) pair of evaluate_monomials that every rho
+    under the degree-capped ctx shares: products of powers of _rho_image
+    and of their prefixes, each kept under the cap, so made once per
+    process however many classes share a head."""
+    return {}, {}
+
+
+def _rho(a: IntClass, ctx: RingContext) -> MPoly2:
+    """rho without the rank gate.  Under a degree cap it shares the ctx's
+    _rho_memo; with none, nothing bounds the products, so the memo is the
+    call's own."""
+    memo, powers = (None, None) if ctx.degree_cap is None else _rho_memo(ctx)
     return evaluate_monomials(
-        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx, memo
+        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx, memo, powers
     )
 
 
@@ -578,11 +589,11 @@ def _relation_cases(top: int, degree_cap: int) -> Iterator[tuple]:
 def _stable_table(degree_cap: int) -> tuple:
     """The relation sweep's rank-independent work at one degree cap, kept
     across calls and filled as they need it: the case lists by
-    min(top rank, degree_cap), rho's prefix memo at the cap, and each
-    stable case's left-hand side and its rho at the cap by (family, I mask,
-    J mask).  An index set of degree <= degree_cap is valid from a rank <=
-    degree_cap on, so every higher top rank has the cases of degree_cap."""
-    return {}, {}, {}
+    min(top rank, degree_cap), and each stable case's left-hand side and
+    its rho at the cap by (family, I mask, J mask).  An index set of degree
+    <= degree_cap is valid from a rank <= degree_cap on, so every higher
+    top rank has the cases of degree_cap."""
+    return {}, {}
 
 
 def _sweep(ranks: Sequence[int], degree_cap: int) -> Iterator[tuple]:
@@ -592,14 +603,15 @@ def _sweep(ranks: Sequence[int], degree_cap: int) -> Iterator[tuple]:
 
     The cases up to the top rank, each stable left-hand side and its rho at
     the degree cap come from the cap's _stable_table, so they are made once
-    per process, and one prefix memo serves every rho at the cap; a rank cap
-    drops the monomials with a w_i above it, a monomial ideal, and rho is a
-    ring homomorphism, so rho at rank n is reduce_poly of rho at the degree
-    cap alone.  Split-rank and family-6 left-hand sides depend on n and are
-    built at their rank."""
+    per process; every rho is taken at the degree cap alone, sharing its
+    _rho_memo.  A rank cap drops the monomials with a w_i above it, a
+    monomial ideal, and rho is a ring homomorphism, so rho at rank n is
+    reduce_poly of rho at the degree cap, and a zero image, as in every
+    passing case, is zero at every rank without it.  Split-rank and
+    family-6 left-hand sides depend on n and are built at their rank."""
     stable = RingContext(degree_cap)
     contexts = [RingContext(degree_cap, n) for n in ranks]  # refuses bad ranks first
-    by_top, memo, images = _stable_table(degree_cap)
+    by_top, images = _stable_table(degree_cap)
     top = min(max(ranks, default=0), degree_cap)
     if top not in by_top:
         by_top[top] = list(_relation_cases(top, degree_cap))
@@ -612,15 +624,15 @@ def _sweep(ranks: Sequence[int], degree_cap: int) -> Iterator[tuple]:
                 continue
             if n == split:
                 lhs = _relation_lhs(k, i, j, n)
-                image = _rho(lhs, stable, memo)
+                image = _rho(lhs, stable)
             else:
                 key = k, i, j
                 if key not in images:
                     lhs = _relation_lhs(k, i, j, None)
-                    images[key] = lhs, _rho(lhs, stable, memo)
+                    images[key] = lhs, _rho(lhs, stable)
                 lhs, image = images[key]
             yield (f"rel{k}[n={n}{id_tail}", {"relation": k, "n": n, **params},
-                   lhs, reduce_poly(image, ctx))
+                   lhs, reduce_poly(image, ctx) if image else image)
 
 
 def relation_report(name: str, ranks: Sequence[int], degree_cap: int) -> Report:

@@ -379,9 +379,12 @@ def add_all(polys: Iterable[MPoly2], ctx: RingContext = UNBOUNDED) -> MPoly2:
 
 # A sum of products of up to this many term pairs in all takes the dict loop,
 # a larger one the packed kernel.  Ext and tor sums always take the dict loop:
-# the kernel gives the same result for them, but no bench workload has one
-# that large, and packing the few theorem-1 ones (one at degree 48) would
-# import numpy into runs that otherwise never need it, doubling their time.
+# the kernel gives the same result for them, but packing gains nothing
+# measured.  The oracle bench workload runs one ext sum of 8,375 term pairs
+# per pass at seed 3 (8,460 at seed 4); sent to the kernel, its ops_per_s
+# stayed flat (2,539 -> 2,487 at seed 3, 2,592 -> 2,681 at seed 4) and its
+# peak RSS rose by 5 to 10 MB (42.8 -> 52.5, 44.5 -> 49.1), numpy being
+# imported for it.
 _PACK_THRESHOLD = 4096
 # Words of packed pair sums held at once: a product's broadcast chunk, and the
 # pending rows of a sum, counted down to their odd rows when they pass it.

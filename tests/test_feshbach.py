@@ -500,8 +500,10 @@ def test_shared_table_never_changes_a_report():
     for n, cap in calls:
         if (n, cap) not in cold:
             feshbach._stable_table.cache_clear()
+            feshbach._rho_memo.cache_clear()
             cold[n, cap] = run(n, cap)
     feshbach._stable_table.cache_clear()
+    feshbach._rho_memo.cache_clear()
     for n, cap in calls:
         assert run(n, cap) == cold[n, cap], (n, cap)
     assert feshbach._stable_table.cache_info().currsize == 2
@@ -684,6 +686,50 @@ def test_int_mul_and_rho_match_brute_force():
             assert dumps(product) == _ref_json(expected)
             assert rho(product, ctx) == _ref_rho(expected, ctx)
             assert rho(a, ctx) == _ref_rho(ra, ctx)
+
+
+def _ref_of(a):
+    """The reference form of a class, read back from its JSON."""
+    obj = json.loads(dumps(a))
+    free = {tuple(map(tuple, t["p"])): t["coeff"] for t in obj["free"]}
+    torsion = {(tuple(map(tuple, t["p"])), tuple((tuple(ds), e) for ds, e in t["V"]))
+               for t in obj["torsion"]}
+    return free, torsion
+
+
+def test_shared_rho_memo_never_changes_an_answer():
+    # rho keeps one memo of image powers and prefix products per degree-capped
+    # context; contexts differing only in their rank cap have different
+    # images, so no order of calls may let one read another's products
+    rng = random.Random(1983)
+    refs = [_ref_random(rng, 6) for _ in range(16)]
+    refs += [_ref_mul(ra, rb, None) for ra, rb in zip(refs[::2], refs[1::2])]
+    classes = [(loads(_ref_json(ra)), ra) for ra in refs]
+    lhss = [relation(6, n=6), relation(5, IndexSet.of("1/2", 1, 2), n=6)]
+    pairs = [(a, b) for a in classes[:8] for b in classes[:8]]
+    pairs += [(a, (b, _ref_of(b))) for a in classes[:8] for b in
+              (int_add(a[0], lhs) for lhs in lhss)]
+    pairs = [(a, b) for a, b in pairs if max(a[0].degree(), b[0].degree()) <= 24]
+    contexts = [RingContext(24), RingContext(24, 6), RingContext(24, 8)]
+    verdicts = set()
+    for order in (contexts, contexts[::-1]):
+        feshbach._rho_memo.cache_clear()
+        for ctx in order:
+            for a, ra in classes:
+                assert rho(a, ctx) == _ref_rho(ra, ctx), (ctx, a)
+            for (a, ra), (b, rb) in pairs:
+                want = ra[0] == rb[0] and _ref_rho(({}, ra[1] ^ rb[1]), ctx).is_zero()
+                assert torsion_equal(a, b, ctx) == want, (ctx, a, b)
+                verdicts.add(want)
+        assert feshbach._rho_memo.cache_info().currsize == 3
+    assert verdicts == {True, False}
+    # with no degree cap nothing bounds the products, so no memo is kept
+    feshbach._rho_memo.cache_clear()
+    for ctx in (RingContext(), RingContext(None, 6)):
+        for a, ra in classes:
+            assert rho(a, ctx) == _ref_rho(ra, ctx)
+        assert torsion_equal(classes[0][0], classes[0][0], ctx)
+    assert feshbach._rho_memo.cache_info().currsize == 0
 
 
 def test_valid_index_sets_matches_brute_force():

@@ -82,7 +82,7 @@ FAILURE_PINS = {
         "lemma3", 0, 0, "expected a mismatch",
         "768dc82848781cbb2171bac0537ad4b939ca53572e362d4726a2c1aee5ce3278"),
     "relations-rho": (
-        feshbach, "_rho", lambda a, ctx, memo=None: w(1), "relations", 16, 6,
+        feshbach, "_rho", lambda a, ctx: w(1), "relations", 16, 6,
         "rho = w1",
         "9cf324b995b135b39037ef87fc1bfbdaa571ad8a54f45fb7b0449741123cc595"),
     "relations-free": (
@@ -131,11 +131,14 @@ FAILURE_PINS = {
 
 @pytest.fixture
 def cold_relation_table():
-    """An empty relation sweep table before and after the test, so a warm
-    one serves no result made before a patch and keeps none made under it."""
+    """An empty relation sweep table and rho memo before and after the test,
+    so a warm one serves no result made before a patch and keeps none made
+    under it."""
     feshbach._stable_table.cache_clear()
+    feshbach._rho_memo.cache_clear()
     yield
     feshbach._stable_table.cache_clear()
+    feshbach._rho_memo.cache_clear()
 
 
 @pytest.mark.parametrize("row", FAILURE_PINS.values(), ids=FAILURE_PINS)

@@ -85,6 +85,16 @@ MUTANTS = [
     Mutant("sweep-images-keyed-without-j", "src/charclass/feshbach.py",
            "key = k, i, j", "key = k, i",
            ("tests/test_feshbach.py::test_shared_table_never_changes_a_report",)),
+    # One rho memo for every rank cap at a degree cap: a call at one rank
+    # reads products made from another rank's images.
+    Mutant("rho-memo-keyed-by-degree-cap", "src/charclass/feshbach.py",
+           "_rho_memo(ctx)", "_rho_memo(RingContext(ctx.degree_cap))",
+           ("tests/test_feshbach.py::test_shared_rho_memo_never_changes_an_answer",)),
+    # A rho memo kept for a context with no degree cap, where nothing bounds
+    # its products.
+    Mutant("rho-memo-kept-uncapped", "src/charclass/feshbach.py",
+           "(None, None) if ctx.degree_cap is None else ", "",
+           ("tests/test_feshbach.py::test_shared_rho_memo_never_changes_an_answer",)),
 ]
 
 
