@@ -89,9 +89,16 @@ def _print_poly(value, as_json: bool) -> None:
     print(serialize.dumps(value) if as_json else str(value))
 
 
+def _parse_capped(text: str, ctx: RingContext):
+    """The mod-2 expression read under the command's degree cap only: every
+    answer drawn from it is truncated there anyway (evaluation keeps degree
+    and Sq1 raises it by one), and the cap bounds its group powers."""
+    return parse_mod2(text, RingContext(ctx.degree_cap))
+
+
 def cmd_eval(args) -> int:
     ctx = RingContext(args.degree, args.rank)
-    c = parse_mod2(args.expr)
+    c = _parse_capped(args.expr, ctx)
     if args.bundle:
         result = evaluate_class(c, _make_bundle(args.bundle, ctx), ctx)
     else:
@@ -102,7 +109,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sq1(args) -> int:
     ctx = RingContext(args.degree, args.rank)
-    _print_poly(sq1(parse_mod2(args.expr), ctx), args.json)
+    _print_poly(sq1(_parse_capped(args.expr, ctx), ctx), args.json)
     return EXIT_OK
 
 

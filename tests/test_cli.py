@@ -391,3 +391,24 @@ def test_degree_help_shows_the_default_in_use(capsys):
     for command in ("eval", "verify"):
         code, out, _ = run(capsys, command, "--help")
         assert code == 0 and "degree cap (default 24)" in out, command
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "--expr", "(w1+w2)^99999999999"], "0\n"),
+    (["eval", "--expr", "(w1+w2)^99999999999", "--bundle", "fiber"], "0\n"),
+    # 100000000037 ends in binary 100101, so by Lucas's theorem the binomial
+    # coefficients below degree 24 are odd at k = 0, 1, 4, 5 only
+    (["eval", "--expr", "(1+w1)^100000000037"], "1 + w1 + w1^4 + w1^5\n"),
+    (["sq1", "--expr", "(1+w2)^100000000037"], "w1*w2 + w3 + w1*w2^5 + w2^4*w3\n"),
+    (["sq1", "--expr", "w1*(w1+w2+w3)^99999999999", "--rank", "2"], "0\n"),
+])
+def test_huge_group_powers_answer_under_the_degree_cap(argv, out):
+    # eval and sq1 read their expression in the degree-capped quotient, so a
+    # power of a sum stops growing at the cap; the child's address space and
+    # time are limited, so a regression fails instead of filling memory
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from charclass.cli import main; "
+            f"sys.exit(main({[*argv, '--degree', '24']!r}))")
+    proc = run_python("-c", code, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")

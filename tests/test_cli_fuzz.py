@@ -2,9 +2,10 @@
 
 Every run must end in a documented exit code (0 answer, 1 usage, 2 domain)
 with no exception, and a second run of the same argv list in the same
-process must give the same exit codes and output.  Large exponents on parenthesized groups stay out: the
-parser elaborates `^` before any degree cap applies, so they measure the
-size of the uncapped power, not the CLI's handling of its input.
+process must give the same exit codes and output.  Exponents on
+parenthesized groups reach 10**11 in `eval` and `sq1`, which read their
+expression under the degree cap; the other commands elaborate a power in
+full, so their group exponents stay at most 3.
 """
 
 import random
@@ -44,15 +45,16 @@ def _atom(rng, letters: str) -> str:
     return kind + _nat(rng)
 
 
-def _expr(rng, letters: str, depth: int = 0) -> str:
+def _expr(rng, letters: str, depth: int = 0, capped: bool = False) -> str:
     terms = []
     for _ in range(rng.randint(1, 3)):
         factors = []
         for _ in range(rng.randint(1, 2)):
             if depth < 3 and rng.random() < 0.3:
-                group = "(" + _expr(rng, letters, depth + 1) + ")"
+                group = "(" + _expr(rng, letters, depth + 1, capped) + ")"
                 if rng.random() < 0.4:
-                    group += f"^{rng.randint(0, 3)}"
+                    top = 10**11 if capped and rng.random() < 0.5 else 3
+                    group += f"^{rng.randint(0, top)}"
                 factors.append(group)
             else:
                 atom = _atom(rng, letters)
@@ -80,7 +82,8 @@ def _argv(rng) -> list:
     letters = INTEGRAL if integral else MOD2
     if rng.random() < 0.1:
         letters = rng.choice(OTHER)
-    argv = [command, "--expr=" + _expr(rng, letters)]  # text may start with '-'
+    capped = command in ("eval", "sq1")
+    argv = [command, "--expr=" + _expr(rng, letters, capped=capped)]  # text may start with '-'
     if command != "decompose":
         argv += ["--degree", degree]
         if rng.random() < 0.3:

@@ -1,5 +1,6 @@
 """Parser, canonical printing, and the JSON forms."""
 
+import hashlib
 import json
 import operator
 import random
@@ -8,8 +9,13 @@ from functools import reduce
 import pytest
 
 from charclass import feshbach, wring
-from charclass.errors import InvalidIndexSetError, MixedExpressionError, ParseError
-from charclass.expr import parse, parse_integral, parse_mod2
+from charclass.errors import (
+    CharclassError,
+    InvalidIndexSetError,
+    MixedExpressionError,
+    ParseError,
+)
+from charclass.expr import MAX_NESTING, parse, parse_integral, parse_mod2
 from charclass.feshbach import MAX_V_INDEX, IndexSet, IntClass
 from charclass.serialize import dumps, loads
 from charclass.verify import random_integral_complexifiable, random_mod2
@@ -110,6 +116,24 @@ def test_refusal_under_power_zero():
     # every V set is validated, before any later atom is read
     with pytest.raises(InvalidIndexSetError, match="above the limit"):
         parse(f"0*V{{{MAX_V_INDEX + 1}}}^0*w1", "integral")
+
+
+def test_mod2_read_under_a_context_agrees_up_to_its_caps():
+    # group products and powers taken under the context agree with the
+    # exact value on what the context admits: both caps are monomial ideals
+    rng = random.Random(14)
+    texts = [_corpus_text(rng, "w") for _ in range(150)]
+    texts += ["(w1+w2)^5*w3", "(1+w1)^37", "(w1+(w2+w3)^3)^2*w2", "3^9*(w2+1)^2"]
+    for text in texts:
+        full = parse_mod2(text)
+        for ctx in (wring.RingContext(0), wring.RingContext(3), wring.RingContext(8, 2),
+                    wring.RingContext(24)):
+            capped = wring.reduce_poly(parse_mod2(text, ctx), ctx)
+            assert capped == wring.reduce_poly(full, ctx), (text, ctx)
+            assert parse(text, "mod2", ctx) == parse_mod2(text, ctx)
+    for domain in ("integral", "chern"):
+        with pytest.raises(ValueError, match="only the mod2 regime"):
+            parse("p1", domain, wring.RingContext(8))
 
 
 def test_lexer_reads_only_ascii_digits():
@@ -379,3 +403,109 @@ def test_monomial_terms_take_no_ring_product(domain, monkeypatch):
     # a parenthesized group still multiplies in the ring, and is counted
     parse(f"({text})*{text.split(' + ')[0]}", domain)
     assert calls
+
+
+# -- a pinned corpus of outcomes -----------------------------------------------
+#
+# Every text of a seeded corpus is read in all three regimes, and each
+# reading's outcome is either the serialized value or the refusal's
+# (exception type, message, position).  The sha256 of each group's outcomes
+# was taken before the lexer read tokens as plain strings; any change in a
+# value, a message, a position or which error is reported first shows here.
+
+# what an edit puts into a text: refused characters, a digit, grammar symbols
+# out of place, and a number beyond the interpreter's digit limit
+_EDITS = ("@", "²", "0", "^", "{", "/", "9" * 5000, "(", ")", "*", "+",
+          "-", ",", "}", "1", " ", "w", "p", "V", "c")
+_CORPUS_LETTERS = {"mod2": "w", "integral": "ppV", "chern": "c"}
+
+
+def _corpus_text(rng, letters: str, depth: int = 0) -> str:
+    """A query-like sum: atoms with indices up to 12, V sets, literals,
+    literal powers, and parenthesized groups with small exponents."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if depth < 2 and roll < 0.12:
+                text = "(" + _corpus_text(rng, letters, depth + 1) + ")"
+                if rng.random() < 0.4:
+                    text += f"^{rng.randint(0, 3)}"
+            elif roll < 0.25:
+                text = str(rng.randint(0, 5))
+                if rng.random() < 0.3:
+                    text += f"^{rng.randint(0, 3)}"
+            else:
+                kind = rng.choice(letters)
+                if kind == "V":
+                    indices = rng.sample(["1/2", "1", "2", "3", "4"], rng.randint(1, 3))
+                    text = "V{" + ",".join(indices) + "}"
+                else:
+                    text = f"{kind}{rng.randint(1, 12)}"
+                if rng.random() < 0.3:
+                    text += f"^{rng.randint(0, 4)}"
+            factors.append(text)
+        terms.append(rng.choice(("*", " * ")).join(factors))
+    text = terms[0]
+    for t in terms[1:]:
+        text += rng.choice((" + ", "+", " - ", "-")) + t
+    return ("-" if rng.random() < 0.2 else "") + text
+
+
+def _edited(rng, text: str) -> str:
+    """text with one character inserted, deleted or replaced."""
+    at, edit = rng.randint(0, len(text)), rng.choice(_EDITS)
+    op = rng.choice(("insert", "delete", "replace"))
+    if op == "insert":
+        return text[:at] + edit + text[at:]
+    at = min(at, len(text) - 1)
+    return text[:at] + ("" if op == "delete" else edit) + text[at + 1:]
+
+
+def _nested_texts() -> list:
+    """Parentheses nested from three below to three above MAX_NESTING,
+    closed, unclosed, over-closed, signed, powered and inside products."""
+    texts = []
+    for d in range(MAX_NESTING - 3, MAX_NESTING + 4):
+        for atom in ("w1", "p1", "c2", "V{1/2}"):
+            texts += ["(" * d + atom + ")" * d,
+                      "(" * d + atom + ")" * (d - 1),
+                      "(" * d + atom + ")" * (d + 1),
+                      "(" * d + atom + "+w2)^2" * d,
+                      "-(" * d + atom + ")" * d,
+                      "(w1*" * d + atom + ")" * d]
+    return texts
+
+
+def _corpus() -> dict:
+    rng = random.Random(2011)
+    valid = [_corpus_text(rng, letters)
+             for letters in _CORPUS_LETTERS.values() for _ in range(250)]
+    edited = [_edited(rng, text) for text in valid for _ in range(2)]
+    return {"valid": valid, "edited": edited, "nested": _nested_texts()}
+
+
+def _outcome(text: str, domain: str) -> str:
+    try:
+        value = parse(text, domain)
+    except CharclassError as e:
+        return f"{type(e).__name__}|{e}|{getattr(e, 'position', None)}"
+    return dumps(value.free if domain == "chern" else value)
+
+
+_CORPUS_SHA256 = {
+    "valid": "68359c6773d5c6ab4608094b42ac4cb2693cb3f6d290da28f5657f4784ff2532",
+    "edited": "573678648eeca7f302937fad93538ec14fb5d5ce671b87409174bfc83aec8ca3",
+    "nested": "54cf6ad42b7bc3d3f91cf03bd7f1b0887f04e49a6cf2aa17d65be40a500b960e",
+}
+
+
+def test_parse_outcomes_match_the_pinned_corpus():
+    corpus = _corpus()
+    assert sum(map(len, corpus.values())) >= 2000
+    for group, texts in corpus.items():
+        lines = [f"{domain}\t{text}\t{_outcome(text, domain)}\n"
+                 for text in texts for domain in _CORPUS_LETTERS]
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == _CORPUS_SHA256[group], group

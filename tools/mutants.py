@@ -95,6 +95,16 @@ MUTANTS = [
     Mutant("rho-memo-kept-uncapped", "src/charclass/feshbach.py",
            "(None, None) if ctx.degree_cap is None else ", "",
            ("tests/test_feshbach.py::test_shared_rho_memo_never_changes_an_answer",)),
+    # A parse error placed at the token after the one it names.
+    Mutant("parse-error-position-off-by-one", "src/charclass/expr.py",
+           "ParseError(message, starts[k])", "ParseError(message, starts[k + 1])",
+           ("tests/test_expr.py::test_parse_error_positions",
+            "tests/test_expr.py::test_parse_outcomes_match_the_pinned_corpus")),
+    # The atom read in place accepts index 0, as in w0.
+    Mutant("in-place-atom-skips-index-check", "src/charclass/expr.py",
+           'raise self.error("index must be positive", k + 1)', "pass",
+           ("tests/test_expr.py::test_parse_rejects_zero_index",
+            "tests/test_expr.py::test_parse_outcomes_match_the_pinned_corpus")),
 ]
 
 
