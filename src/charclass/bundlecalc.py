@@ -24,12 +24,12 @@ from .wring import (
     ROOT,
     SW,
     UNBOUNDED,
+    Hom,
     MPoly2,
     RingContext,
     check_sw,
     check_value,
     constant_term,
-    evaluate_monomials,
     graded_parts,
     mul,
     reduce_poly,
@@ -62,16 +62,14 @@ class FormalBundle:
 
     rank_bound None means unbounded (a stable bundle).  Construction files
     the total's monomials by degree, once, in `_grades`, which sw() reads.
-    `_powers` maps a RingContext with a degree cap d to the powers
-    evaluate_class has built under it, {(i, e): sw(bundle, i)^e as a factor
-    of _sum_products}: at most sum_{i<=d} d // i of them, valid for the
-    bundle's life.
+    `_hom` is the bundle's classifying map, w_i to sw(bundle, i), which
+    evaluate_class applies; it keeps its memo by the rule of wring.Hom.
     """
 
     total: MPoly2
     rank_bound: int | None = None
     _grades: dict = field(init=False, compare=False)
-    _powers: dict = field(init=False, compare=False)
+    _hom: Hom = field(init=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.total, MPoly2):
@@ -83,7 +81,8 @@ class FormalBundle:
         ):
             raise ValueError("rank bound must be a nonnegative integer or None")
         object.__setattr__(self, "_grades", graded_parts(self.total))
-        object.__setattr__(self, "_powers", {})
+        # sw is read at call time, so a traced sw sees every image
+        object.__setattr__(self, "_hom", Hom(lambda i: sw(self, i), self.total.namespace))
 
     def __repr__(self):
         return f"FormalBundle({self.total}, rank_bound={self.rank_bound})"
@@ -181,19 +180,13 @@ def pontrjagin_mod2(a: FormalBundle, i: int, ctx: RingContext = UNBOUNDED):
 def evaluate_class(c: MPoly2, a: FormalBundle, ctx: RingContext = UNBOUNDED):
     """Evaluate a universal class (an sw polynomial in the w_i) on a bundle
     by substituting the bundle's classes.  Result lives in the bundle's
-    ambient ring.  Calls on the bundle under one ctx with a degree cap
-    share the powers of its classes (FormalBundle._powers); with no degree
-    cap to bound them, the powers are the call's own, as the prefix trie
-    always is."""
+    ambient ring: the bundle's classifying map, FormalBundle._hom, applied."""
     c = reduce_poly(check_sw(c, "classes are polynomials in sw variables"), ctx)
-    check_value(a, FormalBundle)
-    powers = None if ctx.degree_cap is None else a._powers.setdefault(ctx, {})
-    return evaluate_monomials(c.monomials, lambda i: sw(a, i), a.total.namespace,
-                              ctx, powers=powers)
+    return check_value(a, FormalBundle)._hom(c.monomials, ctx)
 
 
 def cartan_restrict(c: MPoly2) -> MPoly2:
     """Restriction along the Cartan fiber inclusion: w_i maps to v_i, so any
     monomial containing a squared variable dies."""
     check_sw(c, "cartan_restrict expects an sw polynomial")
-    return evaluate_monomials(c.monomials, v, EXT)
+    return Hom(v, EXT)(c.monomials)

@@ -137,7 +137,7 @@ def invariance_oracle(c: MPoly2, ctx: RingContext) -> bool:
 def _test_bundle(d: int) -> FormalBundle:
     """The fiber + universal bundle of the canonical test pair, truncated at
     degree d.  Bundles are immutable, so every class of degree d shares one
-    bundle, and with it the bundle's degree buckets and its memo of powers."""
+    bundle, and with it the bundle's degree buckets and its map's memo."""
     work = RingContext(degree_cap=d)
     return whitney_sum(fiber_bundle(work), universal_bundle(work), work)
 

@@ -38,12 +38,12 @@ from .wring import (
     SW,
     TOR,
     UNBOUNDED,
+    Hom,
     MonomialKey,
     MPoly2,
     RingContext,
     add_all,
     check_value,
-    evaluate_monomials,
     index_str,
     mask_doubled,
     mono_factors,
@@ -340,12 +340,17 @@ def doubled_w_monomial(ds) -> MPoly2:
 
 
 @lru_cache(maxsize=4096)
-def _rho_image(i: int, ctx: RingContext) -> MPoly2:
+def _rho_image(i: int) -> MPoly2:
     """rho of the tor variable i: w_{2k}^2 for p_k, Sq1 of the product of
     the w_d over the doubled indices d of I for V_I."""
     if i < 0:
-        return square(w(-2 * i), ctx)
-    return sq1(doubled_w_monomial(mask_doubled(i)), ctx)
+        return square(w(-2 * i))
+    return sq1(doubled_w_monomial(mask_doubled(i)))
+
+
+# rho as a ring map on the tor variables; its memo serves every rho,
+# torsion_equal and relation sweep of the process
+_RHO = Hom(_rho_image, SW)
 
 
 def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
@@ -356,23 +361,9 @@ def rho(a: IntClass, ctx: RingContext = UNBOUNDED) -> MPoly2:
     return _rho(a, ctx)
 
 
-@lru_cache(maxsize=8)
-def _rho_memo(ctx: RingContext) -> tuple:
-    """The (prefix memo, powers) pair of evaluate_monomials that every rho
-    under the degree-capped ctx shares: products of powers of _rho_image
-    and of their prefixes, each kept under the cap, so made once per
-    process however many classes share a head."""
-    return {}, {}
-
-
 def _rho(a: IntClass, ctx: RingContext) -> MPoly2:
-    """rho without the rank gate.  Under a degree cap it shares the ctx's
-    _rho_memo; with none, nothing bounds the products, so the memo is the
-    call's own."""
-    memo, powers = (None, None) if ctx.degree_cap is None else _rho_memo(ctx)
-    return evaluate_monomials(
-        _with_odd_free(a).monomials, lambda i: _rho_image(i, ctx), SW, ctx, memo, powers
-    )
+    """rho without the rank gate: _RHO, read at call time, applied."""
+    return _RHO(_with_odd_free(a).monomials, ctx)
 
 
 def torsion_equal(a: IntClass, b: IntClass, ctx: RingContext = UNBOUNDED) -> bool:
@@ -604,7 +595,7 @@ def _sweep(ranks: Sequence[int], degree_cap: int) -> Iterator[tuple]:
     The cases up to the top rank, each stable left-hand side and its rho at
     the degree cap come from the cap's _stable_table, so they are made once
     per process; every rho is taken at the degree cap alone, sharing its
-    _rho_memo.  A rank cap drops the monomials with a w_i above it, a
+    memo in _RHO.  A rank cap drops the monomials with a w_i above it, a
     monomial ideal, and rho is a ring homomorphism, so rho at rank n is
     reduce_poly of rho at the degree cap, and a zero image, as in every
     passing case, is zero at every rank without it.  Split-rank and

@@ -28,7 +28,7 @@ inputs first and prune during multiplication.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -622,58 +622,67 @@ def constant_term(a: MPoly2) -> int:
     return 1 if () in check_value(a).monomials else 0
 
 
-def evaluate_monomials(
-    monomials: Iterable[MonomialKey],
-    images: Callable[[int], MPoly2],
-    namespace: str,
-    ctx: RingContext = UNBOUNDED,
-    memo: dict | None = None,
-    powers: dict | None = None,
-) -> MPoly2:
-    """Sum over monomials of the product of images, a ring homomorphism.
+@dataclass(frozen=True, slots=True)
+class Hom:
+    """The ring homomorphism sending variable i to images(i), a value in
+    `namespace`; hom(monomials, ctx) is the sum over the monomials of the
+    products of their images, context-reduced.
 
-    `images(i)` must return the value substituted for variable i, in
-    `namespace`.  Products of leading factors are memoized in `memo`, a trie
-    keyed by monomial prefix: memo[(i, e)] is the node of the one-factor
-    prefix, and a node is (the product of its prefix, its children by next
-    factor).  A one-factor node's product is image i to the power e, read
-    from or filed in `powers[(i, e)]`, and a longer prefix's product is made
-    once from its parent's and its last factor's, however many monomials
-    share it.  Each memo is a fresh dict unless the caller passes one to
-    share between calls with the same images and ctx: `memo` holds products
-    of heads, `powers` only powers of images.  The products are factors of
-    _sum_products, which keep their keys' degrees, and every monomial's last
-    factor is multiplied into its head by one _sum_products call.
+    The walk memoizes products of leading factors in a trie keyed by
+    monomial prefix: trie[(i, e)] is the node of the one-factor prefix, and
+    a node is (the product of its prefix, its children by next factor).  A
+    one-factor node's product is image i to the power e, and a longer
+    prefix's product is made once from its parent's and its last factor's,
+    however many monomials share it.  The products are factors of
+    _sum_products, which keep their keys' degrees, and every monomial's
+    last factor is multiplied into its head by one _sum_products call.
+
+    Memo rule: a Hom keeps one trie per RingContext with a degree cap, for
+    at most 8 contexts, the least recently used dropped.  A context with
+    no degree cap gets a fresh trie per call, since nothing bounds its
+    products.  Nothing is keyed by an input class or a result, and the
+    tries are not compared.
     """
-    memo = {} if memo is None else memo
-    powers = {} if powers is None else powers
-    cap, one = check_value(ctx, RingContext).degree_cap, MPoly2.one(namespace)
 
-    def power_of(pair: tuple) -> tuple:
-        node = memo.get(pair)
-        if node is None:
-            factor = powers.get(pair)
-            if factor is None:
-                image = power(images(pair[0]), pair[1], ctx)
+    images: Callable[[int], MPoly2]
+    namespace: str
+    _tries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __call__(self, monomials: Iterable[MonomialKey],
+                 ctx: RingContext = UNBOUNDED) -> MPoly2:
+        ns, cap = self.namespace, check_value(ctx, RingContext).degree_cap
+        trie, one = {} if cap is None else self._trie(ctx), MPoly2.one(ns)
+
+        def power_of(pair: tuple) -> tuple:
+            node = trie.get(pair)
+            if node is None:
+                image = power(self.images(pair[0]), pair[1], ctx)
                 _check_namespaces(one, image)
-                factor = powers[pair] = _factor(image.monomials, namespace, cap)
-            node = memo[pair] = (factor, {})
-        return node
+                node = trie[pair] = (_factor(image.monomials, ns, cap), {})
+            return node
 
-    pairs = []
-    for key in monomials:
-        head = _ONE
-        if len(key) > 1:  # walk the trie down the head, key[:-1]
-            node = power_of(key[0])
-            for pair in key[1:-1]:
-                child = node[1].get(pair)
-                if child is None:
-                    got = _sum_products([(node[0], power_of(pair)[0])], namespace, cap)
-                    child = node[1][pair] = (_factor(got, namespace, cap), {})
-                node = child
-            head = node[0]
-        pairs.append((head, power_of(key[-1])[0] if key else _ONE))
-    return MPoly2(_sum_products(pairs, namespace, cap), namespace)
+        pairs = []
+        for key in monomials:
+            head = _ONE
+            if len(key) > 1:  # walk the trie down the head, key[:-1]
+                node = power_of(key[0])
+                for pair in key[1:-1]:
+                    child = node[1].get(pair)
+                    if child is None:
+                        got = _sum_products([(node[0], power_of(pair)[0])], ns, cap)
+                        child = node[1][pair] = (_factor(got, ns, cap), {})
+                    node = child
+                head = node[0]
+            pairs.append((head, power_of(key[-1])[0] if key else _ONE))
+        return MPoly2(_sum_products(pairs, ns, cap), ns)
+
+    def _trie(self, ctx: RingContext) -> dict:
+        """The trie of the degree-capped ctx, now the most recently used."""
+        tries = self._tries
+        trie = tries[ctx] = tries.pop(ctx, None) or {}
+        if len(tries) > 8:
+            del tries[next(iter(tries))]
+        return trie
 
 
 def substitute(
@@ -693,7 +702,7 @@ def substitute(
     if len(namespaces) > 1:
         raise NamespaceMismatchError("substitution images mix namespaces")
     ns = namespaces.pop() if namespaces else a.namespace
-    return evaluate_monomials(a.monomials, images.__getitem__, ns, ctx)
+    return Hom(images.__getitem__, ns)(a.monomials, ctx)
 
 
 def require_degree_cap_at_least(ctx: RingContext, needed: int, what: str) -> None:

@@ -406,9 +406,10 @@ def test_graded_bundle_equals_fresh_one():
         graded = FormalBundle(total, 3)
         for k in range(total.degree() + 1):
             sw(graded, k)
-        evaluate_class(w(1) ** 2 * w(3), graded, RingContext(6))
-        assert graded._powers
+        c, ctx = w(1) ** 2 * w(3), RingContext(6)
+        got = evaluate_class(c, graded, ctx)
         fresh = FormalBundle(total, 3)
+        assert got == evaluate_class(c, fresh, ctx)
         assert graded == fresh and fresh == graded
         assert hash(graded) == hash(fresh)
         assert repr(graded) == repr(fresh)
@@ -418,7 +419,7 @@ def test_graded_bundle_equals_fresh_one():
 def test_bundle_is_built_whole():
     b = universal_bundle(RingContext(4))
     for name, value in [("total", MPoly2.one()), ("rank_bound", 2), ("_grades", {}),
-                        ("_powers", {})]:
+                        ("_hom", None)]:
         with pytest.raises(FrozenInstanceError):
             setattr(b, name, value)
     assert sw(b, 2) == w(2) and str(b.total) == "1 + w1 + w2 + w3 + w4"
@@ -447,9 +448,11 @@ _MEMO_BUNDLES = {
 @pytest.mark.parametrize("name", sorted(_MEMO_BUNDLES))
 def test_power_memo_never_changes_an_answer(name):
     """Classes evaluated on one bundle under alternating contexts, so its
-    powers are built and reused under each, equal the same classes
-    evaluated on a freshly built bundle; some exponents pass the caps.
-    Only a degree cap bounds the powers, so only capped contexts keep them."""
+    powers and products are built and reused under each, equal the same
+    classes evaluated on a freshly built bundle; some exponents pass the
+    caps.  evaluate_class reduces a class first and a bundle's classes are
+    homogeneous, so only its map applied to a class as given reaches a
+    power above a cap, as a read of another context's memo would."""
     build = _MEMO_BUNDLES[name]
     shared = _test_bundle(12) if name == "test" else build()
     rng = random.Random(37)
@@ -461,9 +464,7 @@ def test_power_memo_never_changes_an_answer(name):
         for ctx in _MEMO_CONTEXTS:
             got, want = evaluate_class(c, shared, ctx), evaluate_class(c, build(), ctx)
             assert got == want and dumps(got) == dumps(want), (c, ctx)
-    capped = {ctx for ctx in _MEMO_CONTEXTS if ctx.degree_cap is not None}
-    assert capped <= set(shared._powers)
-    assert all(ctx.degree_cap is not None for ctx in shared._powers)
+            assert shared._hom(c.monomials, ctx) == build()._hom(c.monomials, ctx)
 
 
 def test_power_memo_builds_each_power_once_per_context(monkeypatch):
@@ -483,19 +484,38 @@ def test_power_memo_builds_each_power_once_per_context(monkeypatch):
     calls.clear()
     assert evaluate_class(c, b, ctx) == first and calls == []
     evaluate_class(c, b, RingContext(8))
-    assert len(calls) == 5 and set(b._powers) == {ctx, RingContext(8)}
+    assert len(calls) == 5
+    # with no degree cap nothing bounds the powers, so every call builds its own
+    for uncapped in (UNBOUNDED, RingContext(rank_cap=4)):
+        calls.clear()
+        evaluate_class(c, b, uncapped)
+        built = len(calls)
+        evaluate_class(c, b, uncapped)
+        assert built > 0 and len(calls) == 2 * built
 
-    # every w_i^e under degree cap 24 fills the memo to its bound
-    t, ctx = _test_bundle(24), RingContext(24)
+    # every w_i^e under degree cap 24 is built once
+    t, ctx = _test_bundle.__wrapped__(24), RingContext(24)
+    calls.clear()
     for i in range(1, 25):
         for e in range(1, 24 // i + 1):
             evaluate_class(MPoly2(frozenset({((i, e),)}), SW), t, ctx)
-    bound = sum(24 // i for i in range(1, 25))
-    assert bound == 84 and len(t._powers[ctx]) == bound
-    # multi-factor heads and exponents past the cap add no entries
+    assert len(calls) == sum(24 // i for i in range(1, 25)) == 84
+    # multi-factor heads and exponents past the cap build no power
     calls.clear()
     rng = random.Random(38)
     for _ in range(20):
         evaluate_class(random_mod2(rng, 30, max_terms=8), t, ctx)
     evaluate_class(heads, t, ctx)
-    assert calls == [] and len(t._powers[ctx]) == bound
+    assert calls == []
+
+    # under 20 degree caps in turn a bundle keeps the last 8: they build no
+    # power again, and the cap before them builds its powers anew
+    caps = [RingContext(d) for d in range(5, 25)]
+    for cap in caps:
+        evaluate_class(c, b, cap)
+    calls.clear()
+    for cap in caps[-8:]:
+        evaluate_class(c, b, cap)
+    assert calls == []
+    evaluate_class(c, b, caps[-9])
+    assert len(calls) == 5

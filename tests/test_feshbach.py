@@ -34,6 +34,8 @@ from charclass.serialize import dumps, loads
 from charclass.steenrod import sq1
 from charclass.verify import random_integral_complexifiable, suite_relations
 from charclass.wring import (
+    SW,
+    Hom,
     MPoly2,
     RingContext,
     mask_doubled,
@@ -485,7 +487,7 @@ def test_suite_relations_matches_unshared_ranks(cap):
     assert dumps(got) == dumps(want)
 
 
-def test_shared_table_never_changes_a_report():
+def test_shared_table_never_changes_a_report(monkeypatch):
     # the sweep keeps its cases, stable left-hand sides and their rho per
     # degree cap across calls; no order of calls may change what a call
     # yields, odd ranks, split ranks and ranks above the cap included.  A
@@ -494,16 +496,18 @@ def test_shared_table_never_changes_a_report():
     def run(n, cap):
         return dumps(verify_relations(n, cap)), list(feshbach._sweep([n], cap))
 
+    def cold_start():  # an empty table and a fresh rho map
+        feshbach._stable_table.cache_clear()
+        monkeypatch.setattr(feshbach, "_RHO", Hom(feshbach._rho_image, SW))
+
     calls = ([(n, 24) for n in range(32, 1, -1)] + [(n, 16) for n in range(32, 1, -1)]
              + [(n, 24) for n in range(2, 33)])
     cold = {}
     for n, cap in calls:
         if (n, cap) not in cold:
-            feshbach._stable_table.cache_clear()
-            feshbach._rho_memo.cache_clear()
+            cold_start()
             cold[n, cap] = run(n, cap)
-    feshbach._stable_table.cache_clear()
-    feshbach._rho_memo.cache_clear()
+    cold_start()
     for n, cap in calls:
         assert run(n, cap) == cold[n, cap], (n, cap)
     assert feshbach._stable_table.cache_info().currsize == 2
@@ -697,10 +701,21 @@ def _ref_of(a):
     return free, torsion
 
 
-def test_shared_rho_memo_never_changes_an_answer():
+def test_shared_rho_memo_never_changes_an_answer(monkeypatch):
     # rho keeps one memo of image powers and prefix products per degree-capped
     # context; contexts differing only in their rank cap have different
-    # images, so no order of calls may let one read another's products
+    # images, so no order of calls may let one read another's products.  A
+    # fresh rho map counts the images it asks for: a kept memo asks for none
+    # again, and with no degree cap nothing bounds the products, so none is
+    # kept.
+    asked = []
+
+    def fresh_rho():
+        def image(i):
+            asked.append(i)
+            return feshbach._rho_image(i)
+        monkeypatch.setattr(feshbach, "_RHO", Hom(image, SW))
+
     rng = random.Random(1983)
     refs = [_ref_random(rng, 6) for _ in range(16)]
     refs += [_ref_mul(ra, rb, None) for ra, rb in zip(refs[::2], refs[1::2])]
@@ -712,8 +727,9 @@ def test_shared_rho_memo_never_changes_an_answer():
     pairs = [(a, b) for a, b in pairs if max(a[0].degree(), b[0].degree()) <= 24]
     contexts = [RingContext(24), RingContext(24, 6), RingContext(24, 8)]
     verdicts = set()
-    for order in (contexts, contexts[::-1]):
-        feshbach._rho_memo.cache_clear()
+
+    def run(order, pairs):  # the number of images asked for
+        asked.clear()
         for ctx in order:
             for a, ra in classes:
                 assert rho(a, ctx) == _ref_rho(ra, ctx), (ctx, a)
@@ -721,15 +737,17 @@ def test_shared_rho_memo_never_changes_an_answer():
                 want = ra[0] == rb[0] and _ref_rho(({}, ra[1] ^ rb[1]), ctx).is_zero()
                 assert torsion_equal(a, b, ctx) == want, (ctx, a, b)
                 verdicts.add(want)
-        assert feshbach._rho_memo.cache_info().currsize == 3
+        return len(asked)
+
+    for order in (contexts, contexts[::-1]):
+        fresh_rho()
+        assert run(order, pairs) > 0
+        assert run(order, pairs) == 0  # each of the three kept its memo
     assert verdicts == {True, False}
-    # with no degree cap nothing bounds the products, so no memo is kept
-    feshbach._rho_memo.cache_clear()
+    fresh_rho()
+    same = [(classes[0], classes[0])]
     for ctx in (RingContext(), RingContext(None, 6)):
-        for a, ra in classes:
-            assert rho(a, ctx) == _ref_rho(ra, ctx)
-        assert torsion_equal(classes[0][0], classes[0][0], ctx)
-    assert feshbach._rho_memo.cache_info().currsize == 0
+        assert run([ctx], same) == run([ctx], same) > 0
 
 
 def test_valid_index_sets_matches_brute_force():

@@ -1,6 +1,7 @@
 """Every name a package module imports at its top level is used there, no
-package module imports an underscore name from another one, and only wring
-raises NamespaceMismatchError."""
+package module imports an underscore name from another one, only wring
+raises NamespaceMismatchError, and only wring runs the evaluator of ring
+maps, so every ring map is a wring.Hom."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,40 @@ def test_planted_namespace_raise_is_found():
         "    raise errors.NamespaceMismatchError\n"
     )
     assert _namespace_raises(ast.parse(planted)) == 2
+
+
+# The evaluator of ring maps (wring.Hom) and the kernels it runs, and the
+# free evaluator it replaced.
+_EVALUATOR = {"evaluate_monomials", "_sum_products", "_mul_dict", "_mul_packed"}
+
+
+def _evaluator_calls(tree: ast.Module) -> int:
+    """The number of calls of an evaluator name, by name or as an attribute."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            count += name in _EVALUATOR
+    return count
+
+
+def test_only_wring_runs_the_evaluator():
+    """Outside wring a ring map is a Hom applied, never a call of the
+    evaluator or its kernels."""
+    calling = {
+        p.name
+        for p in _modules()
+        if _evaluator_calls(ast.parse(p.read_text(encoding="utf-8")))
+    }
+    assert calling == {"wring.py"}, calling
+
+
+def test_planted_evaluator_call_is_found():
+    source = (PACKAGE / "bundlecalc.py").read_text(encoding="utf-8")
+    assert _evaluator_calls(ast.parse(source)) == 0
+    planted = source + (
+        "\n\ndef _late(c, images):\n    evaluate_monomials(c.monomials, images, SW)\n"
+        "    return wring._sum_products([], SW, None)\n"
+    )
+    assert _evaluator_calls(ast.parse(planted)) == 2

@@ -10,7 +10,7 @@ from charclass.errors import CharclassError, NotInIdealError
 from charclass.feshbach import IntClass
 from charclass.report import EXPECTED_MISMATCH, FAIL, PASS, Report
 from charclass.verify import SUITES, run_suite
-from charclass.wring import EXT, SW, MPoly2, w
+from charclass.wring import EXT, SW, Hom, MPoly2, w
 
 
 def test_report_check_carries_a_detail_only_on_failure():
@@ -130,15 +130,14 @@ FAILURE_PINS = {
 
 
 @pytest.fixture
-def cold_relation_table():
-    """An empty relation sweep table and rho memo before and after the test,
-    so a warm one serves no result made before a patch and keeps none made
-    under it."""
+def cold_relation_table(monkeypatch):
+    """An empty relation sweep table before and after the test, and a fresh
+    rho map for its length, so a warm table or memo serves no result made
+    before a patch and keeps none made under it."""
     feshbach._stable_table.cache_clear()
-    feshbach._rho_memo.cache_clear()
+    monkeypatch.setattr(feshbach, "_RHO", Hom(feshbach._rho_image, SW))
     yield
     feshbach._stable_table.cache_clear()
-    feshbach._rho_memo.cache_clear()
 
 
 @pytest.mark.parametrize("row", FAILURE_PINS.values(), ids=FAILURE_PINS)

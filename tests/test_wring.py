@@ -54,12 +54,12 @@ from charclass.wring import (
     SW,
     TOR,
     UNBOUNDED,
+    Hom,
     MPoly2,
     RingContext,
     add,
     add_all,
     constant_term,
-    evaluate_monomials,
     grade_component,
     graded_parts,
     mono_degree,
@@ -385,7 +385,7 @@ _BUN, _CTX = "FormalBundle", "RingContext"
     (lambda: reduce_poly(None, UNBOUNDED), "NoneType", _POLY),
     (lambda: substitute(3, {}), "int", _POLY),
     (lambda: substitute(w(1) * w(2), {1: w(1), 2: 3}), "int", _POLY),
-    (lambda: evaluate_monomials([((1, 1),)], {1: 3}.get, SW), "int", _POLY),
+    (lambda: Hom({1: 3}.get, SW)([((1, 1),)]), "int", _POLY),
     (lambda: evaluate_class(3, _BUNDLE, RingContext(8)), "int", _POLY),
     (lambda: evaluate_class(w(1), 3, RingContext(8)), "int", _BUN),
     (lambda: evaluate_class(w(1), w(2)), "MPoly2", _BUN),
@@ -429,7 +429,7 @@ _BUN, _CTX = "FormalBundle", "RingContext"
     (lambda: square(w(1), 8), "int", _CTX),
     (lambda: power(w(1), 3, 8), "int", _CTX),
     (lambda: sq1(w(1), 8), "int", _CTX),
-    (lambda: evaluate_monomials([((1, 1),)], {1: w(1)}.get, SW, 8), "int", _CTX),
+    (lambda: Hom({1: w(1)}.get, SW)([((1, 1),)], 8), "int", _CTX),
     (lambda: evaluate_class(w(1), _BUNDLE, 8), "int", _CTX),
     (lambda: require_degree_cap_at_least(8, 1, "x"), "int", _CTX),
     (lambda: require_rank_cap_at_least(8, 1, "x"), "int", _CTX),
@@ -849,6 +849,18 @@ def _memo_images(rng, ns, cap):
     return images
 
 
+def _naive_images(keys, images, ns, ctx):
+    """The sum over keys of the products of powers of images, by mul and
+    add alone."""
+    total = MPoly2.zero(ns)
+    for key in keys:
+        term = MPoly2.one(ns)
+        for i, e in key:
+            term = mul(term, power(images[i], e, ctx), ctx)
+        total = add(total, term, ctx)
+    return total
+
+
 def test_prefix_memo_shared_across_calls_matches_fresh():
     # the constant key, one-factor keys, keys that share prefixes, and heads
     # that the cap zeroes through w6^2; each batch is one call.  A tor key
@@ -865,45 +877,50 @@ def test_prefix_memo_shared_across_calls_matches_fresh():
         images = _memo_images(rng, ns, top)
         for cap in (None, top):
             ctx = RingContext(cap)
-
-            def naive(keys):  # the sum of products of powers, by mul and add
-                total = MPoly2.zero(ns)
-                for key in keys:
-                    term = MPoly2.one(ns)
-                    for i, e in key:
-                        term = mul(term, power(images[i], e, ctx), ctx)
-                    total = add(total, term, ctx)
-                return total
-
-            memo: dict = {}
+            hom = Hom(images.__getitem__, ns)
             for keys in batches:
-                got = evaluate_monomials(keys, images.__getitem__, ns, ctx, memo)
-                assert got == evaluate_monomials(keys, images.__getitem__, ns, ctx)
-                assert got == naive(keys), (ns, cap, keys)
+                got = hom(keys, ctx)
+                assert got == Hom(images.__getitem__, ns)(keys, ctx)
+                assert got == _naive_images(keys, images, ns, ctx), (ns, cap, keys)
+            if cap is None:  # nothing bounds the products, so no trie is kept
+                assert not hom._tries
+                continue
             # every memoized prefix holds its product, keys with degrees
-            nodes = [((pair,), node) for pair, node in memo.items()]
+            trie = hom._tries[ctx]
+            nodes = [((pair,), node) for pair, node in trie.items()]
             for prefix, (factor, children) in nodes:
-                want = naive([prefix]).monomials
+                want = _naive_images([prefix], images, ns, ctx).monomials
                 assert {k for k, _ in factor} == want and len(factor) == len(want), prefix
-                assert all(d == (0 if cap is None else mono_degree(k, ns))
-                           for k, d in factor)
+                assert all(d == mono_degree(k, ns) for k, d in factor)
                 nodes += [(prefix + (pair,), child) for pair, child in children.items()]
-            # the cap zeroes these heads; in ext every key of w6's image has
-            # a v, whose square vanishes with no cap too
-            assert (memo[(6, 2)][0] == []) == (cap is not None or ns == EXT)
-            assert (memo[(1, 1)][1][(6, 2)][0] == []) == (cap is not None or ns == EXT)
-            assert len(nodes) > len(memo)  # longer prefixes were memoized
+            # the cap zeroes these heads
+            assert trie[(6, 2)][0] == [] and trie[(1, 1)][1][(6, 2)][0] == []
+            assert len(nodes) > len(trie)  # longer prefixes were memoized
+
+
+def test_homs_keep_their_own_memos():
+    # two maps with different images, applied in turn under one context,
+    # each give their own answer however often they run
+    rng = random.Random(28)
+    keys = sorted(_random_keys(rng, 20, 7, 2))
+    ctx = RingContext(10)
+    maps = [_memo_images(rng, SW, 10) for _ in range(2)]
+    homs = [Hom(images.__getitem__, SW) for images in maps]
+    want = [_naive_images(keys, images, SW, ctx) for images in maps]
+    assert want[0] != want[1]
+    for _ in range(2):
+        for hom, expected in zip(homs, want):
+            assert hom(keys, ctx) == expected
 
 
 def test_prefix_memo_refuses_an_image_in_another_namespace():
     with pytest.raises(NamespaceMismatchError):
-        evaluate_monomials([((1, 1),)], lambda i: w(1), EXT)
-    memo: dict = {}
+        Hom(lambda i: w(1), EXT)([((1, 1),)])
     images = {1: w(1), 2: MPoly2.gen(2, EXT)}
-    got = evaluate_monomials([((1, 2),)], images.__getitem__, SW, UNBOUNDED, memo)
-    assert got == w(1) ** 2
+    hom, ctx = Hom(images.__getitem__, SW), RingContext(8)
+    assert hom([((1, 2),)], ctx) == w(1) ** 2
     with pytest.raises(NamespaceMismatchError):
-        evaluate_monomials([((1, 2), (2, 1))], images.__getitem__, SW, UNBOUNDED, memo)
+        hom([((1, 2), (2, 1))], ctx)
 
 
 def test_truncation_coherence_above_the_switch():

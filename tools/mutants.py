@@ -85,16 +85,28 @@ MUTANTS = [
     Mutant("sweep-images-keyed-without-j", "src/charclass/feshbach.py",
            "key = k, i, j", "key = k, i",
            ("tests/test_feshbach.py::test_shared_table_never_changes_a_report",)),
-    # One rho memo for every rank cap at a degree cap: a call at one rank
-    # reads products made from another rank's images.
-    Mutant("rho-memo-keyed-by-degree-cap", "src/charclass/feshbach.py",
-           "_rho_memo(ctx)", "_rho_memo(RingContext(ctx.degree_cap))",
+    # One ring-map memo for every rank cap at a degree cap: a rho call at one
+    # rank reads products made from another rank's images.
+    Mutant("rho-memo-keyed-by-degree-cap", "src/charclass/wring.py",
+           "tries[ctx] = tries.pop(ctx, None)",
+           "tries[ctx.degree_cap] = tries.pop(ctx.degree_cap, None)",
            ("tests/test_feshbach.py::test_shared_rho_memo_never_changes_an_answer",)),
-    # A rho memo kept for a context with no degree cap, where nothing bounds
-    # its products.
-    Mutant("rho-memo-kept-uncapped", "src/charclass/feshbach.py",
-           "(None, None) if ctx.degree_cap is None else ", "",
+    # A ring-map memo kept for a context with no degree cap, where nothing
+    # bounds its products.
+    Mutant("rho-memo-kept-uncapped", "src/charclass/wring.py",
+           "{} if cap is None else ", "",
            ("tests/test_feshbach.py::test_shared_rho_memo_never_changes_an_answer",)),
+    # One memo for every context of a ring map: a call under one degree cap
+    # reads powers and products made under another.
+    Mutant("hom-memo-shared-by-contexts", "src/charclass/wring.py",
+           "tries.pop(ctx, None) or {}", "next(iter(tries.values()), None) or {}",
+           ("tests/test_bundlecalc.py::test_power_memo_never_changes_an_answer",
+            "tests/test_feshbach.py::test_shared_rho_memo_never_changes_an_answer")),
+    # One memo table for every ring map, as a default-argument dict: a map
+    # reads the products of another map's images.
+    Mutant("hom-memo-shared-across-homs", "src/charclass/wring.py",
+           "default_factory=dict", "default_factory=lambda d={}: d",
+           ("tests/test_wring.py::test_homs_keep_their_own_memos",)),
     # A parse error placed at the token after the one it names.
     Mutant("parse-error-position-off-by-one", "src/charclass/expr.py",
            "ParseError(message, starts[k])", "ParseError(message, starts[k + 1])",
