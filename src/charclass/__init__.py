@@ -37,6 +37,7 @@ from .complexifiability import (
 from .errors import (
     CapsTooSmallError,
     CharclassError,
+    DigitLimitError,
     InvalidIndexSetError,
     MissingImageError,
     MixedExpressionError,

@@ -30,7 +30,7 @@ from .complexifiability import (
     is_complexifiable_mod2,
     subring_decomposition,
 )
-from .errors import CharclassError, MixedExpressionError, ParseError
+from .errors import CharclassError, DigitLimitError, MixedExpressionError, ParseError
 from .expr import parse_integral, parse_mod2
 from .feshbach import rho
 from .report import Report
@@ -144,7 +144,15 @@ def cmd_decompose(args) -> int:
 
 def cmd_chern_express(args) -> int:
     ctx = RingContext(args.degree, args.rank)
-    print(express_via_chern(parse_integral(args.expr), ctx))
+    expr = express_via_chern(parse_integral(args.expr), ctx)
+    try:
+        text = str(expr)
+    except ValueError:  # str() of an int past the digit limit
+        raise DigitLimitError(
+            f"a coefficient of the answer has more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit for printing an integer"
+        ) from None
+    print(text)
     return EXIT_OK
 
 

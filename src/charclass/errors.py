@@ -36,6 +36,11 @@ class NotInIdealError(CharclassError):
         self.witness = witness
 
 
+class DigitLimitError(CharclassError):
+    """An answer holds an integer of more decimal digits than Python prints
+    (sys.get_int_max_str_digits)."""
+
+
 class InvalidIndexSetError(CharclassError):
     """A V-index set violates the rank-n validity rules."""
 

@@ -27,7 +27,6 @@ inputs first and prune during multiplication.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
@@ -378,13 +377,20 @@ def add_all(polys: Iterable[MPoly2], ctx: RingContext = UNBOUNDED) -> MPoly2:
 
 
 # A sum of products of up to this many term pairs in all takes the dict loop,
-# a larger one the packed kernel.  Ext and tor sums always take the dict loop:
-# the kernel gives the same result for them, but packing gains nothing
-# measured.  The oracle bench workload runs one ext sum of 8,375 term pairs
-# per pass at seed 3 (8,460 at seed 4); sent to the kernel, its ops_per_s
-# stayed flat (2,539 -> 2,487 at seed 3, 2,592 -> 2,681 at seed 4) and its
-# peak RSS rose by 5 to 10 MB (42.8 -> 52.5, 44.5 -> 49.1), numpy being
-# imported for it.
+# a larger one the packed kernel.  On uncapped sw products of random factors
+# in w1..w12 (2-core Xeon) the kernel is the faster from about 250 pairs, and
+# 2.3 to 4.5 times as fast at 1,000 to 4,096; under a cap that skips most
+# pairs the dict loop stays ahead up to 4,096.  The switch sits above that
+# crossover because the kernel imports numpy: at 512, `charclass verify
+# --suite all` imports it, and its CPU time in process, import included,
+# goes from 0.20 s to 0.31 s.  The benchmark cannot see that cost, since
+# bench/pace.py imports numpy in every run; tests/test_cli.py checks that
+# verify never imports it.  Ext and tor sums always take the dict loop: the
+# kernel gives the same result for them, and on the oracle workload's ext
+# sums of 1,000 to 13,663 pairs (seeds 3 and 4) it takes 0.5 to 0.97 of the
+# dict loop's time, but few of them pass the switch, and when an earlier
+# kernel took them the workload's ops_per_s stayed flat (2,539 -> 2,487 at
+# seed 3) and its peak RSS rose by 5 to 10 MB.
 _PACK_THRESHOLD = 4096
 # Words of packed pair sums held at once: a product's broadcast chunk, and the
 # pending rows of a sum, counted down to their odd rows when they pass it.
@@ -468,7 +474,7 @@ def _mul_packed(pairs, ns, cap):
     of uint64 words holding whole fields of `bits` bits, one field per
     variable that occurs in any factor, so a product's exponent additions
     are one broadcast add over its pairs, and the rows of all products are
-    counted mod 2 by np.unique.  Exponent sums wider than 64 bits fit no
+    counted mod 2 by one sort.  Exponent sums wider than 64 bits fit no
     uint64 field and send the whole sum to the dict loop."""
     import numpy as np  # only here and in its helpers: most calls never pack
 
@@ -487,16 +493,15 @@ def _mul_packed(pairs, ns, cap):
     if cap is not None:  # factors by degree, so each left row keeps a prefix
         factors = {i: sorted(f, key=itemgetter(1)) for i, f in factors.items()}
         keys = {i: [k for k, _ in f] for i, f in factors.items()}
-        degrees = {i: [d for _, d in f] for i, f in factors.items()}
+        # every degree is at most the cap; one above int64 needs Python ints
+        dtype = np.int64 if cap < 1 << 63 else object
+        degrees = {i: np.array([d for _, d in f], dtype) for i, f in factors.items()}
     packed = {i: _pack(ks, field, bits, per, words) for i, ks in keys.items()}
-    # a row of one word sorts fastest as a plain uint64, wider rows as bytes
-    row = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
     parts, pending, budget = [], 0, _CHUNK_WORDS
     for a, b in pairs:
         pa, pb = packed[id(a)], packed[id(b)]
         if cap is not None:  # rows of pa by degree: their prefixes shrink
-            deg_b = degrees[id(b)]
-            hi = np.array([bisect_right(deg_b, cap - d) for d in degrees[id(a)]])
+            hi = np.searchsorted(degrees[id(b)], cap - degrees[id(a)], side="right")
         chunk = max(1, _CHUNK_WORDS // (len(pb) * words))
         for lo in range(0, len(pa), chunk):
             top = len(pb) if cap is None else hi[lo]
@@ -506,23 +511,33 @@ def _mul_packed(pairs, ns, cap):
             parts.append(sums.reshape(-1, words))
             pending += parts[-1].size
             if pending > budget:  # count the pending rows down to the odd ones
-                parts = [_odd_rows(parts, row, words)]
+                parts = [_odd_rows(parts)]
                 pending = parts[0].size
                 budget = max(_CHUNK_WORDS, 2 * pending)
-    odd = _odd_rows(parts, row, words)
+    odd = _odd_rows(parts)
     per = min(per, fields)  # fields in use per word
     exps = odd[:, :, None] >> (np.arange(per, dtype=np.uint64) * np.uint64(bits))
-    exps &= np.uint64((1 << bits) - 1)
+    mask = (1 << bits) - 1  # cast to the narrowest type that holds a field
+    exps = exps.astype(np.min_scalar_type(mask), copy=False) & mask
     return _decode(exps.reshape(-1, words * per), bits, columns)
 
 
-def _odd_rows(parts, row, words) -> np.ndarray:
-    """The rows of `words` words occurring an odd number of times in parts."""
+def _odd_rows(parts) -> np.ndarray:
+    """The rows occurring an odd number of times in parts, arrays of rows
+    of uint64 words.  The rows are sorted, word 0 first, so equal rows form
+    runs, and a row is odd when its run is."""
     import numpy as np
 
     rows = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    vals, counts = np.unique(rows.view(row).ravel(), return_counts=True)
-    return vals[counts & 1 == 1].view(np.uint64).reshape(-1, words)
+    if rows.shape[1] == 1:
+        rows = np.sort(rows, axis=0)
+    else:  # lexsort's last key is its first
+        rows = rows[np.lexsort(rows.T[::-1])]
+    # a run starts at a row unlike the row before it
+    edges = np.ones(len(rows) + 1, dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=edges[1:-1])
+    bounds = np.flatnonzero(edges)  # the starts of the runs, then the end
+    return rows[bounds[:-1][np.diff(bounds) & 1 == 1]]
 
 
 def _pack(keys, field, bits, per, words) -> np.ndarray:
@@ -537,41 +552,53 @@ def _pack(keys, field, bits, per, words) -> np.ndarray:
     return (exps.reshape(len(keys), words, per) << shifts).sum(axis=2, dtype=np.uint64)
 
 
+# _decode's pair table takes up to this many codes; when the m * 2**bits codes
+# of an (n, m) matrix would pass it, the exponents are ranked first and the
+# codes are made from their ranks.
+_PAIR_TABLE = 1 << 16
+
+
 def _decode(matrix: np.ndarray, bits: int, columns: list) -> list:
     """The monomial keys of the rows of an (n, m) matrix of exponents below
     2**bits, column j holding the exponent of variable columns[j] (the
     columns ascending; a column past them must be zero).
 
     Like mono_mul, the keys share their (index, exponent) pairs: one tuple
-    per distinct pair.  The rows are grouped by their number r of nonzero
-    fields, and each group's keys are built at once, by one zip over the r
-    columns of the group's pairs."""
+    per distinct pair, in a table indexed by the code exponent * m + column
+    of a nonzero field, so no field is sorted.  The rows are grouped by
+    their number r of nonzero fields, and each group's keys are built at
+    once, by one zip over the r columns of the group's pairs."""
     import numpy as np
 
     n, m = matrix.shape
-    flat = np.flatnonzero(matrix)  # row by row, ascending index within a row
+    flat = np.flatnonzero(matrix != 0)  # row by row, ascending column
     exps = matrix.ravel()[flat]
-    counts = np.bincount(flat // m, minlength=n)
-    values = None
-    if bits + (m - 1).bit_length() > 64:  # exps * m + cols would overflow
+    rows = flat // m
+    counts = np.bincount(rows, minlength=n)
+    values = range(1 << bits)  # values[c // m]: the exponent of code c
+    if m << bits > _PAIR_TABLE:  # code the exponents' ranks instead
         values, exps = np.unique(exps, return_inverse=True)
         values = values.tolist()
-    codes = exps.astype(np.uint64) * np.uint64(m) + (flat % m).astype(np.uint64)
-    del flat, exps  # free the field arrays before the sort
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    del codes
-    pairs = np.fromiter(
-        ((columns[c % m], c // m if values is None else values[c // m])
-         for c in uniq.tolist()),
-        dtype=object, count=len(uniq),
+    cols = flat - rows * m
+    codes = exps.astype(np.intp) * m + cols
+    del flat, rows, exps, cols
+    used = np.zeros(m * len(values), dtype=bool)
+    used[codes] = True
+    table = np.empty(m * len(values), dtype=object)  # code -> (index, exponent)
+    ids = np.flatnonzero(used)
+    table[ids] = np.fromiter(
+        ((columns[c % m], values[c // m]) for c in ids.tolist()),
+        dtype=object, count=len(ids),
     )
-    starts = np.cumsum(counts) - counts  # each row's first entry in inverse
-    order = np.argsort(counts)  # the rows by nonzero count
+    starts = np.cumsum(counts) - counts  # each row's first entry in codes
+    # the rows by nonzero count: a stable sort of counts of 8 or 16 bits is a
+    # radix sort
+    order = np.argsort(counts.astype(np.min_scalar_type(m)), kind="stable")
     sizes = np.bincount(counts, minlength=1).tolist()  # rows per count
     keys, lo = [()] * sizes[0], sizes[0]
-    for r, size in enumerate(sizes[1:], 1):  # the (r, size) pair ids of a group
-        ids = inverse[starts[order[lo : lo + size]] + np.arange(r)[:, None]]
-        keys += zip(*pairs[ids].tolist())
+    for r, size in enumerate(sizes[1:], 1):  # the (r, size) codes of a group
+        group = codes[starts[order[lo : lo + size]] + np.arange(r)[:, None]]
+        keys += zip(*table[group].tolist())
         lo += size
     return keys
 

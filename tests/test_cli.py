@@ -140,6 +140,18 @@ def test_over_long_digit_strings_exit_1(capsys):
         assert message in err and "int_max_str_digits" not in err, argv[:2]
 
 
+def test_answer_past_the_digit_limit_exit_2(capsys):
+    # 3^10000 has 4,772 digits, more than str() of an int writes by default:
+    # the answer is computed, then refused as too long to print, by name
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "chern-express", "--expr", "3^10000*p1", "--degree", "24")
+    assert (code, out) == (2, "")
+    assert f"has more than {limit} digits" in err and "int_max_str_digits" not in err
+    # 3^4000 has 1,909 digits and prints in full
+    code, out, _ = run(capsys, "chern-express", "--expr", "3^4000*p1", "--degree", "24")
+    assert (code, out) == (0, f"{-3**4000}*c2\n")
+
+
 def test_mixed_expression_exit_1(capsys):
     code, _, err = run(capsys, "eval", "--expr", "w1 + p1")
     assert code == 1
@@ -358,10 +370,16 @@ def test_parser_reuse_after_usage_error_and_help(capsys):
 
 
 def test_numpy_loads_only_for_packed_products():
+    # every verify suite stays below the packed kernel's switch, so none
+    # pays for importing numpy (a cost the benchmark, which imports numpy
+    # in every run, cannot see)
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from charclass import cli, wring\n"
         "assert cli.main(['eval', '--expr', 'w3 + w1*w2', '--degree', '8']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--suite', 'all']) == 0\n"
         "print('numpy' in sys.modules)\n"
         "a = wring.add_all(wring.w(i) for i in range(1, 66))\n"
         "wring.mul(a, a)  # 65 * 65 = 4,225 term pairs: the packed kernel\n"
@@ -369,7 +387,7 @@ def test_numpy_loads_only_for_packed_products():
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "w1*w2 + w3\nFalse\nTrue\n"
+    assert proc.stdout == "w1*w2 + w3\nFalse\nFalse\nTrue\n"
 
 
 @pytest.mark.parametrize("atom, degree", [("p1", 399999999996), ("V{1}", 299999999997)])

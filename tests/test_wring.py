@@ -474,22 +474,28 @@ def test_power_binary_exponentiation():
 def _decode_cases():
     """(matrix, bits, columns) cases for _decode: every row length from 0 to
     the number of columns, each at least once, in shuffled order; columns
-    past len(columns) are zero, as the padding fields of a packed word are."""
+    past len(columns) are zero, as the padding fields of a packed word are.
+    Each matrix has the narrowest unsigned type that holds its fields, as
+    _mul_packed makes it, and the first of its rows with every field nonzero
+    holds the top exponent 2**bits - 1 in each."""
     import numpy as np
 
     rng = random.Random(25)
     cases = []
-    # (bits, len(columns), m): one word, two words with padding, and
-    # exponents so wide that (exponent, column) codes need the exponents'
-    # own ranks (bits + (m - 1).bit_length() > 64)
-    for bits, fields, m in ((3, 7, 7), (5, 13, 24), (62, 5, 8), (64, 2, 2)):
+    # (bits, len(columns), m): one word, two words with padding, exponents
+    # so wide that (exponent, column) codes need the exponents' own ranks,
+    # 8-bit fields in uint8, a batch of only all-zero rows, and a table of
+    # 6 * 2**14 codes, just past the pair table's bound
+    for bits, fields, m in ((3, 7, 7), (5, 13, 24), (62, 5, 8), (64, 2, 2),
+                            (8, 9, 12), (3, 0, 4), (14, 5, 6)):
         columns = sorted(rng.sample(range(1, 60), fields))
         lengths = [r for r in range(fields + 1) for _ in range(rng.randint(1, 4))]
         rng.shuffle(lengths)
-        matrix = np.zeros((len(lengths), m), dtype=np.uint64)
+        matrix = np.zeros((len(lengths), m), dtype=np.min_scalar_type(2**bits - 1))
         for row, r in zip(matrix, lengths):
             for j in rng.sample(range(fields), r):
                 row[j] = rng.randint(1, 2**bits - 1)
+        matrix[lengths.index(fields), :fields] = 2**bits - 1
         cases.append((matrix, bits, columns))
     return cases
 
@@ -497,10 +503,15 @@ def _decode_cases():
 def test_decode_matches_a_per_row_decode():
     import numpy as np
 
-    from charclass.wring import _decode
+    from charclass.wring import _PAIR_TABLE, _decode
 
     assert _decode(np.zeros((0, 3), dtype=np.uint64), 2, [1, 2, 3]) == []
-    for matrix, bits, columns in _decode_cases():
+    cases = _decode_cases()
+    # the pair table serves some cases whole, the others after ranking
+    ranked = [matrix.shape[1] << bits > _PAIR_TABLE for matrix, bits, _ in cases]
+    assert any(ranked) and not all(ranked)
+    assert any(not matrix.any() for matrix, _, _ in cases)
+    for matrix, bits, columns in cases:
         naive = [tuple((columns[j], e) for j, e in enumerate(row) if e)
                  for row in matrix.tolist()]
         keys = _decode(matrix, bits, columns)
@@ -509,6 +520,43 @@ def test_decode_matches_a_per_row_decode():
         shared: dict = {}  # one tuple per distinct (index, exponent) pair
         for pair in (p for key in keys for p in key):
             assert shared.setdefault(pair, pair) is pair
+
+
+def test_odd_rows_match_a_counter_parity():
+    """_odd_rows against a Counter's parity on seeded rows of 1, 2 and 3
+    words: many rows share word 0 and differ only in a later word, each
+    row is repeated 1 to 4 times and the rows come in up to three parts;
+    also a single row, no rows, and batches that cancel to nothing."""
+    from collections import Counter
+
+    import numpy as np
+
+    from charclass.wring import _odd_rows
+
+    rng = random.Random(33)
+    for words in (1, 2, 3):
+        pools = [[rng.getrandbits(64) for _ in range(4)] for _ in range(words)]
+        distinct = {tuple(rng.choice(pool) for pool in pools) for _ in range(40)}
+        if words > 1:
+            assert len({row[0] for row in distinct}) < len(distinct)
+        rows = [row for row in distinct for _ in range(rng.randint(1, 4))]
+        rng.shuffle(rows)
+        cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(0, 2)))
+        parts = [np.array(rows[i:j], dtype=np.uint64).reshape(-1, words)
+                 for i, j in zip([0, *cuts], [*cuts, len(rows)])]
+        odd = {row for row, count in Counter(rows).items() if count % 2}
+        got = _odd_rows(parts)
+        assert got.dtype == np.uint64 and got.shape == (len(odd), words)
+        assert set(map(tuple, got.tolist())) == odd
+        one = [rng.getrandbits(64) for _ in range(words)]
+        single = np.array([one], dtype=np.uint64)
+        assert _odd_rows([single]).tolist() == [one]
+        assert _odd_rows([single[:0]]).shape == (0, words)
+        even = [row for row in distinct for _ in range(rng.choice((2, 4)))]
+        rng.shuffle(even)
+        even = np.array(even, dtype=np.uint64).reshape(-1, words)
+        assert _odd_rows([even]).shape == (0, words)
+        assert _odd_rows([single, even, single]).shape == (0, words)
 
 
 def _factors(pairs, ns, cap):

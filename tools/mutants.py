@@ -64,6 +64,19 @@ MUTANTS = [
     Mutant("decode-drops-empty-rows", "src/charclass/wring.py",
            "keys, lo = [()] * sizes[0], sizes[0]", "keys, lo = [], sizes[0]",
            ("tests/test_wring.py::test_decode_matches_a_per_row_decode",)),
+    # Runs of equal packed rows end only where word 0 changes, so rows that
+    # differ in a later word are counted as one.
+    Mutant("odd-rows-first-word-only", "src/charclass/wring.py",
+           "np.any(rows[1:] != rows[:-1], axis=1,",
+           "np.any(rows[1:, :1] != rows[:-1, :1], axis=1,",
+           ("tests/test_wring.py::test_odd_rows_match_a_counter_parity",
+            "tests/test_wring.py::test_packed_kernels_agree_above_the_switch")),
+    # The decode table's code puts the column where the exponent belongs.
+    Mutant("decode-table-code-swapped", "src/charclass/wring.py",
+           "codes = exps.astype(np.intp) * m + cols",
+           "codes = cols * len(values) + exps.astype(np.intp)",
+           ("tests/test_wring.py::test_decode_matches_a_per_row_decode",
+            "tests/test_wring.py::test_packed_products_pinned")),
     # The free part keeps coefficients that sum to zero.
     Mutant("collect-free-keeps-zeros", "src/charclass/feshbach.py",
            "for k, c in acc.items() if c]", "for k, c in acc.items()]",
